@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for three of the library's design choices:
 //  (a) min-cut backend: Dinic vs push-relabel on real DSD flow networks;
 //  (b) appendix-D kernels: specialised star/4-cycle peeling vs the generic
 //      embedding engine inside IncApp;
@@ -106,7 +106,9 @@ void GroupingAblation() {
 }  // namespace dsd::bench
 
 int main() {
-  std::printf("Ablation benches for DESIGN.md's design choices\n");
+  std::printf(
+      "Ablation benches: min-cut backend, appendix-D kernels, construct+ "
+      "grouping\n");
   dsd::bench::FlowBackendAblation();
   dsd::bench::KernelAblation();
   dsd::bench::GroupingAblation();

@@ -49,14 +49,9 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
 
   // Step 1: (k, Psi)-core decomposition (Algorithm 3), with residual-density
   // tracking for Pruning1.
-  Timer decomposition_timer;
-  MotifCoreDecomposition decomposition =
-      MotifCoreDecompose(graph, oracle, ctx);
-  result.stats.decomposition_seconds = decomposition_timer.Seconds();
-  result.stats.kmax = static_cast<uint32_t>(
-      std::min<uint64_t>(decomposition.kmax, UINT32_MAX));
-  result.stats.peel.Add(decomposition.peel_stats);
-  if (decomposition.kmax == 0) {
+  const std::shared_ptr<const MotifCoreDecomposition> decomposition =
+      DecomposeForSolve(graph, oracle, ctx, result.stats);
+  if (decomposition->kmax == 0) {
     // No motif instance anywhere: density 0, empty answer.
     FillResult(graph, oracle, {}, result, ctx);
     result.stats.total_seconds = total_timer.Seconds();
@@ -66,18 +61,18 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
   // Step 2: bounds and initial location. Theorem 1 gives
   // kmax/|V_Psi| <= rho_opt <= kmax; Pruning1 tightens the lower bound to
   // rho' (best residual density during peeling, itself >= kmax/|V_Psi|).
-  double lower = static_cast<double>(decomposition.kmax) / h;
+  double lower = static_cast<double>(decomposition->kmax) / h;
   std::vector<VertexId> initial_best =
-      decomposition.CoreVertices(decomposition.kmax);
+      decomposition->CoreVertices(decomposition->kmax);
   if (options.pruning1) {
-    lower = decomposition.best_residual_density;
-    initial_best = decomposition.BestResidualVertices();
+    lower = decomposition->best_residual_density;
+    initial_best = decomposition->BestResidualVertices();
   }
-  double upper = static_cast<double>(decomposition.kmax);
+  double upper = static_cast<double>(decomposition->kmax);
   uint64_t core_level = CeilLevel(lower);
 
   std::vector<std::vector<VertexId>> components =
-      ComponentsOf(graph, decomposition.CoreVertices(core_level));
+      ComponentsOf(graph, decomposition->CoreVertices(core_level));
 
   // Pruning2: per-component densities raise the lower bound and core level.
   if (options.pruning2) {
@@ -97,7 +92,7 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
     }
     if (CeilLevel(rho2) > core_level) {
       core_level = CeilLevel(rho2);
-      components = ComponentsOf(graph, decomposition.CoreVertices(core_level));
+      components = ComponentsOf(graph, decomposition->CoreVertices(core_level));
       densities.assign(components.size(), 0.0);
       for (size_t i = 0; i < components.size(); ++i) {
         densities[i] = MeasureDensity(graph, oracle, components[i], ctx);

@@ -20,6 +20,8 @@
 
 namespace dsd {
 
+class DecompositionIndex;
+
 /// Per-run execution policy, passed (by const reference) through
 /// Solver::Run into the oracle's hot queries. Copyable and cheap; the
 /// default-constructed context means "sequential, no deadline, not
@@ -39,6 +41,12 @@ struct ExecutionContext {
   /// Optional external kill switch. The pointee must outlive every run that
   /// sees this context. nullptr means "not cancellable".
   const std::atomic<bool>* cancelled = nullptr;
+
+  /// Optional store of complete whole-graph decompositions (motif_core.h)
+  /// that DecomposeForSolve reads before peeling and fills after. The
+  /// pointee must outlive every run that sees this context. nullptr means
+  /// "always decompose": batch solves never set it.
+  DecompositionIndex* decompositions = nullptr;
 
   /// A sequential context: 1 thread, no deadline, no cancel flag.
   static ExecutionContext Sequential() { return ExecutionContext(); }

@@ -14,24 +14,21 @@ DensestResult DensestAtLeast(const Graph& graph, const MotifOracle& oracle,
                              const ExecutionContext& ctx) {
   Timer timer;
   DensestResult result;
-  MotifCoreDecomposition decomposition =
-      MotifCoreDecompose(graph, oracle, ctx);
-  result.stats.kmax =
-      static_cast<uint32_t>(std::min<uint64_t>(decomposition.kmax, UINT32_MAX));
-  result.stats.peel.Add(decomposition.peel_stats);
+  const std::shared_ptr<const MotifCoreDecomposition> decomposition =
+      DecomposeForSolve(graph, oracle, ctx, result.stats);
 
   // Scan residual graphs (suffixes of the removal order) that still have at
   // least min_size vertices; keep the densest. residual_density may be
   // shorter than removal_order when the decomposition was deadline-
   // truncated — only measured suffixes are candidates.
-  const size_t n = decomposition.removal_order.size();
+  const size_t n = decomposition->removal_order.size();
   size_t best_start = 0;
   double best_density = -1.0;
-  for (size_t start = 0; start < decomposition.residual_density.size();
+  for (size_t start = 0; start < decomposition->residual_density.size();
        ++start) {
     if (n - start < min_size) break;
-    if (decomposition.residual_density[start] > best_density) {
-      best_density = decomposition.residual_density[start];
+    if (decomposition->residual_density[start] > best_density) {
+      best_density = decomposition->residual_density[start];
       best_start = start;
     }
   }
@@ -42,9 +39,9 @@ DensestResult DensestAtLeast(const Graph& graph, const MotifOracle& oracle,
     FillResult(graph, oracle, std::move(all), result, ctx);
   } else {
     std::vector<VertexId> vertices(
-        decomposition.removal_order.begin() +
+        decomposition->removal_order.begin() +
             static_cast<ptrdiff_t>(best_start),
-        decomposition.removal_order.end());
+        decomposition->removal_order.end());
     FillResult(graph, oracle, std::move(vertices), result, ctx);
   }
   result.stats.total_seconds = timer.Seconds();

@@ -10,13 +10,14 @@ DensestResult IncApp(const Graph& graph, const MotifOracle& oracle,
                      const ExecutionContext& ctx) {
   Timer timer;
   DensestResult result;
-  MotifCoreDecomposition decomposition =
-      MotifCoreDecompose(graph, oracle, ctx);
-  result.stats.kmax =
-      static_cast<uint32_t>(std::min<uint64_t>(decomposition.kmax, UINT32_MAX));
-  result.stats.peel.Add(decomposition.peel_stats);
-  if (decomposition.kmax > 0) {
-    FillResult(graph, oracle, decomposition.CoreVertices(decomposition.kmax),
+  // The paper's sequential baseline always peels: it never reads the
+  // decomposition index, so its timings stay those of Algorithm 5.
+  ExecutionContext peel_ctx = ctx;
+  peel_ctx.decompositions = nullptr;
+  const std::shared_ptr<const MotifCoreDecomposition> decomposition =
+      DecomposeForSolve(graph, oracle, peel_ctx, result.stats);
+  if (decomposition->kmax > 0) {
+    FillResult(graph, oracle, decomposition->CoreVertices(decomposition->kmax),
                result, ctx);
   } else {
     FillResult(graph, oracle, {}, result, ctx);

@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "util/bucket_queue.h"
-
+#include "util/timer.h"
 
 namespace dsd {
 
@@ -433,7 +433,63 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
     }
   }
   result.kmax = k;
+  result.complete = !stopped;
   return result;
+}
+
+std::shared_ptr<const MotifCoreDecomposition> DecompositionIndex::Find(
+    const std::string& motif) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(motif);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  return it->second;
+}
+
+void DecompositionIndex::Insert(
+    const std::string& motif,
+    std::shared_ptr<const MotifCoreDecomposition> decomposition) {
+  assert(decomposition->complete);
+  const uint64_t bytes =
+      decomposition->core.size() * sizeof(uint64_t) +
+      decomposition->removal_order.size() * sizeof(VertexId) +
+      decomposition->residual_density.size() * sizeof(double);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (entries_.emplace(motif, std::move(decomposition)).second) {
+    stats_.bytes += bytes;
+  }
+}
+
+DecompositionIndex::Stats DecompositionIndex::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
+
+std::shared_ptr<const MotifCoreDecomposition> DecomposeForSolve(
+    const Graph& graph, const MotifOracle& oracle, const ExecutionContext& ctx,
+    AlgoStats& stats) {
+  Timer timer;
+  DecompositionIndex* index =
+      ctx.decompositions != nullptr && ctx.decompositions->Serves(graph)
+          ? ctx.decompositions
+          : nullptr;
+  std::shared_ptr<const MotifCoreDecomposition> decomposition;
+  if (index != nullptr) decomposition = index->Find(oracle.Name());
+  if (decomposition == nullptr) {
+    decomposition = std::make_shared<const MotifCoreDecomposition>(
+        MotifCoreDecompose(graph, oracle, ctx));
+    stats.peel.Add(decomposition->peel_stats);
+    if (index != nullptr && decomposition->complete) {
+      index->Insert(oracle.Name(), decomposition);
+    }
+  }
+  stats.decomposition_seconds = timer.Seconds();
+  stats.kmax = static_cast<uint32_t>(
+      std::min<uint64_t>(decomposition->kmax, UINT32_MAX));
+  return decomposition;
 }
 
 std::vector<VertexId> RestrictToCore(const Graph& graph,

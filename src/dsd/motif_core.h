@@ -9,7 +9,11 @@
 #define DSD_DSD_MOTIF_CORE_H_
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -77,6 +81,9 @@ struct MotifCoreDecomposition {
   size_t best_residual_start = 0;
   /// Pipeline instrumentation for this decomposition (see result.h).
   PeelEngineStats peel_stats;
+  /// False iff a deadline or cancel truncated the peel (see
+  /// MotifCoreDecompose); only complete decompositions may be indexed.
+  bool complete = true;
 
   /// Vertices with core number >= k, sorted (the (k, Psi)-core).
   std::vector<VertexId> CoreVertices(uint64_t k) const;
@@ -122,6 +129,57 @@ MotifCoreDecomposition MotifCoreDecompose(
     const Graph& graph, const MotifOracle& oracle,
     const ExecutionContext& ctx = ExecutionContext(),
     const MotifCoreOptions& options = MotifCoreOptions());
+
+/// Complete whole-graph decompositions of ONE graph, keyed by the oracle's
+/// canonical Name() (so "triangle" and "3-clique" share an entry). A
+/// decomposition depends only on (graph, motif) and is bit-identical across
+/// thread counts and oracle stacks, so one entry answers every later solve.
+/// Entries are immutable and never evicted (~20 bytes per vertex each).
+/// Thread-safe without single-flight: concurrent misses may both peel, and
+/// the first complete insert wins.
+class DecompositionIndex {
+ public:
+  /// Binds the index to `graph`'s content via its generation tag.
+  explicit DecompositionIndex(const Graph& graph)
+      : generation_(graph.Generation()) {}
+
+  /// True iff `graph` is the graph this index was built for.
+  bool Serves(const Graph& graph) const {
+    return graph.Generation() == generation_;
+  }
+
+  /// The entry for `motif`, or nullptr; counts a hit or a miss.
+  std::shared_ptr<const MotifCoreDecomposition> Find(const std::string& motif);
+
+  /// Stores `decomposition` (which must be complete) unless `motif`
+  /// already has an entry.
+  void Insert(const std::string& motif,
+              std::shared_ptr<const MotifCoreDecomposition> decomposition);
+
+  struct Stats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    /// Heap bytes of the stored entries' arrays.
+    uint64_t bytes = 0;
+  };
+  Stats stats() const;
+
+ private:
+  const uint64_t generation_;
+  mutable std::mutex mutex_;
+  std::map<std::string, std::shared_ptr<const MotifCoreDecomposition>>
+      entries_;
+  Stats stats_;
+};
+
+/// The whole-graph decomposition peel, at-least, query, core-exact and
+/// inc-app start from: ctx.decompositions' entry for this graph and motif
+/// when it has one (no peel runs, `stats.peel` stays zero), else a
+/// MotifCoreDecompose whose result is indexed if complete. Sets stats.kmax
+/// and stats.decomposition_seconds.
+std::shared_ptr<const MotifCoreDecomposition> DecomposeForSolve(
+    const Graph& graph, const MotifOracle& oracle, const ExecutionContext& ctx,
+    AlgoStats& stats);
 
 /// Restricts `vertices` (ids of `graph`) to the (k, Psi)-core of the induced
 /// subgraph G[vertices]: iteratively drops members with motif-degree < k.

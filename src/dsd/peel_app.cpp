@@ -13,13 +13,10 @@ DensestResult PeelApp(const Graph& graph, const MotifOracle& oracle,
   // The peeling loop of Algorithm 2 is exactly the decomposition loop of
   // Algorithm 3 with residual-density tracking; the answer is the residual
   // subgraph of maximum density.
-  MotifCoreDecomposition decomposition =
-      MotifCoreDecompose(graph, oracle, ctx);
-  result.stats.kmax =
-      static_cast<uint32_t>(std::min<uint64_t>(decomposition.kmax, UINT32_MAX));
-  result.stats.peel.Add(decomposition.peel_stats);
-  if (decomposition.best_residual_density > 0.0) {
-    FillResult(graph, oracle, decomposition.BestResidualVertices(), result,
+  const std::shared_ptr<const MotifCoreDecomposition> decomposition =
+      DecomposeForSolve(graph, oracle, ctx, result.stats);
+  if (decomposition->best_residual_density > 0.0) {
+    FillResult(graph, oracle, decomposition->BestResidualVertices(), result,
                ctx);
   } else {
     FillResult(graph, oracle, {}, result, ctx);

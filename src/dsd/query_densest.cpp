@@ -70,22 +70,17 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
 
   // Core decomposition gives x = min core number over Q; the x-core contains
   // Q and has density >= x / |V_Psi| (Theorem 1), the paper's lower bound.
-  Timer decomposition_timer;
-  MotifCoreDecomposition decomposition =
-      MotifCoreDecompose(graph, oracle, ctx);
-  result.stats.decomposition_seconds = decomposition_timer.Seconds();
-  result.stats.kmax = static_cast<uint32_t>(
-      std::min<uint64_t>(decomposition.kmax, UINT32_MAX));
-  result.stats.peel.Add(decomposition.peel_stats);
+  const std::shared_ptr<const MotifCoreDecomposition> decomposition =
+      DecomposeForSolve(graph, oracle, ctx, result.stats);
 
   uint64_t x = UINT64_MAX;
-  for (VertexId q : query) x = std::min(x, decomposition.core[q]);
+  for (VertexId q : query) x = std::min(x, decomposition->core[q]);
 
   // Initial candidate: the x-core (always contains Q).
-  std::vector<VertexId> best = decomposition.CoreVertices(x);
+  std::vector<VertexId> best = decomposition->CoreVertices(x);
   double best_density = MeasureDensity(graph, oracle, best, ctx);
   double lower = std::max(static_cast<double>(x) / h, best_density);
-  double upper = static_cast<double>(decomposition.kmax);
+  double upper = static_cast<double>(decomposition->kmax);
 
   // Locate the search in the Q-protected ceil(lower)-core.
   std::vector<VertexId> all(n);

@@ -189,7 +189,8 @@ Status SanitizeRequest(const Graph& graph, SolveRequest& request,
 
 StatusOr<SolveResponse> RunSolve(const Graph& graph, const Solver& solver,
                                  const MotifOracle& oracle,
-                                 SolveRequest request, Timer timer) {
+                                 SolveRequest request, Timer timer,
+                                 DecompositionIndex* decompositions) {
   SolveResponse response;
   response.stats.algorithm = solver.Name();
   response.stats.motif = oracle.Name();
@@ -208,6 +209,7 @@ StatusOr<SolveResponse> RunSolve(const Graph& graph, const Solver& solver,
     ctx = ctx.WithDeadlineAfter(request.time_budget_seconds -
                                 timer.Seconds());
   }
+  ctx.decompositions = decompositions;
   response.stats.threads = ctx.threads;
 
   response.result = solver.Run(graph, oracle, request, ctx);
@@ -297,17 +299,19 @@ StatusOr<SolveResponse> Solve(const Graph& graph,
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle(request.motif, options);
   if (!oracle.ok()) return oracle.status();
-  return RunSolve(graph, *solver, *oracle.value(), request, timer);
+  return RunSolve(graph, *solver, *oracle.value(), request, timer,
+                  /*decompositions=*/nullptr);
 }
 
 StatusOr<SolveResponse> Solve(const Graph& graph, const MotifOracle& oracle,
-                              const SolveRequest& request) {
+                              const SolveRequest& request,
+                              DecompositionIndex* decompositions) {
   Timer timer;
   const Solver* solver = SolverRegistry::Global().Find(request.algorithm);
   if (solver == nullptr) {
     return Status::NotFound("unknown algorithm '" + request.algorithm + "'");
   }
-  return RunSolve(graph, *solver, oracle, request, timer);
+  return RunSolve(graph, *solver, oracle, request, timer, decompositions);
 }
 
 }  // namespace dsd

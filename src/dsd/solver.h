@@ -202,12 +202,17 @@ StatusOr<SolveResponse> Solve(const Graph& graph, const SolveRequest& request);
 
 /// Same, but with a caller-supplied oracle — `request.motif` is ignored.
 /// For motifs the name vocabulary cannot express (e.g. a PatternOracle with
-/// special kernels disabled). The effective thread count is clamped by the
+/// special kernels disabled), and for long-lived callers that hold one
+/// oracle stack per graph. The effective thread count is clamped by the
 /// supplied oracle's MaxUsefulThreads(), so a plain CliqueOracle runs
 /// sequentially — pass a ParallelCliqueOracle (or a MakeOracle product) to
-/// spend a thread budget.
+/// spend a thread budget. A non-null `decompositions` (bound to `graph`)
+/// becomes ExecutionContext::decompositions: peel, at-least, query and
+/// core-exact then reuse its complete decompositions and fill it on a miss,
+/// with answers bit-identical to an index-free solve.
 StatusOr<SolveResponse> Solve(const Graph& graph, const MotifOracle& oracle,
-                              const SolveRequest& request);
+                              const SolveRequest& request,
+                              DecompositionIndex* decompositions = nullptr);
 
 }  // namespace dsd
 

@@ -22,8 +22,8 @@ class Pattern {
   /// Duplicate edges and self-loops are rejected (assert).
   Pattern(std::string name, int num_vertices, std::vector<Edge> edges);
 
-  // --- The paper's pattern vocabulary (Figure 7; see DESIGN.md §4 for the
-  // --- reconstruction of the figure-only shapes).
+  // --- The paper's pattern vocabulary (Figure 7). Shapes the paper only
+  // --- draws are pinned down by the edge lists in pattern.cpp.
 
   /// Single edge (2-clique).
   static Pattern EdgePattern();

@@ -11,7 +11,8 @@ ResidentGraph::ResidentGraph(std::string name, Graph graph,
                              unsigned hardware_threads)
     : name_(std::move(name)),
       graph_(std::move(graph)),
-      hardware_threads_(ResolveThreadCount(hardware_threads)) {}
+      hardware_threads_(ResolveThreadCount(hardware_threads)),
+      decompositions_(graph_) {}
 
 StatusOr<std::shared_ptr<const MotifOracle>> ResidentGraph::OracleFor(
     const std::string& motif) {

@@ -11,6 +11,10 @@
 // so the parallel kernels are in the stack; the per-request
 // ExecutionContext decides how many workers any one call actually spends
 // (that is how the executor's budget partitioning reaches the hot loops).
+// Each resident graph also owns a DecompositionIndex: the first solve that
+// completes a whole-graph (k, Psi)-core decomposition of a motif stores it,
+// and every later peel / at-least / query / core-exact solve of that motif
+// on the graph starts from the stored entry instead of peeling again.
 #ifndef DSD_SERVER_GRAPH_REGISTRY_H_
 #define DSD_SERVER_GRAPH_REGISTRY_H_
 
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "dsd/caching_oracle.h"
+#include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
 #include "graph/graph.h"
 #include "util/status.h"
@@ -47,10 +52,14 @@ class ResidentGraph {
   /// (motifs without a caching layer — "edge" — contribute zeros).
   CachingOracle::CacheStats AggregateCacheStats() const;
 
+  /// The graph's decomposition index, passed to every solve on it.
+  DecompositionIndex& decompositions() { return decompositions_; }
+
  private:
   const std::string name_;
   const Graph graph_;
   const unsigned hardware_threads_;
+  DecompositionIndex decompositions_;
 
   mutable std::mutex mutex_;
   // Keyed by canonical oracle name; `aliases_` maps every requested

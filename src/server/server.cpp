@@ -271,8 +271,8 @@ void DsdServer::HandleSolve(const WireRequest& request,
     solve.threads = solve.threads == 0
                         ? thread_budget
                         : std::min(solve.threads, thread_budget);
-    StatusOr<SolveResponse> response =
-        dsd::Solve(resident->graph(), *oracle.value(), solve);
+    StatusOr<SolveResponse> response = dsd::Solve(
+        resident->graph(), *oracle.value(), solve, &resident->decompositions());
     if (!response.ok()) {
       failed_.fetch_add(waiters.size(), std::memory_order_relaxed);
       for (const PendingSolve::Waiter& waiter : waiters) {
@@ -304,11 +304,15 @@ std::string DsdServer::HandleLoad(const WireRequest& request) {
   // Files go through the storage layer: .dsdg containers are sniffed by
   // magic and mmap'ed zero-copy; anything else streams through the
   // edge-list ingester, whose errors carry the offending line number.
+  // A resident graph is trusted for its whole lifetime (its decomposition
+  // index serves whatever the first solve computed), so .dsdg payloads are
+  // verified once here: corruption is a typed InvalidArgument, never an
+  // out-of-bounds read later.
   StatusOr<Graph> graph =
       !request.load_preset.empty()
           ? BuildPresetGraph(request.load_preset, request.load_seed,
                              request.has_load_seed)
-          : storage::LoadGraphFile(request.load_file);
+          : storage::LoadGraphFile(request.load_file, {.verify = true});
   if (!graph.ok()) return FormatError(request.id, graph.status());
   const VertexId vertices = graph.value().NumVertices();
   const EdgeId edges = graph.value().NumEdges();
@@ -338,7 +342,12 @@ DsdServer::Stats DsdServer::stats() const {
     stats.cache.degree_misses += cache.degree_misses;
     stats.cache.count_hits += cache.count_hits;
     stats.cache.count_misses += cache.count_misses;
-    stats.resident_bytes += resident->graph().MemoryFootprintBytes();
+    const DecompositionIndex::Stats index = resident->decompositions().stats();
+    stats.index.hits += index.hits;
+    stats.index.misses += index.misses;
+    stats.index.bytes += index.bytes;
+    stats.resident_bytes +=
+        resident->graph().MemoryFootprintBytes() + index.bytes;
   }
   return stats;
 }
@@ -357,7 +366,10 @@ std::string DsdServer::FormatStats(uint64_t id) const {
          " degree_hits=" + std::to_string(stats.cache.degree_hits) +
          " degree_misses=" + std::to_string(stats.cache.degree_misses) +
          " count_hits=" + std::to_string(stats.cache.count_hits) +
-         " count_misses=" + std::to_string(stats.cache.count_misses);
+         " count_misses=" + std::to_string(stats.cache.count_misses) +
+         " index_hits=" + std::to_string(stats.index.hits) +
+         " index_misses=" + std::to_string(stats.index.misses) +
+         " index_bytes=" + std::to_string(stats.index.bytes);
 }
 
 // ---------------------------------------------------------------------------

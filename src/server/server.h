@@ -106,8 +106,10 @@ class DsdServer {
     uint64_t failed = 0;      ///< solves answered "err" after running
     uint64_t shed = 0;        ///< solves refused at admission
     uint64_t coalesced = 0;   ///< solves answered by riding a queued twin
-    uint64_t resident_bytes = 0;  ///< CSR footprint over resident graphs
+    /// CSR footprint plus decomposition-index bytes over resident graphs
+    uint64_t resident_bytes = 0;
     CachingOracle::CacheStats cache;  ///< summed over resident graphs
+    DecompositionIndex::Stats index;  ///< summed over resident graphs
   };
   Stats stats() const;
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
@@ -23,6 +24,7 @@
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/oracle_factory.h"
+#include "dsd/peel_app.h"
 #include "dsd/solver.h"
 #include "graph/generators.h"
 #include "parallel/parallel_for.h"
@@ -456,6 +458,150 @@ TEST(DifferentialSolveTest, ThreadedAndCachedSolvesMatchSequential) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decomposition index: solves that read a stored decomposition must answer
+// exactly as solves that peel.
+
+std::string Bits(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+void ExpectSameAnswer(const StatusOr<SolveResponse>& got,
+                      const StatusOr<SolveResponse>& want) {
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(Bits(got.value().result.density),
+            Bits(want.value().result.density));
+  EXPECT_EQ(got.value().result.instances, want.value().result.instances);
+  EXPECT_EQ(got.value().result.vertices, want.value().result.vertices);
+  EXPECT_EQ(got.value().result.stats.kmax, want.value().result.stats.kmax);
+}
+
+SolveRequest IndexedRequest(const std::string& algo, const std::string& motif,
+                            unsigned threads) {
+  SolveRequest request;
+  request.algorithm = algo;
+  request.motif = motif;
+  request.min_size = 10;    // at-least only
+  request.seeds = {1, 5};   // query only
+  request.threads = threads;
+  return request;
+}
+
+constexpr uint64_t kIndexBytesPerVertex =
+    sizeof(uint64_t) + sizeof(VertexId) + sizeof(double);
+
+TEST(DecompositionIndexTest, IndexServedSolvesMatchDirectSolveBitIdentical) {
+  const char* const algos[] = {"peel", "at-least", "query", "core-exact"};
+  const char* const motifs[] = {"edge", "triangle", "2-star", "4-clique",
+                                "basket"};
+  for (const SeededGraph& sg : TestGraphs()) {
+    SCOPED_TRACE(sg.name + " seed=" + std::to_string(sg.seed));
+    DecompositionIndex index(sg.graph);
+    for (const char* motif : motifs) {
+      // The server's stack: one cached oracle with the full budget, shared
+      // by every solve of the motif.
+      std::unique_ptr<MotifOracle> oracle = MustMakeOracle(motif, 4, true);
+      for (const char* algo : algos) {
+        for (unsigned threads : {1u, 4u}) {
+          SCOPED_TRACE(std::string(algo) + "/" + motif +
+                       " threads=" + std::to_string(threads));
+          const StatusOr<SolveResponse> direct =
+              Solve(sg.graph, IndexedRequest(algo, motif, threads));
+          // The entry is built (or re-read) under the other grant, then
+          // read under this one.
+          const unsigned other = threads == 1 ? 4 : 1;
+          ExpectSameAnswer(Solve(sg.graph, *oracle,
+                                 IndexedRequest(algo, motif, other), &index),
+                           direct);
+          const StatusOr<SolveResponse> served = Solve(
+              sg.graph, *oracle, IndexedRequest(algo, motif, threads), &index);
+          ExpectSameAnswer(served, direct);
+          ASSERT_TRUE(served.ok());
+          EXPECT_EQ(served.value().result.stats.peel.brackets, 0u)
+              << "a hit must report no peel-engine work";
+        }
+      }
+    }
+    // One miss per motif (the very first solve); every other lookup hit.
+    const DecompositionIndex::Stats stats = index.stats();
+    const uint64_t lookups = std::size(motifs) * std::size(algos) * 2 * 2;
+    EXPECT_EQ(stats.misses, std::size(motifs));
+    EXPECT_EQ(stats.hits, lookups - std::size(motifs));
+    EXPECT_EQ(stats.bytes, std::size(motifs) * sg.graph.NumVertices() *
+                               kIndexBytesPerVertex);
+  }
+}
+
+TEST(DecompositionIndexTest, DeadlineTruncatedSolveLeavesIndexEmpty) {
+  const Graph graph = gen::BarabasiAlbert(70, 3, 0x5EED2);
+  DecompositionIndex index(graph);
+  std::unique_ptr<MotifOracle> oracle = MustMakeOracle("triangle", 4, true);
+  SolveRequest blown = IndexedRequest("peel", "triangle", 4);
+  blown.time_budget_seconds = 1e-12;
+  EXPECT_TRUE(Solve(graph, *oracle, blown, &index).status().IsDeadlineExceeded());
+  EXPECT_EQ(index.stats().misses, 1u);
+  EXPECT_EQ(index.stats().bytes, 0u);
+
+  // The next solve is a miss that peels in full and answers correctly.
+  const SolveRequest request = IndexedRequest("peel", "triangle", 4);
+  const StatusOr<SolveResponse> direct = Solve(graph, request);
+  ExpectSameAnswer(Solve(graph, *oracle, request, &index), direct);
+  EXPECT_EQ(index.stats().misses, 2u);
+  EXPECT_EQ(index.stats().bytes, graph.NumVertices() * kIndexBytesPerVertex);
+  ExpectSameAnswer(Solve(graph, *oracle, request, &index), direct);
+  EXPECT_EQ(index.stats().hits, 1u);
+}
+
+TEST(DecompositionIndexTest, CancelTruncatedSolveLeavesIndexEmpty) {
+  const Graph graph = gen::ErdosRenyi(60, 0.15, 0x7EE7);
+  DecompositionIndex index(graph);
+  std::atomic<bool> cancel{false};
+  CancelAfterPeelsOracle cancelling(3, 25, &cancel);
+  ExecutionContext ctx = ExecutionContext().WithCancelFlag(&cancel);
+  ctx.decompositions = &index;
+  PeelApp(graph, cancelling, ctx);
+  ASSERT_TRUE(cancel.load());
+  EXPECT_EQ(index.stats().misses, 1u);
+  EXPECT_EQ(index.stats().bytes, 0u);
+
+  std::unique_ptr<MotifOracle> oracle = MustMakeOracle("triangle", 4, true);
+  const SolveRequest request = IndexedRequest("peel", "triangle", 1);
+  ExpectSameAnswer(Solve(graph, *oracle, request, &index),
+                   Solve(graph, request));
+  EXPECT_EQ(index.stats().misses, 2u);
+  EXPECT_EQ(index.stats().bytes, graph.NumVertices() * kIndexBytesPerVertex);
+}
+
+TEST(DecompositionIndexTest, TriangleAndThreeCliqueShareOneEntry) {
+  const Graph graph = gen::ErdosRenyi(60, 0.12, 0x5EED1);
+  DecompositionIndex index(graph);
+  std::unique_ptr<MotifOracle> triangle = MustMakeOracle("triangle", 4, true);
+  std::unique_ptr<MotifOracle> clique = MustMakeOracle("3-clique", 1, false);
+  const SolveRequest peel = IndexedRequest("peel", "triangle", 4);
+  const SolveRequest exact = IndexedRequest("core-exact", "3-clique", 1);
+  ExpectSameAnswer(Solve(graph, *triangle, peel, &index), Solve(graph, peel));
+  ExpectSameAnswer(Solve(graph, *clique, exact, &index), Solve(graph, exact));
+  EXPECT_EQ(index.stats().misses, 1u);
+  EXPECT_EQ(index.stats().hits, 1u);
+  EXPECT_EQ(index.stats().bytes, graph.NumVertices() * kIndexBytesPerVertex);
+}
+
+TEST(DecompositionIndexTest, IndexOfAnotherGraphIsNeverConsulted) {
+  const Graph indexed = gen::ErdosRenyi(60, 0.12, 0x5EED1);
+  const Graph other = gen::BarabasiAlbert(70, 3, 0x5EED2);
+  DecompositionIndex index(indexed);
+  std::unique_ptr<MotifOracle> oracle = MustMakeOracle("triangle", 4, true);
+  const SolveRequest request = IndexedRequest("peel", "triangle", 4);
+  ExpectSameAnswer(Solve(other, *oracle, request, &index),
+                   Solve(other, request));
+  const DecompositionIndex::Stats stats = index.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
 }
 
 }  // namespace

@@ -96,8 +96,10 @@ Preload ParsePreload(const std::string& text) {
 int ApplyPreload(DsdServer& server, const Preload& preload) {
   dsd::StatusOr<dsd::Graph> graph = [&]() -> dsd::StatusOr<dsd::Graph> {
     if (!preload.source.empty() && preload.source[0] == '@') {
-      // Sniffs .dsdg containers (mmap'ed zero-copy) vs edge-list text.
-      return dsd::storage::LoadGraphFile(preload.source.substr(1));
+      // Sniffs .dsdg containers (mmap'ed zero-copy) vs edge-list text;
+      // .dsdg payloads are verified once, as the `load` verb does.
+      return dsd::storage::LoadGraphFile(preload.source.substr(1),
+                                         {.verify = true});
     }
     const size_t colon = preload.source.find(':');
     if (colon == std::string::npos) {
