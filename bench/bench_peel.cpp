@@ -10,26 +10,17 @@
 // its threads = 1 baseline: the peeling engine is deterministic by
 // construction (canonical within-bracket order), so any divergence fails
 // the bench with exit 1. Wall-clock scaling itself must be read on a
-// multicore host.
-//
-// The engine-comparison section additionally runs the SAME decomposition
-// through the serial and pipelined peel engines on the power-law registry
-// rungs and fails loudly unless (a) the outputs are bit-identical, (b) the
-// pipeline genuinely overlapped (brackets_overlapped > 0) with a
-// speculation hit-rate >= 50%, and (c) on pl-100k the pipelined engine's
-// apply_stall_ns is strictly below the serial engine's refill time — the
-// counters every record also carries into BENCH_peel.json.
+// multicore host. Every record also carries the peel engine's bracket
+// count and the time spent counting them (refill_ns).
 //
 // Usage: bench_peel [output.json]   (stdout when no path is given)
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dsd/motif_core.h"
-#include "dsd/oracle_factory.h"
+#include "dsd/result.h"
 #include "graph/generators.h"
 #include "harness/runner.h"
 #include "storage/dataset_registry.h"
@@ -56,9 +47,6 @@ struct Record {
   std::string algo;
   std::string motif;
   std::string dataset;
-  // "solve" for dsd::Solve rows (pipelined whenever threads >= 2);
-  // "serial" / "pipelined" for the engine-comparison rows.
-  std::string engine = "solve";
   unsigned threads_requested = 0;
   unsigned threads_effective = 0;
   double wall_seconds = 0.0;
@@ -181,128 +169,24 @@ int Run(std::FILE* out) {
     }
   }
 
-  // Engine-comparison rows: the same edge-motif decomposition through the
-  // serial and the pipelined peel engine on the power-law registry rungs,
-  // with the pipeline's promises asserted in-bench (fail-loud, exit 1):
-  // bit-identical outputs, a genuine overlap, a speculation hit-rate of at
-  // least 50%, and — on pl-100k — an apply stall strictly below the serial
-  // engine's refill time.
-  for (const BenchGraph& bg : graphs) {
-    if (bg.name != "pl-100k" && bg.name != "pl-1m") continue;
-    OracleOptions oracle_options;
-    oracle_options.threads = 4;
-    StatusOr<std::unique_ptr<MotifOracle>> oracle =
-        MakeOracle("edge", oracle_options);
-    if (!oracle.ok()) {
-      std::fprintf(stderr, "FAIL: edge oracle: %s\n",
-                   oracle.status().ToString().c_str());
-      return 1;
-    }
-    ExecutionContext ctx;
-    ctx.threads = 4;
-    MotifCoreOptions serial_options;
-    serial_options.pipeline = false;
-
-    Timer serial_timer;
-    const MotifCoreDecomposition serial =
-        MotifCoreDecompose(bg.graph, *oracle.value(), ctx, serial_options);
-    const double serial_seconds = serial_timer.Seconds();
-    Timer pipelined_timer;
-    const MotifCoreDecomposition pipelined =
-        MotifCoreDecompose(bg.graph, *oracle.value(), ctx);
-    const double pipelined_seconds = pipelined_timer.Seconds();
-
-    if (pipelined.core != serial.core ||
-        pipelined.removal_order != serial.removal_order ||
-        pipelined.residual_density != serial.residual_density ||
-        pipelined.kmax != serial.kmax) {
-      std::fprintf(stderr,
-                   "FAIL: pipelined decomposition diverged from the serial "
-                   "engine on %s\n",
-                   bg.name.c_str());
-      return 1;
-    }
-    const PeelEngineStats& ps = pipelined.peel_stats;
-    if (ps.brackets_overlapped == 0) {
-      std::fprintf(stderr, "FAIL: no bracket overlapped on %s\n",
-                   bg.name.c_str());
-      return 1;
-    }
-    if (2 * ps.speculation_hits <
-        ps.speculation_hits + ps.speculation_misses) {
-      std::fprintf(stderr,
-                   "FAIL: speculation hit-rate below 50%% on %s "
-                   "(hits=%llu misses=%llu)\n",
-                   bg.name.c_str(),
-                   static_cast<unsigned long long>(ps.speculation_hits),
-                   static_cast<unsigned long long>(ps.speculation_misses));
-      return 1;
-    }
-    if (bg.name == "pl-100k" &&
-        ps.apply_stall_ns >= serial.peel_stats.refill_ns) {
-      std::fprintf(stderr,
-                   "FAIL: pipelined apply stall (%llu ns) not below the "
-                   "serial refill time (%llu ns) on %s\n",
-                   static_cast<unsigned long long>(ps.apply_stall_ns),
-                   static_cast<unsigned long long>(serial.peel_stats.refill_ns),
-                   bg.name.c_str());
-      return 1;
-    }
-
-    for (const bool is_pipelined : {false, true}) {
-      const MotifCoreDecomposition& d = is_pipelined ? pipelined : serial;
-      Record record;
-      record.algo = "decompose";
-      record.motif = "edge";
-      record.dataset = bg.name;
-      record.engine = is_pipelined ? "pipelined" : "serial";
-      record.vertices = bg.graph.NumVertices();
-      record.edges = static_cast<size_t>(bg.graph.NumEdges());
-      record.load_ms = bg.load_ms;
-      record.threads_requested = 4;
-      record.threads_effective = 4;
-      record.wall_seconds = is_pipelined ? pipelined_seconds : serial_seconds;
-      record.density = d.best_residual_density;
-      record.result_vertices = d.removal_order.size();
-      record.peel = d.peel_stats;
-      records.push_back(record);
-      std::fprintf(stderr,
-                   "%-10s %-9s %-16s engine=%-9s  %.3f ms  overlapped=%llu "
-                   "stall=%.3f ms refill=%.3f ms\n",
-                   "decompose", "edge", bg.name.c_str(),
-                   is_pipelined ? "pipelined" : "serial",
-                   record.wall_seconds * 1e3,
-                   static_cast<unsigned long long>(
-                       record.peel.brackets_overlapped),
-                   static_cast<double>(record.peel.apply_stall_ns) * 1e-6,
-                   static_cast<double>(record.peel.refill_ns) * 1e-6);
-    }
-  }
-
   std::fprintf(out, "{\n  \"benchmark\": \"peel\",\n  \"results\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     std::fprintf(out,
                  "    {\"algo\": \"%s\", \"motif\": \"%s\", "
-                 "\"dataset\": \"%s\", \"engine\": \"%s\", "
+                 "\"dataset\": \"%s\", "
                  "\"vertices\": %zu, \"edges\": %zu, "
                  "\"load_ms\": %.3f, "
                  "\"threads_requested\": %u, \"threads_effective\": %u, "
                  "\"wall_seconds\": %.6f, \"density\": %.6f, "
                  "\"result_vertices\": %zu, "
-                 "\"brackets\": %llu, \"brackets_overlapped\": %llu, "
-                 "\"speculation_hits\": %llu, \"speculation_misses\": %llu, "
-                 "\"refill_ns\": %llu, \"apply_stall_ns\": %llu}%s\n",
+                 "\"brackets\": %llu, \"refill_ns\": %llu}%s\n",
                  r.algo.c_str(), r.motif.c_str(), r.dataset.c_str(),
-                 r.engine.c_str(), r.vertices, r.edges, r.load_ms,
+                 r.vertices, r.edges, r.load_ms,
                  r.threads_requested, r.threads_effective, r.wall_seconds,
                  r.density, r.result_vertices,
                  static_cast<unsigned long long>(r.peel.brackets),
-                 static_cast<unsigned long long>(r.peel.brackets_overlapped),
-                 static_cast<unsigned long long>(r.peel.speculation_hits),
-                 static_cast<unsigned long long>(r.peel.speculation_misses),
                  static_cast<unsigned long long>(r.peel.refill_ns),
-                 static_cast<unsigned long long>(r.peel.apply_stall_ns),
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

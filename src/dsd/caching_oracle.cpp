@@ -176,15 +176,13 @@ uint64_t CachingOracle::PeelVertex(const Graph& graph, VertexId v,
   return inner_->PeelVertex(graph, v, alive, cb);
 }
 
-std::vector<uint64_t> CachingOracle::CountPeelBatch(
+std::vector<uint64_t> CachingOracle::PeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) const {
-  // Stage forwarding: each count is against a fresh alive prefix, so there
-  // is nothing to memoize — but the inner oracle may parallelise the
-  // bracket, and the pipelined engine may issue this from its refill
-  // worker (safe: the count stage never mutates shared cache state).
-  return inner_->CountPeelBatch(graph, frontier, alive, cb, ctx);
+  // Forwarded: each batch runs against a fresh alive prefix, so there is
+  // nothing to memoize — but the inner oracle may parallelise the bracket.
+  return inner_->PeelBatch(graph, frontier, alive, cb, ctx);
 }
 
 std::vector<InstanceGroup> CachingOracle::Groups(

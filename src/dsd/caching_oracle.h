@@ -65,12 +65,10 @@ class CachingOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
-  std::vector<uint64_t> CountPeelBatch(const Graph& graph,
-                                       std::span<const VertexId> frontier,
-                                       std::span<char> alive,
-                                       const PeelCallback& cb,
-                                       const ExecutionContext& ctx)
-      const override;
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive, const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override;
   std::vector<InstanceGroup> Groups(const Graph& graph,
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(

@@ -12,55 +12,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/result.h"
 #include "graph/graph.h"
-#include "util/bucket_queue.h"
 
 namespace dsd {
-
-/// The COUNT stage's output for one bracket: everything the engine needs to
-/// later APPLY the bracket (record removals, subtract survivor degrees,
-/// refile the queue) without touching the oracle again. This is the unit of
-/// speculation in the pipelined engine: a plan counted on the refill worker
-/// under the post-bracket alive mask is committed verbatim once the next
-/// popped bracket matches `frontier`.
-struct PeelBatchPlan {
-  /// The bracket, in the canonical ascending-id removal order.
-  std::vector<VertexId> frontier;
-  /// Motif-degree of the bracket (the core level its removals happen at).
-  uint64_t bracket_degree = 0;
-  /// destroyed[i] = instances lost removing frontier[i] given frontier[0..i)
-  /// already gone. size() < frontier.size() iff the count was truncated.
-  std::vector<uint64_t> destroyed;
-  /// Summed per-vertex instance losses, one entry per touched vertex
-  /// (bracket members may appear; the apply stage drops dead entries).
-  std::vector<std::pair<VertexId, uint64_t>> deltas;
-};
-
-/// APPLY stage: subtracts the plan's survivor deltas from `degree` and
-/// refiles the updated vertices into `queue` (entries of dead or untouched
-/// vertices are dropped — their removal is already accounted for). Pure
-/// summation per vertex, so the deltas' order never matters. The serial
-/// engine calls this between brackets; the pipelined engine splits it so
-/// the refile half overlaps the next bracket's count.
-void ApplyPeelDeltas(const PeelBatchPlan& plan, std::span<const char> alive,
-                     std::span<uint64_t> degree, BucketQueue& queue);
-
-/// Engine knobs for MotifCoreDecompose.
-struct MotifCoreOptions {
-  /// Overlap each bracket's apply stage with the next bracket's count on a
-  /// refill worker (carved from ctx.threads) when ctx.threads >= 2. Output
-  /// is bit-identical either way; the switch exists so benches and the
-  /// differential suite can pin the serial engine at any thread count.
-  bool pipeline = true;
-};
 
 /// Output of a full (k, Psi)-core decomposition of a graph.
 struct MotifCoreDecomposition {
@@ -79,7 +39,7 @@ struct MotifCoreDecomposition {
   /// Highest residual density rho' (Pruning1) and the suffix attaining it.
   double best_residual_density = 0.0;
   size_t best_residual_start = 0;
-  /// Pipeline instrumentation for this decomposition (see result.h).
+  /// Peel-engine instrumentation for this decomposition (see result.h).
   PeelEngineStats peel_stats;
   /// False iff a deadline or cancel truncated the peel (see
   /// MotifCoreDecompose); only complete decompositions may be indexed.
@@ -103,32 +63,17 @@ struct MotifCoreDecomposition {
 /// workers — the batch is how the thread budget finally buys wall-clock on
 /// the peeling path, on top of the parallel initial degree pass.
 /// ctx.ShouldStop() is polled per bracket (and inside large brackets by
-/// the count stage): a stopped run returns a TRUNCATED decomposition —
+/// PeelBatch): a stopped run returns a TRUNCATED decomposition —
 /// removal_order is still a permutation of V (the unpeeled remainder is
 /// appended so suffix-based answers remain genuine residual subgraphs), but
 /// residual_density covers only the peeled prefix and unpeeled vertices
 /// keep their last core value — suitable only for best-effort answers whose
 /// caller discards over-deadline results, as dsd::Solve does.
-///
-/// Pipelined mode (options.pipeline, ctx.threads >= 2): each bracket's
-/// oracle count (the refill — the only expensive phase) runs on a dedicated
-/// worker carved from the thread budget while the solve thread applies the
-/// previous bracket (records removals, refiles the queue). The worker
-/// counts a PREDICTED bracket: after the engine subtracts the applied
-/// deltas from degree[] it probes the queue's untouched boundary
-/// (BucketQueue::PeekMinBucket) and merges in the refiled survivors that
-/// now sit at the minimum, which is exactly the bracket the next pop must
-/// yield; the validity check — the popped bracket equals the prediction —
-/// commits the speculative plan or discards and recounts, so every output
-/// is bit-identical to the serial engine across threads x cached/uncached
-/// x deadline truncation. The decomposition's peel_stats says how often
-/// the overlap happened (brackets_overlapped, speculation_hits/misses) and
-/// how much refill latency still stalled the solve thread (apply_stall_ns
-/// vs. refill_ns).
+/// peel_stats records the bracket count and the time spent inside
+/// PeelBatch (the motif count, which dominates the decomposition).
 MotifCoreDecomposition MotifCoreDecompose(
     const Graph& graph, const MotifOracle& oracle,
-    const ExecutionContext& ctx = ExecutionContext(),
-    const MotifCoreOptions& options = MotifCoreOptions());
+    const ExecutionContext& ctx = ExecutionContext());
 
 /// Complete whole-graph decompositions of ONE graph, keyed by the oracle's
 /// canonical Name() (so "triangle" and "3-clique" share an entry). A

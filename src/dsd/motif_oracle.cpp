@@ -16,7 +16,7 @@ namespace dsd {
 // ---------------------------------------------------------------------------
 // MotifOracle
 
-std::vector<uint64_t> MotifOracle::CountPeelBatch(
+std::vector<uint64_t> MotifOracle::PeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) const {
@@ -27,13 +27,10 @@ std::vector<uint64_t> MotifOracle::CountPeelBatch(
   DeadlinePoller poller(ctx);
   for (VertexId v : frontier) {
     if (poller.ShouldStop()) break;
-    // Member i is peeled with frontier[0..i) dead: clear bits as the loop
-    // advances, then restore the processed prefix so the count stage leaves
-    // the mask exactly as it found it (the engine applies removals itself).
+    // Member i is peeled with frontier[0..i) dead.
     alive[v] = 0;
     destroyed.push_back(PeelVertex(graph, v, alive, cb));
   }
-  for (size_t i = 0; i < destroyed.size(); ++i) alive[frontier[i]] = 1;
   return destroyed;
 }
 

@@ -80,23 +80,20 @@ class MotifOracle {
                               std::span<const char> alive,
                               const PeelCallback& cb) const = 0;
 
-  /// COUNT stage of a batch peel: computes, without consuming the removal,
-  /// what peeling every vertex of `frontier` one at a time in span order
-  /// would destroy. This is the virtual seam every oracle stack implements
-  /// (the pipelined engine in dsd/motif_core.cpp runs it on a worker thread
-  /// for bracket i+1 while the solve thread applies bracket i). Contract:
-  ///   - on entry alive[frontier[i]] != 0 for every member; on RETURN the
-  ///     mask is bitwise unchanged — implementations may mutate frontier
-  ///     bits mid-call (the sequential default temporarily clears them to
-  ///     reuse PeelVertex) but must restore them, and must never touch a
-  ///     non-frontier bit;
+  /// Batch peel: removes every vertex of `frontier` from `alive` one at a
+  /// time in span order. This is the virtual seam every oracle stack
+  /// implements (the peel engine in dsd/motif_core.cpp issues one call per
+  /// bracket). Contract:
+  ///   - on entry alive[frontier[i]] != 0 for every member (the caller does
+  ///     NOT pre-clear, unlike PeelVertex); on return the first
+  ///     result.size() members are cleared and no other bit has changed;
   ///   - returns destroyed[i] = instances lost when frontier[i] is removed
   ///     given that exactly frontier[0..i) are already gone — identical to
   ///     looping PeelVertex in order, for every implementation;
   ///   - result.size() < frontier.size() only when ctx fired mid-batch
-  ///     (deadline/cancel): only the prefix was counted, giving the
+  ///     (deadline/cancel): only the prefix was peeled, giving the
   ///     truncated-decomposition semantics of MotifCoreDecompose;
-  ///   - cb receives the summed per-vertex losses for the counted prefix;
+  ///   - cb receives the summed per-vertex losses for the peeled prefix;
   ///     entries for frontier members themselves may or may not be reported
   ///     (implementations differ), so callers must only consume deltas of
   ///     vertices that survive the batch. cb is always invoked from the
@@ -105,26 +102,11 @@ class MotifOracle {
   /// (cancel checked per removal, clock sampled at ~1ms granularity);
   /// parallel oracles shard the frontier across ctx.threads workers —
   /// bit-identical by the fixed-order prefix-mask argument.
-  virtual std::vector<uint64_t> CountPeelBatch(
-      const Graph& graph, std::span<const VertexId> frontier,
-      std::span<char> alive, const PeelCallback& cb,
-      const ExecutionContext& ctx) const;
-
-  /// Batch peel: CountPeelBatch plus the APPLY side-effect on the mask —
-  /// the first result.size() frontier members are cleared on return (the
-  /// caller does NOT pre-clear, unlike PeelVertex). Deliberately
-  /// non-virtual: the count stage is the only per-oracle hook, so a stale
-  /// PeelBatch override fails to compile instead of silently bypassing the
-  /// count/apply split.
-  std::vector<uint64_t> PeelBatch(const Graph& graph,
-                                  std::span<const VertexId> frontier,
-                                  std::span<char> alive, const PeelCallback& cb,
-                                  const ExecutionContext& ctx) const {
-    std::vector<uint64_t> destroyed =
-        CountPeelBatch(graph, frontier, alive, cb, ctx);
-    for (size_t i = 0; i < destroyed.size(); ++i) alive[frontier[i]] = 0;
-    return destroyed;
-  }
+  virtual std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                          std::span<const VertexId> frontier,
+                                          std::span<char> alive,
+                                          const PeelCallback& cb,
+                                          const ExecutionContext& ctx) const;
 
   /// Distinct instances grouped by vertex set (construct+, Algorithm 7).
   /// For cliques every group has multiplicity 1.

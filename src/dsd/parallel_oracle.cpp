@@ -40,16 +40,15 @@ uint64_t ParallelCliqueOracle::CountInstancesImpl(
   return ParallelCliqueCount(sub.graph, h(), ctx.threads);
 }
 
-std::vector<uint64_t> ParallelCliqueOracle::CountPeelBatch(
+std::vector<uint64_t> ParallelCliqueOracle::PeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) const {
   if (ctx.threads <= 1 ||
       !WorthParallelPeel(frontier.size(), graph.NumVertices())) {
-    return CliqueOracle::CountPeelBatch(graph, frontier, alive, cb, ctx);
+    return CliqueOracle::PeelBatch(graph, frontier, alive, cb, ctx);
   }
-  return ParallelCliquePeelBatch(graph, h(), frontier, alive, cb, ctx,
-                                 /*consume_alive=*/false);
+  return ParallelCliquePeelBatch(graph, h(), frontier, alive, cb, ctx);
 }
 
 std::vector<uint64_t> ParallelPatternOracle::DegreesImpl(
@@ -82,7 +81,7 @@ uint64_t ParallelPatternOracle::CountInstancesImpl(
   return ParallelPatternCount(graph, plans(), alive, ctx.threads);
 }
 
-std::vector<uint64_t> ParallelPatternOracle::CountPeelBatch(
+std::vector<uint64_t> ParallelPatternOracle::PeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) const {
@@ -92,24 +91,22 @@ std::vector<uint64_t> ParallelPatternOracle::CountPeelBatch(
         WorthParallelPeel(frontier.size(), graph.NumVertices())) {
       if (star_tails() >= 2) {
         return ParallelStarPeelBatch(graph, star_tails(), frontier, alive, cb,
-                                     ctx, /*consume_alive=*/false);
+                                     ctx);
       }
       return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx,
-                                        scratch_budget_bytes_,
-                                        /*consume_alive=*/false);
+                                        scratch_budget_bytes_);
     }
     // Generic patterns shard through the rank-masked plan kernel; the
     // per-member peel is expensive enough that even small brackets win
     // (WorthParallelGenericPeel's laxer ratio).
     if (!closed_form &&
         WorthParallelGenericPeel(frontier.size(), graph.NumVertices())) {
-      return ParallelPatternPeelBatch(graph, plans(), frontier, alive, cb, ctx,
-                                      /*consume_alive=*/false);
+      return ParallelPatternPeelBatch(graph, plans(), frontier, alive, cb, ctx);
     }
   }
   // Brackets too small to amortise worker spawn (or a sequential context)
   // keep the default PeelVertex loop.
-  return PatternOracle::CountPeelBatch(graph, frontier, alive, cb, ctx);
+  return PatternOracle::PeelBatch(graph, frontier, alive, cb, ctx);
 }
 
 }  // namespace dsd

@@ -44,14 +44,12 @@ class ParallelCliqueOracle : public CliqueOracle {
 
   /// Brackets worth the kernels' O(n) setup (WorthParallelPeel: absolute
   /// floor + graph-relative ratio) go to the parallel clique frontier
-  /// kernel in count mode; smaller ones (or a sequential context) keep the
+  /// kernel; smaller ones (or a sequential context) keep the
   /// default PeelVertex loop. Either path returns the same bits.
-  std::vector<uint64_t> CountPeelBatch(const Graph& graph,
-                                       std::span<const VertexId> frontier,
-                                       std::span<char> alive,
-                                       const PeelCallback& cb,
-                                       const ExecutionContext& ctx)
-      const override;
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive, const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override;
 
  protected:
   std::vector<uint64_t> DegreesImpl(const Graph& graph,
@@ -86,17 +84,15 @@ class ParallelPatternOracle : public PatternOracle {
     return std::numeric_limits<unsigned>::max();
   }
 
-  /// Stars and 4-cycles take the parallel closed-form frontier kernels in
-  /// count mode; every other pattern takes the generic rank-masked kernel,
+  /// Stars and 4-cycles take the parallel closed-form frontier kernels;
+  /// every other pattern takes the generic rank-masked kernel,
   /// so the thread budget is honored for arbitrary motifs too. Brackets too
   /// small to amortise a kernel's setup keep the default PeelVertex loop.
   /// Every path returns the same bits.
-  std::vector<uint64_t> CountPeelBatch(const Graph& graph,
-                                       std::span<const VertexId> frontier,
-                                       std::span<char> alive,
-                                       const PeelCallback& cb,
-                                       const ExecutionContext& ctx)
-      const override;
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive, const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override;
 
  protected:
   std::vector<uint64_t> DegreesImpl(const Graph& graph,

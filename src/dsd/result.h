@@ -10,35 +10,26 @@
 namespace dsd {
 
 /// Instrumentation of the batch-bracket peel engine (MotifCoreDecompose).
-/// The pipelined engine overlaps bracket i+1's count ("refill") with
-/// bracket i's delta application; these counters say how often that overlap
-/// happened and how much refill latency still hit the solve thread.
+/// The engine counts each bracket (one MotifOracle::PeelBatch call) and then
+/// applies it on the same thread, so apply_stall_ns == refill_ns and
+/// speculation_hits == 0 always. Both fields stay for the struct's existing
+/// readers until a per-solve phase trace replaces it.
 struct PeelEngineStats {
-  /// Brackets processed (every engine mode).
+  /// Brackets processed.
   uint64_t brackets = 0;
-  /// Brackets whose count ran on the refill worker while the solve thread
-  /// applied the previous bracket (pipelined mode only).
-  uint64_t brackets_overlapped = 0;
-  /// Speculative counts committed: the popped bracket matched the engine's
-  /// post-apply prediction bit-for-bit.
+  /// Always 0: no bracket is counted ahead of its pop.
   uint64_t speculation_hits = 0;
-  /// Speculative opportunities lost: no prediction was possible, or the
-  /// popped bracket diverged from it and the plan was discarded/recounted.
-  uint64_t speculation_misses = 0;
-  /// Nanoseconds the solve thread spent blocked on counting — waiting for
-  /// the refill worker plus any count it had to run inline. In the serial
-  /// engine this equals refill_ns: every count stalls the solve thread.
+  /// Nanoseconds the solve thread spent blocked on counting; equals
+  /// refill_ns.
   uint64_t apply_stall_ns = 0;
-  /// Total nanoseconds spent counting brackets, wherever the count ran.
+  /// Total nanoseconds spent counting brackets (inside PeelBatch).
   uint64_t refill_ns = 0;
 
   /// Accumulates another decomposition's counters (one solve may run many
   /// decompositions, e.g. CoreApp's windows).
   void Add(const PeelEngineStats& other) {
     brackets += other.brackets;
-    brackets_overlapped += other.brackets_overlapped;
     speculation_hits += other.speculation_hits;
-    speculation_misses += other.speculation_misses;
     apply_stall_ns += other.apply_stall_ns;
     refill_ns += other.refill_ns;
   }
@@ -72,7 +63,7 @@ struct AlgoStats {
   uint64_t flow_pushes = 0;
   uint64_t flow_relabels = 0;
   uint64_t flow_global_relabels = 0;
-  /// Peel-engine pipeline counters, summed over every decomposition the run
+  /// Peel-engine counters, summed over every decomposition the run
   /// executed (peel/core-app/at-least/inc-app and CoreExact's location
   /// pass). All zero for runs that never peeled.
   PeelEngineStats peel;

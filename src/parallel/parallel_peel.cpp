@@ -58,19 +58,15 @@ size_t RunChunked(size_t b, unsigned t, const ExecutionContext& ctx,
 }
 
 // Drains the summed survivor deltas into the caller's (single-threaded)
-// callback and, in consume mode, clears the processed frontier prefix from
-// the alive mask. Count mode (consume_alive = false) skips the clear — the
-// kernels never wrote the mask, so it is left bitwise untouched.
+// callback and clears the processed frontier prefix from the alive mask.
 std::vector<uint64_t> FinishBatch(std::vector<uint64_t> destroyed,
                                   size_t processed,
                                   std::span<const VertexId> frontier,
-                                  std::span<char> alive, bool consume_alive,
+                                  std::span<char> alive,
                                   ChunkedAccumulator&& deltas,
                                   const PeelCallback& cb) {
   destroyed.resize(processed);
-  if (consume_alive) {
-    for (size_t i = 0; i < processed; ++i) alive[frontier[i]] = 0;
-  }
+  for (size_t i = 0; i < processed; ++i) alive[frontier[i]] = 0;
   std::vector<uint64_t> totals = std::move(deltas).Finish();
   for (uint64_t u = 0; u < totals.size(); ++u) {
     if (totals[u] > 0) cb(static_cast<VertexId>(u), totals[u]);
@@ -84,8 +80,7 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
                                               std::span<const VertexId> frontier,
                                               std::span<char> alive,
                                               const PeelCallback& cb,
-                                              const ExecutionContext& ctx,
-                                              bool consume_alive) {
+                                              const ExecutionContext& ctx) {
   const VertexId n = graph.NumVertices();
   const size_t b = frontier.size();
   const unsigned t = ResolveThreadCount(ctx.threads, b);
@@ -116,15 +111,14 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
         destroyed[i] = lost;
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     consume_alive, std::move(deltas), cb);
+                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             std::span<const VertexId> frontier,
                                             std::span<char> alive,
                                             const PeelCallback& cb,
-                                            const ExecutionContext& ctx,
-                                            bool consume_alive) {
+                                            const ExecutionContext& ctx) {
   assert(x >= 2);
   const uint64_t ux = static_cast<uint64_t>(x);
   const VertexId n = graph.NumVertices();
@@ -173,13 +167,13 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
         destroyed[i] = lost;
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     consume_alive, std::move(deltas), cb);
+                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb, const ExecutionContext& ctx,
-    uint64_t scratch_budget_bytes, bool consume_alive) {
+    uint64_t scratch_budget_bytes) {
   const VertexId n = graph.NumVertices();
   const size_t b = frontier.size();
   // Same per-worker O(n) two-path scratch (hence the same budget clamp) as
@@ -234,13 +228,13 @@ std::vector<uint64_t> ParallelFourCyclePeelBatch(
         destroyed[i] = lost;
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     consume_alive, std::move(deltas), cb);
+                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelPatternPeelBatch(
     const Graph& graph, const PatternPlanSet& plans,
     std::span<const VertexId> frontier, std::span<char> alive,
-    const PeelCallback& cb, const ExecutionContext& ctx, bool consume_alive) {
+    const PeelCallback& cb, const ExecutionContext& ctx) {
   const VertexId n = graph.NumVertices();
   const size_t b = frontier.size();
   const unsigned t = ResolveThreadCount(ctx.threads, b);
@@ -262,7 +256,7 @@ std::vector<uint64_t> ParallelPatternPeelBatch(
             [&](VertexId u, uint64_t count) { deltas.Add(worker, u, count); });
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     consume_alive, std::move(deltas), cb);
+                     std::move(deltas), cb);
 }
 
 }  // namespace dsd

@@ -76,24 +76,20 @@ inline bool WorthParallelGenericPeel(size_t frontier_size,
 
 /// Batch h-clique peel of `frontier` (rank = span position) from `alive`
 /// on ctx.threads workers. See MotifOracle::PeelBatch for the contract.
-/// Every kernel computes read-only against the bracket-start mask;
-/// `consume_alive = false` turns it into the pure COUNT stage
-/// (MotifOracle::CountPeelBatch): identical counts and deltas, mask left
-/// bitwise untouched for the engine to apply later.
+/// Every kernel computes read-only against the bracket-start mask and
+/// clears the peeled prefix's bits after the join.
 std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
                                               std::span<const VertexId> frontier,
                                               std::span<char> alive,
                                               const PeelCallback& cb,
-                                              const ExecutionContext& ctx,
-                                              bool consume_alive = true);
+                                              const ExecutionContext& ctx);
 
 /// Batch K_{1,x} star peel (appendix D.1 closed form, x >= 2).
 std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             std::span<const VertexId> frontier,
                                             std::span<char> alive,
                                             const PeelCallback& cb,
-                                            const ExecutionContext& ctx,
-                                            bool consume_alive = true);
+                                            const ExecutionContext& ctx);
 
 /// Batch 4-cycle peel (appendix D.2 two-path grouping). Workers carry the
 /// same O(n) two-path scratch as ParallelFourCycleDegrees, so the worker
@@ -102,7 +98,7 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb, const ExecutionContext& ctx,
-    uint64_t scratch_budget_bytes = 0, bool consume_alive = true);
+    uint64_t scratch_budget_bytes = 0);
 
 /// Batch peel for an arbitrary connected pattern via the compiled plans'
 /// rank-masked PeelContaining reduction. Workers share one PatternMatcher
@@ -112,8 +108,7 @@ std::vector<uint64_t> ParallelFourCyclePeelBatch(
 std::vector<uint64_t> ParallelPatternPeelBatch(
     const Graph& graph, const PatternPlanSet& plans,
     std::span<const VertexId> frontier, std::span<char> alive,
-    const PeelCallback& cb, const ExecutionContext& ctx,
-    bool consume_alive = true);
+    const PeelCallback& cb, const ExecutionContext& ctx);
 
 }  // namespace dsd
 

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,14 +54,6 @@ class BucketQueue {
     } else {
       far_[degree].push_back(v);
     }
-  }
-
-  /// Bulk lazy insert — one Push per (vertex, degree) pair. This is the
-  /// refile half of the peel engine's apply stage (ApplyPeelDeltas): a
-  /// bracket's survivor updates land as one call, which the pipelined
-  /// engine overlaps with the next bracket's count.
-  void PushAll(std::span<const std::pair<VertexId, uint64_t>> entries) {
-    for (const auto& [v, degree] : entries) Push(v, degree);
   }
 
   /// Removes and returns the lowest-degree live bucket: every vertex v with
@@ -101,46 +92,6 @@ class BucketQueue {
         *bucket_degree = degree;
         return bucket;
       }
-    }
-    return {};
-  }
-
-  /// Boundary probe: returns a COPY of the bucket PopMinBucket would hand
-  /// back next, leaving it in place. Stale entries met along the way are
-  /// discarded for good, exactly as a pop would (the cursor advances, far
-  /// buckets that filter to empty are erased, and near_entries_ stays an
-  /// upper bound on live near entries), so probe-then-pop does the same
-  /// total filtering work as pop alone. The pipelined peel engine uses this
-  /// after applying a bracket's degree deltas but BEFORE refiling the
-  /// touched survivors: the probe then yields the next bracket's untouched
-  /// members, and together with the refile list the engine predicts the
-  /// full next bracket for the speculative count.
-  template <typename IsCurrent>
-  std::vector<VertexId> PeekMinBucket(IsCurrent&& is_current,
-                                      uint64_t* bucket_degree) {
-    while (near_entries_ > 0) {
-      while (cursor_ < near_limit_ &&
-             near_[static_cast<size_t>(cursor_)].empty()) {
-        ++cursor_;
-      }
-      if (cursor_ >= near_limit_) break;  // defensive: count/invariant drift
-      std::vector<VertexId>& bucket = near_[static_cast<size_t>(cursor_)];
-      const size_t before = bucket.size();
-      Filter(bucket, cursor_, is_current);
-      near_entries_ -= before - bucket.size();
-      if (!bucket.empty()) {
-        *bucket_degree = cursor_;
-        return bucket;  // copy; the bucket itself stays filed
-      }
-    }
-    for (auto it = far_.begin(); it != far_.end();) {
-      Filter(it->second, it->first, is_current);
-      if (it->second.empty()) {
-        it = far_.erase(it);
-        continue;
-      }
-      *bucket_degree = it->first;
-      return it->second;  // copy
     }
     return {};
   }

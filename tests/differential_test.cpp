@@ -192,131 +192,75 @@ TEST(DifferentialDecomposeTest, GenericPeelBatchDecompositionMatchesSequential) 
   }
 }
 
+// Peels `graph` under a `budget`-second deadline (-1 = already expired) and
+// checks what a truncation may not break: removal_order is a permutation of
+// V, densities cover only the peeled prefix, that prefix matches the
+// untruncated peel `full` removal for removal, and core numbers never
+// exceed the untruncated ones.
+void ExpectDeadlineTruncationInvariants(const Graph& graph, const char* motif,
+                                        unsigned threads, double budget,
+                                        const MotifCoreDecomposition& full) {
+  SCOPED_TRACE(std::string("motif=") + motif +
+               " threads=" + std::to_string(threads) +
+               " budget=" + std::to_string(budget));
+  std::unique_ptr<MotifOracle> oracle = MustMakeOracle(motif, threads, false);
+  ExecutionContext ctx;
+  ctx.threads = threads;
+  ctx = ctx.WithDeadlineAfter(budget);
+  const MotifCoreDecomposition d = MotifCoreDecompose(graph, *oracle, ctx);
+  ASSERT_EQ(d.removal_order.size(), graph.NumVertices());
+  std::vector<VertexId> sorted = d.removal_order;
+  std::sort(sorted.begin(), sorted.end());
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    ASSERT_EQ(sorted[v], v);  // a permutation of V
+  }
+  EXPECT_LE(d.residual_density.size(), d.removal_order.size());
+  for (size_t i = 0; i < d.residual_density.size(); ++i) {
+    ASSERT_EQ(d.removal_order[i], full.removal_order[i]) << i;
+    ASSERT_EQ(d.residual_density[i], full.residual_density[i]) << i;
+  }
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    EXPECT_LE(d.core[v], full.core[v]) << "v=" << v;
+  }
+  EXPECT_LE(d.kmax, full.kmax);
+}
+
 TEST(DifferentialDecomposeTest, DeadlineTruncationKeepsInvariants) {
-  // An already-expired deadline (and one that fires mid-run) may truncate
-  // the decomposition anywhere, so exact equality is not the contract —
-  // the permutation and suffix invariants are: removal_order is a
-  // permutation of V, densities cover only the peeled prefix, and core
-  // numbers never exceed the untruncated ones. c3-star routes the brackets
-  // through the generic rank-masked kernel, locking its truncation
-  // behaviour alongside the clique and closed-form kernels'.
+  // A deadline may truncate the decomposition anywhere, so exact equality
+  // is not the contract — the truncation invariants are. c3-star routes
+  // the brackets through the generic rank-masked kernel, locking its
+  // truncation behaviour alongside the clique and closed-form kernels'.
   const Graph graph = gen::ErdosRenyi(60, 0.15, 0x7EE7);
   for (const char* motif : {"triangle", "2-star", "c3-star"}) {
-    SCOPED_TRACE(std::string("motif=") + motif);
     std::unique_ptr<MotifOracle> baseline_oracle =
         MustMakeOracle(motif, 1, false);
     const MotifCoreDecomposition full =
         MotifCoreDecompose(graph, *baseline_oracle);
     for (unsigned threads : {1u, 4u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      std::unique_ptr<MotifOracle> oracle =
-          MustMakeOracle(motif, threads, false);
-      ExecutionContext ctx;
-      ctx.threads = threads;
-      ctx = ctx.WithDeadlineAfter(-1.0);  // already expired
-      const MotifCoreDecomposition d = MotifCoreDecompose(graph, *oracle, ctx);
-      ASSERT_EQ(d.removal_order.size(), graph.NumVertices());
-      std::vector<VertexId> sorted = d.removal_order;
-      std::sort(sorted.begin(), sorted.end());
-      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-        ASSERT_EQ(sorted[v], v);  // a permutation of V
-      }
-      EXPECT_LE(d.residual_density.size(), d.removal_order.size());
-      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-        EXPECT_LE(d.core[v], full.core[v]) << "v=" << v;
-      }
-      EXPECT_LE(d.kmax, full.kmax);
+      ExpectDeadlineTruncationInvariants(graph, motif, threads, -1.0, full);
     }
   }
 }
 
-void ExpectDecompositionsEqual(const MotifCoreDecomposition& d,
-                               const MotifCoreDecomposition& baseline) {
-  EXPECT_EQ(d.core, baseline.core);
-  EXPECT_EQ(d.kmax, baseline.kmax);
-  EXPECT_EQ(d.total_instances, baseline.total_instances);
-  EXPECT_EQ(d.removal_order, baseline.removal_order);
-  EXPECT_EQ(d.residual_density, baseline.residual_density);
-  EXPECT_EQ(d.best_residual_start, baseline.best_residual_start);
-  // Bitwise: both engines run the same integer->double divisions in the
-  // same order.
-  EXPECT_EQ(d.best_residual_density, baseline.best_residual_density);
-}
-
-TEST(DifferentialPipelineTest, PipelinedEngineMatchesSerialEngineBitwise) {
-  // The pipelined engine's contract: with options.pipeline flipped and
-  // nothing else, the decomposition is bit-identical — across every motif
-  // family (clique kernels, star/4-cycle closed forms, the generic
-  // rank-masked kernel), thread count, and cached/uncached stack — while
-  // the overlap genuinely happened (brackets_overlapped > 0 whenever more
-  // than one bracket was peeled).
-  MotifCoreOptions serial;
-  serial.pipeline = false;
-  for (const SeededGraph& sg : TestGraphs()) {
-    SCOPED_TRACE(sg.name + " seed=" + std::to_string(sg.seed));
-    for (const char* motif : kMotifs) {
-      SCOPED_TRACE(std::string("motif=") + motif);
-      for (unsigned threads : {2u, 4u, 0u}) {
-        for (bool cache : {false, true}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " cache=" + std::to_string(cache));
-          std::unique_ptr<MotifOracle> oracle =
-              MustMakeOracle(motif, threads, cache);
-          ExecutionContext ctx;
-          ctx.threads = threads == 0 ? 8 : threads;
-          const MotifCoreDecomposition baseline =
-              MotifCoreDecompose(sg.graph, *oracle, ctx, serial);
-          const MotifCoreDecomposition pipelined =
-              MotifCoreDecompose(sg.graph, *oracle, ctx);
-          ExpectDecompositionsEqual(pipelined, baseline);
-          EXPECT_EQ(pipelined.BestResidualVertices(),
-                    baseline.BestResidualVertices());
-          EXPECT_EQ(baseline.peel_stats.brackets_overlapped, 0u);
-          EXPECT_EQ(pipelined.peel_stats.brackets,
-                    baseline.peel_stats.brackets);
-          if (pipelined.peel_stats.brackets > 1) {
-            EXPECT_GT(pipelined.peel_stats.brackets_overlapped, 0u);
-          }
-          // Exact-union prediction: every overlapped bracket's pop matches
-          // the speculated frontier, so no plan is ever thrown away.
-          EXPECT_EQ(pipelined.peel_stats.speculation_hits,
-                    pipelined.peel_stats.brackets_overlapped);
-        }
-      }
-    }
-  }
-}
-
-TEST(DifferentialPipelineTest, PipelinedGenericKernelMatchesSerialEngine) {
-  // Large-bracket companion: a community graph where the generic motifs
-  // genuinely shard through the parallel peel kernels inside the refill
-  // worker's count, with one worker thread carved out of the budget.
+TEST(DifferentialPipelineTest, PipelinedDeadlineTruncationKeepsInvariants) {
+  // The multi-threaded peel under a sweep of wall-clock budgets: the
+  // shortest expire during the initial degree pass, 1e-3 s typically fires
+  // mid-peel inside the parallel count kernels. Whatever truncation point
+  // a budget hits, the measured prefix is a genuine prefix of the
+  // untruncated peel.
   const Graph graph =
       gen::PowerLawWithCommunities(240, 3, 10, 10, 0.85, 0x9E1D);
-  MotifCoreOptions serial;
-  serial.pipeline = false;
-  for (const char* motif : {"c3-star", "basket"}) {
-    SCOPED_TRACE(std::string("motif=") + motif);
-    for (unsigned threads : {2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      std::unique_ptr<MotifOracle> oracle = MustMakeOracle(motif, threads, false);
-      ExecutionContext ctx;
-      ctx.threads = threads;
-      const MotifCoreDecomposition baseline =
-          MotifCoreDecompose(graph, *oracle, ctx, serial);
-      const MotifCoreDecomposition pipelined =
-          MotifCoreDecompose(graph, *oracle, ctx);
-      ExpectDecompositionsEqual(pipelined, baseline);
-      EXPECT_GT(pipelined.peel_stats.brackets_overlapped, 0u);
-    }
+  std::unique_ptr<MotifOracle> full_oracle =
+      MustMakeOracle("triangle", 1, false);
+  const MotifCoreDecomposition full = MotifCoreDecompose(graph, *full_oracle);
+  for (double budget : {-1.0, 1e-6, 1e-4, 1e-3}) {
+    ExpectDeadlineTruncationInvariants(graph, "triangle", 4, budget, full);
   }
 }
 
-// CliqueOracle that raises a cancel flag during the Nth PeelVertex call.
-// Because the pipelined engine counts exactly the bracket the serial engine
-// would count next (same members, same order), the Nth call lands on the
-// same vertex in both engines — making cancel-driven truncation, which a
-// wall-clock deadline can never pin down, deterministically comparable.
+// CliqueOracle that raises a cancel flag during the Nth PeelVertex call —
+// a deterministic way to truncate a peel mid-decomposition, which a
+// wall-clock deadline can never pin down.
 class CancelAfterPeelsOracle : public CliqueOracle {
  public:
   CancelAfterPeelsOracle(int h, int peel_budget, std::atomic<bool>* cancel)
@@ -333,88 +277,6 @@ class CancelAfterPeelsOracle : public CliqueOracle {
   mutable std::atomic<int> peels_left_;
   std::atomic<bool>* cancel_;
 };
-
-TEST(DifferentialPipelineTest, MidPipelineCancelTruncationMatchesSerial) {
-  // Cancel fires during the 25th removal — deep enough that the pipelined
-  // engine is mid-overlap (the flag typically rises inside a SPECULATIVE
-  // count on the refill worker). The committed-plan rule says the engine
-  // still records that count's prefix, exactly as the serial engine records
-  // a count it truncated inline, so the truncated decompositions must be
-  // bitwise equal: same peeled prefix, same densities, same appended
-  // remainder.
-  const Graph graph = gen::ErdosRenyi(60, 0.15, 0x7EE7);
-  const int kBudget = 25;
-
-  std::atomic<bool> serial_cancel{false};
-  CancelAfterPeelsOracle serial_oracle(3, kBudget, &serial_cancel);
-  ExecutionContext serial_ctx =
-      ExecutionContext().WithCancelFlag(&serial_cancel);
-  serial_ctx.threads = 4;
-  MotifCoreOptions serial;
-  serial.pipeline = false;
-  const MotifCoreDecomposition baseline =
-      MotifCoreDecompose(graph, serial_oracle, serial_ctx, serial);
-
-  std::atomic<bool> pipelined_cancel{false};
-  CancelAfterPeelsOracle pipelined_oracle(3, kBudget, &pipelined_cancel);
-  ExecutionContext pipelined_ctx =
-      ExecutionContext().WithCancelFlag(&pipelined_cancel);
-  pipelined_ctx.threads = 4;
-  const MotifCoreDecomposition d =
-      MotifCoreDecompose(graph, pipelined_oracle, pipelined_ctx);
-
-  // Both runs truncated mid-decomposition at the same removal.
-  ASSERT_LT(baseline.residual_density.size(), graph.NumVertices());
-  ASSERT_GT(baseline.residual_density.size(), 0u);
-  ExpectDecompositionsEqual(d, baseline);
-  EXPECT_GT(d.peel_stats.brackets_overlapped, 0u);
-
-  // Truncation invariants hold on the pipelined side: removal_order is a
-  // permutation of V with the unpeeled remainder appended after the
-  // measured prefix.
-  ASSERT_EQ(d.removal_order.size(), graph.NumVertices());
-  std::vector<VertexId> sorted = d.removal_order;
-  std::sort(sorted.begin(), sorted.end());
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    ASSERT_EQ(sorted[v], v);
-  }
-  EXPECT_LE(d.residual_density.size(), d.removal_order.size());
-}
-
-TEST(DifferentialPipelineTest, PipelinedDeadlineTruncationKeepsInvariants) {
-  // Wall-clock deadlines can fire anywhere in the pipeline (including
-  // between a speculative count and its commit), so exact equality is not
-  // the contract — the permutation and suffix invariants are, for every
-  // truncation point the sweep of budgets happens to hit.
-  const Graph graph = gen::PowerLawWithCommunities(240, 3, 10, 10, 0.85,
-                                                   0x9E1D);
-  std::unique_ptr<MotifOracle> full_oracle = MustMakeOracle("triangle", 1, false);
-  const MotifCoreDecomposition full = MotifCoreDecompose(graph, *full_oracle);
-  for (double budget : {-1.0, 1e-6, 1e-4}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    std::unique_ptr<MotifOracle> oracle = MustMakeOracle("triangle", 4, false);
-    ExecutionContext ctx;
-    ctx.threads = 4;
-    ctx = ctx.WithDeadlineAfter(budget);
-    const MotifCoreDecomposition d = MotifCoreDecompose(graph, *oracle, ctx);
-    ASSERT_EQ(d.removal_order.size(), graph.NumVertices());
-    std::vector<VertexId> sorted = d.removal_order;
-    std::sort(sorted.begin(), sorted.end());
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      ASSERT_EQ(sorted[v], v);  // a permutation of V
-    }
-    EXPECT_LE(d.residual_density.size(), d.removal_order.size());
-    // The measured prefix is a genuine prefix of the untruncated peel.
-    for (size_t i = 0; i < d.residual_density.size(); ++i) {
-      ASSERT_EQ(d.removal_order[i], full.removal_order[i]) << i;
-      ASSERT_EQ(d.residual_density[i], full.residual_density[i]) << i;
-    }
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      EXPECT_LE(d.core[v], full.core[v]) << "v=" << v;
-    }
-    EXPECT_LE(d.kmax, full.kmax);
-  }
-}
 
 TEST(DifferentialSolveTest, ThreadedAndCachedSolvesMatchSequential) {
   // End to end through dsd::Solve (which always builds a cached stack):

@@ -169,8 +169,8 @@ TEST(MotifCore, GammaBoundsCoreNumber) {
 }
 
 // CliqueOracle that raises a cancel flag after a fixed number of PeelVertex
-// calls — a deterministic way to stop a count MID-bracket (the default
-// CountPeelBatch loop checks the cancel flag before every removal),
+// calls — a deterministic way to stop a peel MID-bracket (the default
+// PeelBatch loop checks the cancel flag before every removal),
 // exercising the partial-prefix truncation path that wall-clock deadlines
 // can't hit reproducibly.
 class CancelAfterPeelsOracle : public CliqueOracle {
@@ -232,18 +232,18 @@ TEST(MotifCore, MidBracketCancelTruncatesToPrefix) {
   }
 }
 
-// Oracle whose count stage gives up before processing a single member —
+// Oracle whose batch peel gives up before processing a single member —
 // the contract's zero-progress case (a deadline can fire inside
-// CountPeelBatch before its first chunk). The engine must treat it as a
+// PeelBatch before its first chunk). The engine must treat it as a
 // truncation and, critically, must NOT raise kmax to the popped bracket's
 // level: no vertex was actually peeled there.
 class ZeroProgressOracle : public CliqueOracle {
  public:
   explicit ZeroProgressOracle(int h) : CliqueOracle(h) {}
 
-  std::vector<uint64_t> CountPeelBatch(const Graph&, std::span<const VertexId>,
-                                       std::span<char>, const PeelCallback&,
-                                       const ExecutionContext&) const override {
+  std::vector<uint64_t> PeelBatch(const Graph&, std::span<const VertexId>,
+                                  std::span<char>, const PeelCallback&,
+                                  const ExecutionContext&) const override {
     return {};
   }
 };

@@ -734,7 +734,46 @@ TEST(DecompositionIndexServerTest, DeadlineTruncatedSolveLeavesIndexEmpty) {
   EXPECT_GT(StatsField(server, "index_bytes"), 0u);
 }
 
+/// Solver that parks its worker until the test releases it — the
+/// deterministic way to keep a solve IN FLIGHT while requests pile into
+/// the admission queue behind it.
+class GateSolver : public Solver {
+ public:
+  static std::atomic<bool>& Entered() {
+    static std::atomic<bool> entered{false};
+    return entered;
+  }
+  static std::atomic<bool>& Released() {
+    static std::atomic<bool> released{false};
+    return released;
+  }
+
+  std::string Name() const override { return "test-gate"; }
+  std::string Description() const override {
+    return "parks until released (test fixture)";
+  }
+  DensestResult Run(const Graph&, const MotifOracle&, const SolveRequest&,
+                    const ExecutionContext&) const override {
+    Entered().store(true);
+    while (!Released().load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return {};
+  }
+};
+
+// Registers GateSolver once per process and closes the gate, so every test
+// that parks the worker starts from the same state.
+bool ResetGateSolver() {
+  static const bool registered =
+      SolverRegistry::Global().Register(std::make_unique<GateSolver>()).ok();
+  GateSolver::Entered().store(false);
+  GateSolver::Released().store(false);
+  return registered;
+}
+
 TEST(DsdServerConcurrencyTest, OverloadShedsTypedStatusesNotGarbage) {
+  ASSERT_TRUE(ResetGateSolver());
   ServerOptions options;
   options.hardware_threads = 1;
   options.workers = 1;
@@ -742,8 +781,17 @@ TEST(DsdServerConcurrencyTest, OverloadShedsTypedStatusesNotGarbage) {
   DsdServer server(options);
   ASSERT_TRUE(server.AddGraph("g", gen::PlantedClique(150, 0.05, 9, 13)).ok());
 
-  constexpr int kBurst = 24;
+  // Park the only worker first: a peel on this graph finishes in about a
+  // millisecond, so without the gate the worker could drain the queue as
+  // fast as the burst fills it and nothing would shed.
   ResponseSink sink;
+  server.Handle("solve graph=g algo=test-gate motif=edge id=999",
+                sink.Callback());
+  while (!GateSolver::Entered().load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  constexpr int kBurst = 24;
   for (int j = 0; j < kBurst; ++j) {
     // Distinct eps per request defeats batch-admission coalescing (eps is
     // part of the coalescing key), so the burst genuinely fills the queue.
@@ -751,12 +799,14 @@ TEST(DsdServerConcurrencyTest, OverloadShedsTypedStatusesNotGarbage) {
                       std::to_string(100 + j) + " id=" + std::to_string(j),
                   sink.Callback());
   }
-  const std::vector<std::string> responses = sink.Await(kBurst);
+  GateSolver::Released().store(true);
+  const std::vector<std::string> responses = sink.Await(kBurst + 1);
 
   int completed = 0, shed = 0;
   for (const std::string& payload : responses) {
     StatusOr<WireResponse> parsed = ParseWireResponse(payload);
     ASSERT_TRUE(parsed.ok()) << payload;
+    if (parsed.value().id == 999) continue;  // the gate solve's own response
     if (parsed.value().ok) {
       ++completed;
     } else {
@@ -767,10 +817,12 @@ TEST(DsdServerConcurrencyTest, OverloadShedsTypedStatusesNotGarbage) {
     }
   }
   EXPECT_EQ(completed + shed, kBurst);
-  EXPECT_GT(shed, 0) << "a 24-deep burst into a queue of 2 must shed";
+  // The parked worker leaves exactly max_queue slots for the burst.
+  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(shed, kBurst - 2) << "a 24-deep burst into a queue of 2 must shed";
   const DsdServer::Stats stats = server.stats();
   EXPECT_EQ(stats.shed, static_cast<uint64_t>(shed));
-  EXPECT_EQ(stats.completed, static_cast<uint64_t>(completed));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(completed + 1));
 }
 
 TEST(DsdServerConcurrencyTest, BlownDeadlineInsideARunIsDeadlineExceeded) {
@@ -822,40 +874,8 @@ TEST(DsdServerConcurrencyTest, ShutdownDrainsAdmittedSolves) {
   EXPECT_TRUE(server.ShuttingDown());
 }
 
-/// Solver that parks its worker until the test releases it — the
-/// deterministic way to keep a solve IN FLIGHT while requests pile into
-/// the admission queue behind it.
-class GateSolver : public Solver {
- public:
-  static std::atomic<bool>& Entered() {
-    static std::atomic<bool> entered{false};
-    return entered;
-  }
-  static std::atomic<bool>& Released() {
-    static std::atomic<bool> released{false};
-    return released;
-  }
-
-  std::string Name() const override { return "test-gate"; }
-  std::string Description() const override {
-    return "parks until released (test fixture)";
-  }
-  DensestResult Run(const Graph&, const MotifOracle&, const SolveRequest&,
-                    const ExecutionContext&) const override {
-    Entered().store(true);
-    while (!Released().load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return {};
-  }
-};
-
 TEST(DsdServerConcurrencyTest, QueuedIdenticalSolvesCoalesceToOneExecution) {
-  static const bool registered =
-      SolverRegistry::Global().Register(std::make_unique<GateSolver>()).ok();
-  ASSERT_TRUE(registered);
-  GateSolver::Entered().store(false);
-  GateSolver::Released().store(false);
+  ASSERT_TRUE(ResetGateSolver());
 
   ServerOptions options;
   options.hardware_threads = 1;

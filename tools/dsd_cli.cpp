@@ -237,14 +237,9 @@ int main(int argc, char** argv) {
     }
     if (result.stats.peel.brackets > 0) {
       const dsd::PeelEngineStats& peel = result.stats.peel;
-      std::printf("peel       brackets=%llu overlapped=%llu spec_hits=%llu "
-                  "spec_misses=%llu refill=%.3f ms stall=%.3f ms\n",
+      std::printf("peel       brackets=%llu count=%.3f ms\n",
                   static_cast<unsigned long long>(peel.brackets),
-                  static_cast<unsigned long long>(peel.brackets_overlapped),
-                  static_cast<unsigned long long>(peel.speculation_hits),
-                  static_cast<unsigned long long>(peel.speculation_misses),
-                  static_cast<double>(peel.refill_ns) * 1e-6,
-                  static_cast<double>(peel.apply_stall_ns) * 1e-6);
+                  static_cast<double>(peel.refill_ns) * 1e-6);
     }
     std::printf("wall       %.3f ms\n", response.stats.wall_seconds * 1e3);
   }
