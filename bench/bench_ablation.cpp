@@ -1,16 +1,18 @@
 // Ablation benches for three of the library's design choices:
-//  (a) min-cut backend: Dinic vs push-relabel on real DSD flow networks;
+//  (a) min-cut engine: the production FlowNetwork vs the Dinic reference on
+//      real DSD flow networks (exits 1 if their flow values disagree);
 //  (b) appendix-D kernels: specialised star/4-cycle peeling vs the generic
 //      embedding engine inside IncApp;
 //  (c) construct+ grouping: grouped vs ungrouped pattern-network size and
 //      solve time at a fixed alpha.
+#include <cmath>
 #include <cstdio>
 
 #include "dsd/exact.h"
 #include "dsd/flow_networks.h"
 #include "dsd/inc_app.h"
+#include "flow/flow_network.h"
 #include "flow/max_flow.h"
-#include "flow/push_relabel.h"
 #include "graph/generators.h"
 #include "harness/datasets.h"
 #include "harness/report.h"
@@ -19,42 +21,47 @@
 namespace dsd::bench {
 namespace {
 
-// (a) Solve the same EDS network with both max-flow backends.
-void FlowBackendAblation() {
-  Banner("Ablation (a): Dinic vs push-relabel on Goldberg EDS networks");
-  Table table({"graph", "alpha", "Dinic", "PushRelabel", "flows equal"});
+// (a) Solve the same EDS network with both max-flow engines. Returns false
+// if any row's flow values disagree.
+bool FlowBackendAblation() {
+  Banner("Ablation (a): FlowNetwork vs Dinic on Goldberg EDS networks");
+  Table table({"graph", "alpha", "Dinic", "FlowNetwork", "flows equal"});
+  bool all_equal = true;
   for (const DatasetSpec& spec : SmallDatasets()) {
     Graph g = spec.make();
     const double m = static_cast<double>(g.NumEdges());
     const VertexId n = g.NumVertices();
     for (double alpha : {1.0, 4.0}) {
       MaxFlowNetwork dinic(n + 2);
-      PushRelabelNetwork pr(n + 2);
+      FlowNetwork engine(n + 2);
       for (VertexId v = 0; v < n; ++v) {
         double vt = m + 2 * alpha - static_cast<double>(g.Degree(v));
         dinic.AddArc(0, v + 1, m);
         dinic.AddArc(v + 1, n + 1, vt);
-        pr.AddArc(0, v + 1, m);
-        pr.AddArc(v + 1, n + 1, vt);
+        engine.AddArc(0, v + 1, m);
+        engine.AddArc(v + 1, n + 1, vt);
       }
       for (const Edge& e : g.Edges()) {
         dinic.AddArc(e.first + 1, e.second + 1, 1.0);
         dinic.AddArc(e.second + 1, e.first + 1, 1.0);
-        pr.AddArc(e.first + 1, e.second + 1, 1.0);
-        pr.AddArc(e.second + 1, e.first + 1, 1.0);
+        engine.AddArc(e.first + 1, e.second + 1, 1.0);
+        engine.AddArc(e.second + 1, e.first + 1, 1.0);
       }
       Timer dinic_timer;
       double dinic_flow = dinic.MaxFlow(0, n + 1);
       double dinic_seconds = dinic_timer.Seconds();
-      Timer pr_timer;
-      double pr_flow = pr.MaxFlow(0, n + 1);
-      double pr_seconds = pr_timer.Seconds();
+      Timer engine_timer;
+      double engine_flow = engine.MaxFlow(0, n + 1);
+      double engine_seconds = engine_timer.Seconds();
+      const bool equal = std::abs(dinic_flow - engine_flow) < 1e-4;
+      all_equal = all_equal && equal;
       table.AddRow({spec.name, FormatDouble(alpha, 1),
-                    FormatSeconds(dinic_seconds), FormatSeconds(pr_seconds),
-                    std::abs(dinic_flow - pr_flow) < 1e-4 ? "yes" : "NO"});
+                    FormatSeconds(dinic_seconds),
+                    FormatSeconds(engine_seconds), equal ? "yes" : "NO"});
     }
   }
   table.Print();
+  return all_equal;
 }
 
 // (b) IncApp with and without the appendix-D peeling kernels.
@@ -107,10 +114,14 @@ void GroupingAblation() {
 
 int main() {
   std::printf(
-      "Ablation benches: min-cut backend, appendix-D kernels, construct+ "
+      "Ablation benches: min-cut engine, appendix-D kernels, construct+ "
       "grouping\n");
-  dsd::bench::FlowBackendAblation();
+  const bool flows_equal = dsd::bench::FlowBackendAblation();
   dsd::bench::KernelAblation();
   dsd::bench::GroupingAblation();
+  if (!flows_equal) {
+    std::fprintf(stderr, "FAIL: FlowNetwork and Dinic flow values differ\n");
+    return 1;
+  }
   return 0;
 }

@@ -10,7 +10,7 @@
 #include "dsd/core_exact.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
-#include "flow/max_flow.h"
+#include "flow/flow_network.h"
 #include "graph/generators.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
@@ -73,13 +73,13 @@ void BM_MaxFlowGrid(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    MaxFlowNetwork net(static_cast<MaxFlowNetwork::NodeId>(k * k + 2));
+    FlowNetwork net(static_cast<FlowNetwork::NodeId>(k * k + 2));
     auto id = [k](int r, int c) {
-      return static_cast<MaxFlowNetwork::NodeId>(1 + r * k + c);
+      return static_cast<FlowNetwork::NodeId>(1 + r * k + c);
     };
     for (int c = 0; c < k; ++c) {
       net.AddArc(0, id(0, c), 1.0);
-      net.AddArc(id(k - 1, c), static_cast<MaxFlowNetwork::NodeId>(k * k + 1),
+      net.AddArc(id(k - 1, c), static_cast<FlowNetwork::NodeId>(k * k + 1),
                  1.0);
     }
     for (int r = 0; r + 1 < k; ++r) {
@@ -91,7 +91,7 @@ void BM_MaxFlowGrid(benchmark::State& state) {
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        net.MaxFlow(0, static_cast<MaxFlowNetwork::NodeId>(k * k + 1)));
+        net.MaxFlow(0, static_cast<FlowNetwork::NodeId>(k * k + 1)));
   }
 }
 BENCHMARK(BM_MaxFlowGrid)->Arg(20)->Arg(60);

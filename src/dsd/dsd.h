@@ -32,7 +32,6 @@
 #include "core/emcore.h"             // IWYU pragma: export
 #include "core/kcore.h"              // IWYU pragma: export
 #include "core/nucleus.h"            // IWYU pragma: export
-#include "core/truss.h"              // IWYU pragma: export
 #include "dsd/brute_force.h"         // IWYU pragma: export
 #include "dsd/caching_oracle.h"      // IWYU pragma: export
 #include "dsd/core_app.h"            // IWYU pragma: export
@@ -50,7 +49,6 @@
 #include "dsd/query_densest.h"       // IWYU pragma: export
 #include "dsd/result.h"              // IWYU pragma: export
 #include "dsd/solver.h"              // IWYU pragma: export
-#include "dsd/top_k.h"               // IWYU pragma: export
 #include "graph/builder.h"           // IWYU pragma: export
 #include "graph/connectivity.h"      // IWYU pragma: export
 #include "graph/generators.h"        // IWYU pragma: export

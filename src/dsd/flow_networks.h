@@ -34,10 +34,11 @@ namespace dsd {
 /// Binary-search oracle: min-cut feasibility test at a density guess.
 ///
 /// Solvers run on the warm-startable flow/flow_network.h engine: the first
-/// Solve routes flow from scratch, each later Solve retunes the v->t
-/// capacities as residual deltas and re-routes only the difference, and
-/// discharge parallelises over the ExecutionContext the solver was built
-/// with (threads, deadline, cancel — a truncated Solve returns the cut of
+/// Solve routes flow from scratch, and each later Solve retunes the v->t
+/// capacities as residual deltas and re-routes only the difference. The
+/// max flow itself is sequential; the ExecutionContext the solver was
+/// built with supplies the construction's thread budget and the deadline
+/// and cancel flag each Solve polls (a truncated Solve returns the cut of
 /// an incomplete flow, so callers re-validate candidates, as CoreExact
 /// does by re-measuring density).
 class DensestFlowSolver {

@@ -1,74 +1,10 @@
 #include "flow/flow_network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
-#include "parallel/parallel_for.h"
-
 namespace dsd {
-namespace {
-
-// All shared flow state (residual_, excess_, height_, queued_) lives in
-// plain vectors — std::atomic is not movable, so the vectors hold doubles
-// and ints and every access that can race goes through std::atomic_ref.
-// The per-round thread join is the synchronisation point; within a round
-// the default (seq_cst) orderings keep the invariant reasoning simple, and
-// the discharge loop is memory-bound anyway.
-
-inline double AtomLoad(const double& ref) {
-  return std::atomic_ref<double>(const_cast<double&>(ref)).load();
-}
-
-inline uint32_t AtomLoad(const uint32_t& ref) {
-  return std::atomic_ref<uint32_t>(const_cast<uint32_t&>(ref)).load();
-}
-
-/// Returns the value before the add (libstdc++ has no fetch_add for
-/// atomic_ref<double>, so emulate it with a CAS loop).
-inline double AtomAdd(double& ref, double delta) {
-  std::atomic_ref<double> atom(ref);
-  double old = atom.load();
-  while (!atom.compare_exchange_weak(old, old + delta)) {
-  }
-  return old;
-}
-
-inline void AtomStore(uint32_t& ref, uint32_t value) {
-  std::atomic_ref<uint32_t>(ref).store(value);
-}
-
-/// One-shot 0 -> 1 claim; the winner owns enqueueing the node.
-inline bool TryClaim(uint8_t& flag) {
-  std::atomic_ref<uint8_t> atom(flag);
-  uint8_t expected = 0;
-  return atom.compare_exchange_strong(expected, 1);
-}
-
-inline void ReleaseClaim(uint8_t& flag) {
-  std::atomic_ref<uint8_t>(flag).store(0);
-}
-
-/// Relabels consumed per node visit before it yields its worklist slot —
-/// keeps one stuck node from starving the round.
-constexpr uint32_t kMaxRelabelsPerVisit = 8;
-
-/// Below this frontier size a round stays on the calling thread: spawning
-/// workers costs more than the discharges they would do.
-constexpr size_t kParallelCutoff = 512;
-
-}  // namespace
-
-/// Per-worker scratch for one discharge round; merged after the join, so
-/// stats and the next frontier never race.
-struct FlowNetwork::WorkerState {
-  std::vector<NodeId> next;
-  uint64_t discharges = 0;
-  uint64_t pushes = 0;
-  uint64_t relabels = 0;
-  uint64_t work = 0;  // arc scans, for the global-relabel heartbeat
-};
 
 FlowNetwork::FlowNetwork(NodeId num_nodes)
     : out_(num_nodes),
@@ -146,9 +82,8 @@ void FlowNetwork::ColdInit() {
 /// Exact-distance relabel of every node against the current residual graph:
 /// a two-ended BFS from t (height = distance to t) then from s (height =
 /// n + distance to s, the phase-2 labels that route trapped excess back to
-/// the source). Runs sequentially between discharge rounds, so plain
-/// accesses are safe. Also resets the arc cursors — exact heights
-/// invalidate saved scan positions.
+/// the source). Also resets the arc cursors — exact heights invalidate
+/// saved scan positions.
 void FlowNetwork::GlobalRelabel(NodeId s, NodeId t) {
   ++stats_.global_relabels;
   const NodeId n = num_nodes();
@@ -261,136 +196,78 @@ double FlowNetwork::MaxFlow(NodeId s, NodeId t, const ExecutionContext& ctx) {
 
 void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
   // Heartbeat: refresh exact heights after ~one residual-graph sweep worth
-  // of scan work — the amortised replacement for the sequential backend's
-  // per-relabel Gap scan.
+  // of scan work — the amortised replacement for a per-relabel Gap scan.
   const uint64_t gr_interval =
       std::max<uint64_t>(4ull * num_nodes() + num_arcs(), 1024);
   std::vector<NodeId> frontier;
+  std::vector<NodeId> next;
   BuildFrontier(s, t, frontier);
   uint64_t work_since_gr = 0;
 
-  while (!ctx.ShouldStop()) {
-    if (frontier.empty()) {
-      // Concurrent relabels can overshoot exact distances and park nodes
-      // at 2n with excess; one exact relabel re-admits them. Done only
-      // when the frontier is empty against exact heights.
-      GlobalRelabel(s, t);
-      BuildFrontier(s, t, frontier);
-      work_since_gr = 0;
-      if (frontier.empty()) return;
-      continue;
-    }
+  // FIFO rounds: each round discharges the current frontier and collects
+  // the nodes it activates; the stop flag and the heartbeat are checked
+  // between rounds.
+  while (!frontier.empty() && !ctx.ShouldStop()) {
     if (work_since_gr >= gr_interval) {
       GlobalRelabel(s, t);
       BuildFrontier(s, t, frontier);
       work_since_gr = 0;
       continue;
     }
-    const unsigned threads =
-        ResolveThreadCount(ctx.threads, frontier.size());
-    if (threads <= 1 || frontier.size() < kParallelCutoff) {
-      WorkerState local;
-      for (const NodeId v : frontier) {
-        ReleaseClaim(queued_[v]);
-        DischargeNode(v, s, t, local);
-      }
-      frontier.swap(local.next);
-      stats_.discharges += local.discharges;
-      stats_.pushes += local.pushes;
-      stats_.relabels += local.relabels;
-      work_since_gr += local.work;
-    } else {
-      std::vector<WorkerState> states(threads);
-      ParallelForStrided(frontier.size(), threads,
-                         [&](unsigned worker, uint64_t i) {
-                           const NodeId v = frontier[i];
-                           // Release before discharging so excess arriving
-                           // mid-visit re-enqueues v for the next round.
-                           ReleaseClaim(queued_[v]);
-                           DischargeNode(v, s, t, states[worker]);
-                         });
-      frontier.clear();
-      for (const WorkerState& st : states) {
-        frontier.insert(frontier.end(), st.next.begin(), st.next.end());
-        stats_.discharges += st.discharges;
-        stats_.pushes += st.pushes;
-        stats_.relabels += st.relabels;
-        work_since_gr += st.work;
-      }
+    next.clear();
+    for (const NodeId v : frontier) {
+      queued_[v] = 0;
+      work_since_gr += DischargeNode(v, s, t, next);
     }
+    frontier.swap(next);
   }
 }
 
-void FlowNetwork::DischargeNode(NodeId v, NodeId s, NodeId t,
-                                WorkerState& local) {
+uint64_t FlowNetwork::DischargeNode(NodeId v, NodeId s, NodeId t,
+                                    std::vector<NodeId>& next) {
   const uint32_t hmax = 2 * num_nodes();
   const std::vector<ArcId>& arcs = out_[v];
-  double ev = AtomLoad(excess_[v]);
-  if (ev <= kEps) return;
-  ++local.discharges;
-  uint32_t relabels_left = kMaxRelabelsPerVisit;
+  double& ev = excess_[v];
+  if (ev <= kEps) return 0;
+  ++stats_.discharges;
+  uint64_t work = 0;  // arc scans, for the global-relabel heartbeat
   uint32_t cur = cursor_[v];
-  while (true) {
-    const uint32_t hv = AtomLoad(height_[v]);
-    if (hv >= hmax) {
-      // Parked above every label; the next global relabel re-admits v if
-      // it still holds excess.
-      cursor_[v] = 0;
-      return;
-    }
-    while (cur < arcs.size() && ev > kEps) {
-      const ArcId a = arcs[cur];
-      ++local.work;
-      const double ra = AtomLoad(residual_[a]);
-      // A concurrent relabel of the head can make this check stale — the
-      // push then lands one level too low. Harmless: the preflow stays
-      // valid, and the heartbeat's exact relabel restores admissibility.
-      if (ra > kEps && hv == AtomLoad(height_[to_[a]]) + 1) {
-        const NodeId w = to_[a];
-        const double amount = std::min(ev, ra);
-        AtomAdd(residual_[a], -amount);
-        AtomAdd(residual_[a ^ 1], amount);
-        AtomAdd(excess_[v], -amount);
-        const double w_before = AtomAdd(excess_[w], amount);
-        ev -= amount;
-        ++local.pushes;
-        // Inactive -> active transition: exactly one pusher sees the old
-        // excess at/below the floor and owns the (claimed) enqueue.
-        if (w_before <= kEps && w != s && w != t && TryClaim(queued_[w])) {
-          local.next.push_back(w);
-        }
-        if (ev > kEps) ++cur;  // arc saturated; otherwise stay on it
-      } else {
-        ++cur;
+  while (ev > kEps) {
+    if (cur == arcs.size()) {
+      // No admissible arc left: relabel to one above the lowest residual
+      // neighbour.
+      uint32_t best = hmax;
+      for (const ArcId a : arcs) {
+        ++work;
+        if (residual_[a] > kEps) best = std::min(best, height_[to_[a]] + 1);
       }
+      height_[v] = std::max(best, height_[v] + 1);
+      ++stats_.relabels;
+      cur = 0;
+      if (height_[v] >= hmax) break;  // parked: no residual path to s
+      continue;
     }
-    // Re-read: pushes from other workers may have landed mid-visit.
-    ev = AtomLoad(excess_[v]);
-    if (ev <= kEps) {
-      cursor_[v] = cur;
-      return;
-    }
-    if (cur < arcs.size()) continue;  // fresh excess, cursor still live
-    if (relabels_left == 0) {
-      // Yield the slot instead of monopolising the round.
-      cursor_[v] = cur;
-      if (TryClaim(queued_[v])) local.next.push_back(v);
-      return;
-    }
-    --relabels_left;
-    uint32_t best = hmax;
-    for (const ArcId a : arcs) {
-      ++local.work;
-      if (AtomLoad(residual_[a]) > kEps) {
-        const uint32_t hw = AtomLoad(height_[to_[a]]);
-        if (hw + 1 < best) best = hw + 1;
+    const ArcId a = arcs[cur];
+    const NodeId w = to_[a];
+    ++work;
+    if (residual_[a] > kEps && height_[v] == height_[w] + 1) {
+      const double amount = std::min(ev, residual_[a]);
+      residual_[a] -= amount;
+      residual_[a ^ 1] += amount;
+      ev -= amount;
+      excess_[w] += amount;
+      ++stats_.pushes;
+      if (w != s && w != t && !queued_[w]) {
+        queued_[w] = 1;
+        next.push_back(w);
       }
+      if (ev > kEps) ++cur;  // arc saturated; otherwise stay on it
+    } else {
+      ++cur;
     }
-    const uint32_t hv_now = AtomLoad(height_[v]);
-    AtomStore(height_[v], std::min(std::max(best, hv_now + 1), hmax));
-    ++local.relabels;
-    cur = 0;
   }
+  cursor_[v] = cur;
+  return work;
 }
 
 std::vector<FlowNetwork::NodeId> FlowNetwork::MinCutSourceSide(

@@ -1,13 +1,13 @@
-// FlowNetwork: the reusable max-flow / min-cut engine behind the exact DSD
-// algorithms — warm-startable across capacity retunes, parallel discharge.
+// FlowNetwork: the max-flow / min-cut engine behind the exact DSD
+// algorithms — sequential FIFO push-relabel, warm-startable across
+// capacity retunes.
 //
 // The paper's exact algorithms answer every binary-search guess alpha with
 // a minimum st-cut on a network whose structure never changes; only the
-// v->t capacities move with alpha. The earlier backends (flow/max_flow.h
-// Dinic, flow/push_relabel.h sequential push-relabel) rebuild the residual
-// state from scratch on every MaxFlow call, so each guess re-routes all the
-// flow the previous guess already placed. FlowNetwork keeps the preflow
-// alive instead:
+// v->t capacities move with alpha. The Dinic reference (flow/max_flow.h)
+// rebuilds the residual state from scratch on every MaxFlow call, so each
+// guess re-routes all the flow the previous guess already placed.
+// FlowNetwork keeps the preflow alive instead:
 //
 //   * SetCapacity applies the change to the residuals in place. Flow
 //     already on the arc survives while the new capacity covers it; a
@@ -19,25 +19,20 @@
 //     only the delta. Cold starts (the first call, after
 //     set_warm_start(false), a changed (s, t) pair, or a retune the warm
 //     path cannot absorb) reset residuals to the configured capacities.
-//   * Discharge runs over a shared worklist: rounds of parallel node
-//     discharges (atomic excess/residual updates, CAS-claimed activation
-//     flags, per-thread output buffers) with a global-relabel heartbeat
-//     replacing the sequential backend's O(n) Gap scan. ctx.threads sizes
-//     the worker set; small frontiers stay on the calling thread, so a
-//     1-thread context is plain sequential push-relabel.
+//   * Discharge works through FIFO rounds of active nodes, with a
+//     global-relabel heartbeat in place of a per-relabel Gap scan.
 //
 // Determinism: for capacities on which double arithmetic is exact (the
 // integral and dyadic-rational mixes the DSD networks use), the max-flow
 // value is unique and MinCutSourceSide returns the unique inclusion-minimal
-// source side — bit-identical across thread counts and warm/cold starts.
-// The differential suites (tests/flow_network_test.cpp,
-// tests/flow_differential_test.cpp) enforce this against the sequential
-// cold-start baselines.
+// source side — bit-identical across warm/cold starts. The differential
+// suites (tests/flow_network_test.cpp, tests/flow_differential_test.cpp)
+// enforce this against cold-start networks and the Dinic reference.
 //
-// Cooperative stop: MaxFlow polls ctx.ShouldStop() at round granularity
-// and returns the flow routed so far. The preflow stays consistent, so a
-// later MaxFlow call resumes where the truncated one stopped; only then is
-// MinCutSourceSide meaningful again.
+// Cooperative stop: MaxFlow polls ctx.ShouldStop() between discharge
+// rounds and returns the flow routed so far. The preflow stays consistent,
+// so a later MaxFlow call resumes where the truncated one stopped; only
+// then is MinCutSourceSide meaningful again.
 #ifndef DSD_FLOW_FLOW_NETWORK_H_
 #define DSD_FLOW_FLOW_NETWORK_H_
 
@@ -71,7 +66,7 @@ struct FlowStats {
   }
 };
 
-/// Warm-startable parallel push-relabel max-flow with real capacities.
+/// Warm-startable push-relabel max-flow with real capacities.
 class FlowNetwork {
  public:
   using NodeId = uint32_t;
@@ -100,14 +95,14 @@ class FlowNetwork {
   ArcId num_arcs() const { return static_cast<ArcId>(to_.size()); }
 
   /// Max flow from s to t; warm-starts when possible (see file comment).
-  /// ctx supplies the worker budget and the cooperative stop.
+  /// Only ctx's cooperative stop is read; the solve is single-threaded.
   double MaxFlow(NodeId s, NodeId t,
                  const ExecutionContext& ctx = ExecutionContext());
 
   /// After a completed MaxFlow(s, t): the source side of the minimum cut
   /// (residual reachability from s), sorted. For exact-arithmetic
-  /// capacities this is the unique minimal min cut, independent of thread
-  /// count and warm/cold history.
+  /// capacities this is the unique minimal min cut, independent of
+  /// warm/cold history.
   std::vector<NodeId> MinCutSourceSide(NodeId s) const;
 
   /// When off, every MaxFlow call re-routes from scratch (the ablation
@@ -119,13 +114,14 @@ class FlowNetwork {
   void ResetStats() { stats_ = FlowStats(); }
 
  private:
-  struct WorkerState;
-
   void ColdInit();
   void GlobalRelabel(NodeId s, NodeId t);
   void BuildFrontier(NodeId s, NodeId t, std::vector<NodeId>& frontier);
   void Discharge(NodeId s, NodeId t, const ExecutionContext& ctx);
-  void DischargeNode(NodeId v, NodeId s, NodeId t, WorkerState& local);
+  /// Pushes v's excess out, relabelling as needed; activated nodes are
+  /// appended to `next`. Returns the arcs scanned.
+  uint64_t DischargeNode(NodeId v, NodeId s, NodeId t,
+                         std::vector<NodeId>& next);
 
   // Arcs stored in pairs; arc^1 is the paired arc, to_[arc^1] the tail.
   std::vector<std::vector<ArcId>> out_;
@@ -136,7 +132,7 @@ class FlowNetwork {
   std::vector<double> excess_;
   std::vector<uint32_t> height_;
   std::vector<uint32_t> cursor_;  // current-arc pointer per node
-  std::vector<uint8_t> queued_;   // CAS-claimed worklist membership
+  std::vector<uint8_t> queued_;   // on the current or next frontier
 
   bool warm_start_ = true;
   bool primed_ = false;      // a MaxFlow has run; residual state is live

@@ -1,8 +1,12 @@
-// Max-flow / min-cut solver (Dinic's algorithm, real-valued capacities).
+// Max-flow / min-cut reference solver (Dinic's algorithm, real-valued
+// capacities).
 //
 // All exact densest-subgraph algorithms in the paper reduce to a sequence of
 // minimum st-cut computations on flow networks whose v->t capacities depend
-// on the binary-search guess alpha. This solver therefore supports
+// on the binary-search guess alpha. The solvers run on the warm-started
+// FlowNetwork (flow/flow_network.h); this cold-start Dinic is the
+// independent reference the flow tests and bench_ablation compare it
+// against. It supports
 //   * building the network structure once,
 //   * retuning individual arc capacities (SetCapacity) between solves, and
 //   * extracting the source side S of a minimum cut after MaxFlow().

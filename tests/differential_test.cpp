@@ -242,7 +242,7 @@ TEST(DifferentialDecomposeTest, DeadlineTruncationKeepsInvariants) {
   }
 }
 
-TEST(DifferentialPipelineTest, PipelinedDeadlineTruncationKeepsInvariants) {
+TEST(DifferentialDecomposeTest, ThreadedDeadlineTruncationKeepsInvariants) {
   // The multi-threaded peel under a sweep of wall-clock budgets: the
   // shortest expire during the initial degree pass, 1e-3 s typically fires
   // mid-peel inside the parallel count kernels. Whatever truncation point
@@ -284,17 +284,20 @@ TEST(DifferentialSolveTest, ThreadedAndCachedSolvesMatchSequential) {
   // motif cell, and the effective thread count must be honest.
   for (const SeededGraph& sg : TestGraphs()) {
     SCOPED_TRACE(sg.name + " seed=" + std::to_string(sg.seed));
-    for (const char* motif : {"triangle", "4-clique", "3-star", "diamond",
-                              "c3-star"}) {
+    for (const char* motif : {"edge", "triangle", "4-clique", "3-star",
+                              "diamond", "c3-star"}) {
       // peel, core-app and at-least drive the batch peeling engine end to
       // end; exact and core-exact cover the degree-pass and core-
-      // restriction paths.
-      for (const char* algo :
-           {"exact", "core-exact", "peel", "core-app", "at-least"}) {
+      // restriction paths; query is the served fresh path, whose flow
+      // network pins the seeds to the source side (on the edge motif that
+      // is Goldberg's EDS network with ForceToSource).
+      for (const char* algo : {"exact", "core-exact", "peel", "core-app",
+                               "at-least", "query"}) {
         SolveRequest request;
         request.algorithm = algo;
         request.motif = motif;
-        request.min_size = 10;  // used by at-least only
+        request.min_size = 10;   // used by at-least only
+        request.seeds = {1, 5};  // used by query only
         request.threads = 1;
         StatusOr<SolveResponse> sequential = Solve(sg.graph, request);
         ASSERT_TRUE(sequential.ok())

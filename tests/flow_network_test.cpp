@@ -1,8 +1,7 @@
-// Tests for flow/flow_network: the warm-startable parallel push-relabel
-// engine. Known instances, warm-start retuning, deadline truncation +
-// resume, reverse-arc-id rejection, and parallel-vs-sequential bitwise
-// parity on frontiers large enough to engage the worker pool (this suite
-// runs under the unit label so CI's TSan job races the discharge rounds).
+// Tests for flow/flow_network: the warm-startable push-relabel engine.
+// Known instances, warm-start retuning, deadline truncation + resume,
+// reverse-arc-id rejection, and bitwise parity of the cut across the
+// thread budgets a caller's context may carry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,10 +194,9 @@ TEST(FlowNetwork, CancelFlagTruncates) {
 }
 
 // A wide random bipartite network: s -> 1500 middle nodes -> t plus random
-// cross arcs. The initial frontier holds every middle node, well above the
-// engine's parallel cutoff, so multi-thread contexts genuinely race the
-// discharge rounds (what the TSan job is here to check), and the result
-// must still be bitwise identical to the 1-thread run.
+// cross arcs. The solvers hand MaxFlow whatever context their caller built,
+// thread budget included; the flow value and the cut must be bitwise
+// identical to the default-context run, cold and warm.
 class FlowNetworkParallelTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FlowNetworkParallelTest, ParallelMatchesSequentialBitwise) {

@@ -19,7 +19,9 @@
 //
 // Exit codes: 0 clean shutdown, 1 environment failure (bind/IO), 2 bad
 // usage or preload failure.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,14 +108,16 @@ int ApplyPreload(DsdServer& server, const Preload& preload) {
       return dsd::server::BuildPresetGraph(preload.source, 0, false);
     }
     const std::string seed_text = preload.source.substr(colon + 1);
-    if (seed_text.empty() ||
-        seed_text.find_first_not_of("0123456789") != std::string::npos) {
+    const char* const last = seed_text.data() + seed_text.size();
+    uint64_t seed = 0;
+    // Rejects empty, non-digit and out-of-range (> UINT64_MAX) seeds.
+    const auto [end, error] = std::from_chars(seed_text.data(), last, seed);
+    if (error != std::errc() || end != last) {
       return dsd::Status::InvalidArgument("bad preset seed '" + seed_text +
                                           "'");
     }
-    return dsd::server::BuildPresetGraph(
-        preload.source.substr(0, colon),
-        std::strtoull(seed_text.c_str(), nullptr, 10), true);
+    return dsd::server::BuildPresetGraph(preload.source.substr(0, colon),
+                                         seed, true);
   }();
   if (!graph.ok()) {
     std::fprintf(stderr, "error: preload %s: %s\n", preload.name.c_str(),
