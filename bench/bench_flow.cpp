@@ -7,7 +7,7 @@
 //   * every run of the same algo x dataset cell must return the identical
 //     densest subgraph — bit-identical vertices and density across threads
 //     {1, 2, 4, auto} and warm/cold flow search;
-//   * on the core-exact pl-100k cell, the warm-started binary search must
+//   * on the core-exact pl-100k cell, the warm-started flow search must
 //     do strictly less discharge+relabel work than the cold ablation and
 //     must actually warm-start (warm_starts > 0).
 //
@@ -166,7 +166,7 @@ int Run(std::FILE* out) {
                      static_cast<unsigned long long>(r.relabels));
       }
     }
-    // The acceptance contract, checked where the binary search genuinely
+    // The acceptance contract, checked where the flow search genuinely
     // iterates: warm-started core-exact on pl-100k must reuse preflows and
     // do strictly less discharge+relabel work than cold-per-iteration.
     if (cell.algo == "core-exact" && cell.dataset == "pl-100k") {

@@ -44,6 +44,18 @@ void EnumerateCliquesContaining(
 
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,
                                           std::span<const char> alive) {
+  if (h == 2) {
+    // Edge degrees are alive-neighbour counts: O(n + m), no enumerator.
+    std::vector<uint64_t> degrees(graph.NumVertices(), 0);
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      if (alive.empty()) {
+        degrees[v] = graph.Degree(v);
+      } else if (alive[v]) {
+        for (VertexId u : graph.Neighbors(v)) degrees[v] += alive[u] != 0;
+      }
+    }
+    return degrees;
+  }
   if (alive.empty()) {
     return CliqueEnumerator(graph, h).Degrees();
   }

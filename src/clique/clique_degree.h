@@ -25,7 +25,8 @@ void EnumerateCliquesContaining(
     const std::function<void(std::span<const VertexId>)>& cb);
 
 /// Clique-degrees of every vertex restricted to alive vertices.
-/// alive may be empty, meaning "all vertices alive".
+/// alive may be empty, meaning "all vertices alive". For h = 2 these are
+/// alive-neighbour counts, computed directly in O(n + m).
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,
                                           std::span<const char> alive);
 

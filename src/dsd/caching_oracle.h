@@ -2,10 +2,11 @@
 //
 // CoreExact, CoreApp and the query-anchored solver repeatedly evaluate
 // Degrees / CountInstances on (k, Psi)-core restrictions of the same graph:
-// RestrictToCore iterates to a fixpoint, Pruning2 re-measures components
-// after raising the core level, and the best candidate is re-measured when
-// results are finalised. Each such query re-enumerates motif instances from
-// scratch — far more expensive than a linear scan of its input. This
+// RestrictToCore runs degree passes over its input and survivors, Pruning2
+// re-measures components after raising the core level, and the best
+// candidate is re-measured when results are finalised. Each such query
+// re-enumerates motif instances from scratch — far more expensive than a
+// linear scan of its input. This
 // decorator memoizes both queries, keyed by the graph's generation tag
 // (Graph::Generation() — process-wide unique per content state, see
 // graph/graph.h) plus a hash of the alive mask. The tag makes the key O(1)

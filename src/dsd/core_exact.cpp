@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
+#include <optional>
 
+#include "dsd/dinkelbach.h"
 #include "dsd/flow_networks.h"
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
@@ -58,23 +61,31 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
     return result;
   }
 
-  // Step 2: bounds and initial location. Theorem 1 gives
-  // kmax/|V_Psi| <= rho_opt <= kmax; Pruning1 tightens the lower bound to
-  // rho' (best residual density during peeling, itself >= kmax/|V_Psi|).
-  double lower = static_cast<double>(decomposition->kmax) / h;
-  std::vector<VertexId> initial_best =
-      decomposition->CoreVertices(decomposition->kmax);
+  // Step 2: start density and initial location. Theorem 1 gives
+  // kmax/|V_Psi| <= rho_opt <= kmax, and the kmax-core attains at least the
+  // lower bound; Pruning1 starts from rho' (the best residual density seen
+  // during peeling) and locates in the ceil(rho')-core instead.
+  std::vector<VertexId> best;
+  double best_density = 0.0;
+  uint64_t core_level = 0;
   if (options.pruning1) {
-    lower = decomposition->best_residual_density;
-    initial_best = decomposition->BestResidualVertices();
+    best = decomposition->BestResidualVertices();
+    best_density = decomposition->best_residual_density;
+    core_level = CeilLevel(best_density);
+  } else {
+    best = decomposition->CoreVertices(decomposition->kmax);
+    const std::optional<double> density =
+        decomposition->CoreDensity(decomposition->kmax);
+    best_density =
+        density ? *density : MeasureDensity(graph, oracle, best, ctx);
+    core_level = CeilLevel(static_cast<double>(decomposition->kmax) / h);
   }
-  double upper = static_cast<double>(decomposition->kmax);
-  uint64_t core_level = CeilLevel(lower);
 
   std::vector<std::vector<VertexId>> components =
       ComponentsOf(graph, decomposition->CoreVertices(core_level));
 
-  // Pruning2: per-component densities raise the lower bound and core level.
+  // Pruning2: per-component densities raise the start density and core
+  // level.
   if (options.pruning2) {
     double rho2 = 0.0;
     size_t argmax = 0;
@@ -86,9 +97,9 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
         argmax = i;
       }
     }
-    if (!components.empty() && rho2 > lower) {
-      lower = rho2;
-      initial_best = components[argmax];
+    if (!components.empty() && rho2 > best_density) {
+      best_density = rho2;
+      best = components[argmax];
     }
     if (CeilLevel(rho2) > core_level) {
       core_level = CeilLevel(rho2);
@@ -98,8 +109,8 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
         densities[i] = MeasureDensity(graph, oracle, components[i], ctx);
       }
     }
-    // Process densest components first: they raise `lower` early and let the
-    // initial feasibility check skip the rest.
+    // Process densest components first: they raise the start density early,
+    // which lets the later components restrict to a higher core.
     std::vector<size_t> order(components.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&densities](size_t a, size_t b) {
@@ -120,17 +131,15 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
         MakeDefaultFlowSolver(graph, oracle, ctx)->NumNodes());
   }
 
-  // Step 3: per-component binary search on ever-shrinking cores.
-  const double global_gap = 1.0 / (static_cast<double>(n) * (n - 1));
-  std::vector<VertexId> best = std::move(initial_best);
-  double best_density = MeasureDensity(graph, oracle, best, ctx);
-
+  // Step 3: one Dinkelbach search per component, each started from the
+  // best density so far.
   for (std::vector<VertexId> component : components) {
     if (ctx.ShouldStop()) break;
-    uint64_t applied_level = core_level;
-    if (CeilLevel(lower) > applied_level) {
-      applied_level = CeilLevel(lower);
-      component = RestrictToCore(graph, oracle, component, applied_level, ctx);
+    // Lemma 7 between components: once a denser set is known, the CDS lies
+    // in a higher core, so this component's network is built on that core.
+    if (CeilLevel(best_density) > core_level) {
+      component = RestrictToCore(graph, oracle, component,
+                                 CeilLevel(best_density), ctx);
     }
     if (component.size() < 2) continue;
 
@@ -141,54 +150,19 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
     if (options.track_network_sizes) {
       result.stats.flow_network_sizes.push_back(solver->NumNodes());
     }
-
-    // Initial feasibility: can this component beat the current lower bound?
-    std::vector<VertexId> side = solver->Solve(lower);
-    ++result.stats.binary_search_iterations;
-    if (side.empty()) {
-      AccumulateFlowStats(*solver, result.stats);
-      continue;
-    }
-    std::vector<VertexId> candidate = sub.ToParent(side);
-
-    const double gap =
-        options.pruning3
-            ? 1.0 / (static_cast<double>(component.size()) *
-                     (static_cast<double>(component.size()) - 1))
-            : global_gap;
-    while (upper - lower >= gap && !ctx.ShouldStop()) {
-      const double alpha = (lower + upper) / 2.0;
-      side = solver->Solve(alpha);
-      ++result.stats.binary_search_iterations;
-      if (options.track_network_sizes) {
-        result.stats.flow_network_sizes.push_back(solver->NumNodes());
-      }
-      if (side.empty()) {
-        upper = alpha;
-        continue;
-      }
-      candidate = sub.ToParent(side);
-      lower = alpha;
-      // A denser subgraph exists, so the CDS lives in a higher core
-      // (Lemma 7): shrink the component and rebuild a smaller network.
-      if (CeilLevel(alpha) > applied_level) {
-        applied_level = CeilLevel(alpha);
-        component =
-            RestrictToCore(graph, oracle, component, applied_level, ctx);
-        if (component.size() < 2) break;
-        sub = InducedSubgraph(graph, component);
-        AccumulateFlowStats(*solver, result.stats);
-        solver = MakeDefaultFlowSolver(sub.graph, oracle, ctx);
-        solver->SetWarmStart(options.flow_warm_start);
-      }
-    }
+    DensitySearch found = DinkelbachSearch(graph, oracle, sub, *solver,
+                                           best_density, ctx, result.stats);
     AccumulateFlowStats(*solver, result.stats);
-
-    const double candidate_density =
-        MeasureDensity(graph, oracle, candidate, ctx);
-    if (candidate_density > best_density) {
-      best_density = candidate_density;
-      best = std::move(candidate);
+    if (found.density > best_density) {
+      best_density = found.density;
+      best = std::move(found.vertices);
+    } else if (!found.vertices.empty() && found.density == best_density) {
+      // A tie: motif counts are supermodular, so the union of two optimal
+      // sets is optimal, and keeping it returns the unique largest CDS.
+      std::vector<VertexId> merged;
+      std::set_union(best.begin(), best.end(), found.vertices.begin(),
+                     found.vertices.end(), std::back_inserter(merged));
+      best = std::move(merged);
     }
   }
 

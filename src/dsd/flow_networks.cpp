@@ -32,19 +32,31 @@ class FlowSolverBase : public DensestFlowSolver {
 
   FlowStats Stats() const override { return network_->stats(); }
 
+  std::vector<VertexId> MaximalSide() const override {
+    return GraphVertices(network_->MaximalMinCutSourceSide(Sink()));
+  }
+
  protected:
   FlowSolverBase(VertexId n, const ExecutionContext& ctx) : n_(n), ctx_(ctx) {}
 
   // Runs the min cut at the current capacities and extracts the graph
   // vertices on the source side.
   std::vector<VertexId> SolveAndExtract() {
-    network_->MaxFlow(0, static_cast<NodeId>(network_->num_nodes()) - 1,
-                      ctx_);
-    std::vector<VertexId> result;
-    for (NodeId node : network_->MinCutSourceSide(0)) {
-      if (node >= 1 && node <= n_) result.push_back(node - 1);
+    network_->MaxFlow(0, Sink(), ctx_);
+    return GraphVertices(network_->MinCutSourceSide(0));
+  }
+
+  NodeId Sink() const {
+    return static_cast<NodeId>(network_->num_nodes()) - 1;
+  }
+
+  // Graph vertices (nodes 1..n) of a node list.
+  std::vector<VertexId> GraphVertices(const std::vector<NodeId>& nodes) const {
+    std::vector<VertexId> vertices;
+    for (NodeId node : nodes) {
+      if (node >= 1 && node <= n_) vertices.push_back(node - 1);
     }
-    return result;
+    return vertices;
   }
 
   VertexId n_;

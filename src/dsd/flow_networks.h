@@ -1,7 +1,7 @@
 // Flow-network constructions for the exact DSD algorithms.
 //
-// Every exact algorithm answers the same oracle question inside a binary
-// search: "does G contain a subgraph with Psi-density greater than alpha?"
+// Every exact algorithm answers the same oracle question at each density
+// guess: "does G contain a subgraph with Psi-density greater than alpha?"
 // Each construction below reduces that question to a minimum st-cut whose
 // source side (minus s) induces such a subgraph when one exists:
 //   * EdsFlowSolver      — Goldberg's network for the edge case (h = 2).
@@ -12,10 +12,11 @@
 //                          `grouped` flag; Lemma 11 proves both cuts equal.
 //
 // Solvers are built once per (sub)graph: the structure is alpha-independent,
-// only the v->t capacities are retuned between Solve() calls. This mirrors
-// CoreExact's "the flow network gradually becomes smaller" optimisation —
-// the *networks* shrink because they are rebuilt on smaller cores, while
-// repeated guesses on the same core reuse the structure.
+// only the v->t capacities are retuned between Solve() calls. Exact's
+// bisection moves alpha both ways; the Dinkelbach search of CoreExact and
+// QueryDensest (dsd/dinkelbach.h) only raises it, so the v->t capacities
+// only grow and a warm start never has to cancel flow. CoreExact builds one
+// solver per located component and never rebuilds it mid-search.
 #ifndef DSD_DSD_FLOW_NETWORKS_H_
 #define DSD_DSD_FLOW_NETWORKS_H_
 
@@ -31,7 +32,7 @@
 
 namespace dsd {
 
-/// Binary-search oracle: min-cut feasibility test at a density guess.
+/// Min-cut feasibility test at a density guess.
 ///
 /// Solvers run on the warm-startable flow/flow_network.h engine: the first
 /// Solve routes flow from scratch, and each later Solve retunes the v->t
@@ -49,6 +50,12 @@ class DensestFlowSolver {
   /// guess alpha. Empty result means S = {s}: no subgraph with density
   /// exceeding alpha exists.
   virtual std::vector<VertexId> Solve(double alpha) = 0;
+
+  /// After a completed Solve(alpha): the graph vertices on the source side
+  /// of the sink-side-minimal minimum cut, a superset of Solve's answer.
+  /// At alpha = the optimum density it is the union of every optimal set
+  /// (the unique largest optimum), which is how ties are pinned.
+  virtual std::vector<VertexId> MaximalSide() const = 0;
 
   /// Total flow-network nodes (Figure 9's y-axis).
   virtual uint64_t NumNodes() const = 0;

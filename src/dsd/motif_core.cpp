@@ -39,6 +39,15 @@ std::vector<VertexId> MotifCoreDecomposition::BestResidualVertices() const {
   return vertices;
 }
 
+std::optional<double> MotifCoreDecomposition::CoreDensity(uint64_t k) const {
+  if (!complete) return std::nullopt;
+  const auto start = std::partition_point(
+      removal_order.begin(), removal_order.end(),
+      [this, k](VertexId v) { return core[v] < k; });
+  if (start == removal_order.end()) return 0.0;
+  return residual_density[static_cast<size_t>(start - removal_order.begin())];
+}
+
 MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
                                           const MotifOracle& oracle,
                                           const ExecutionContext& ctx) {
@@ -235,40 +244,64 @@ std::shared_ptr<const MotifCoreDecomposition> DecomposeForSolve(
 std::vector<VertexId> RestrictToCore(const Graph& graph,
                                      const MotifOracle& oracle,
                                      const std::vector<VertexId>& vertices,
-                                     uint64_t k,
-                                     const ExecutionContext& ctx) {
-  // Batch rounds: recompute degrees on the survivor set, drop every vertex
-  // below k, repeat to fixpoint. Unlike incremental peeling this costs
-  // nothing per *removed* vertex — crucial for CoreApp, whose windows are
-  // peeled at a level that usually annihilates them outright.
+                                     uint64_t k, const ExecutionContext& ctx,
+                                     std::span<const VertexId> keep) {
   std::vector<VertexId> survivors(vertices);
   std::sort(survivors.begin(), survivors.end());
-  // The deadline poll matters here: each round is a full motif-degree pass,
-  // so an unpolled fixpoint loop could overshoot a blown budget by many
-  // passes. A stopped run returns the not-yet-fixpoint survivor set — a
-  // superset of the core, fine for best-effort callers.
-  //
-  // Rounds query the parent graph under an alive mask (not a rebuilt
-  // induced subgraph): same reduction inside the oracle, but the queries
-  // are keyed by the parent's generation tag, so a survivor set revisited
-  // across calls — CoreExact re-restricting at the same level — hits the
-  // CachingOracle.
+  if (k == 0 || survivors.empty()) return survivors;
+  std::vector<char> kept(graph.NumVertices(), 0);
+  for (VertexId v : keep) kept[v] = 1;
   std::vector<char> alive(graph.NumVertices(), 0);
   for (VertexId v : survivors) alive[v] = 1;
-  while (!survivors.empty() && !ctx.ShouldStop()) {
-    std::vector<uint64_t> degree = oracle.Degrees(graph, alive, ctx);
-    std::vector<VertexId> next;
-    next.reserve(survivors.size());
-    for (VertexId v : survivors) {
-      if (degree[v] >= k) {
-        next.push_back(v);
-      } else {
-        alive[v] = 0;
-      }
-    }
-    if (next.size() == survivors.size()) break;
-    survivors = std::move(next);
+  // Keeps the survivors still alive; the result stays sorted.
+  auto prune = [&survivors, &alive] {
+    std::erase_if(survivors, [&alive](VertexId v) { return !alive[v]; });
+  };
+
+  // Bulk pass: one degree query over the input drops every vertex that is
+  // under-supported even before any removal. Most of a window or of all of
+  // V usually goes here, at no per-vertex peel cost. All of V is queried
+  // through the empty all-alive mask, which no oracle has to copy.
+  const bool whole = std::find(alive.begin(), alive.end(), 0) == alive.end();
+  std::vector<uint64_t> degree = oracle.Degrees(
+      graph, whole ? std::span<const char>() : std::span<const char>(alive),
+      ctx);
+  for (VertexId v : survivors) {
+    if (degree[v] < k && !kept[v]) alive[v] = 0;
   }
+  const size_t before = survivors.size();
+  prune();
+  if (survivors.size() == before || survivors.empty() || ctx.ShouldStop()) {
+    return survivors;
+  }
+
+  // One masked pass gives the survivors' degrees among themselves; then the
+  // cascade is peeled to its fixpoint, each vertex removed once through
+  // PeelBatch. The protected k-core is the unique maximal set whose
+  // unprotected members all have degree >= k, so the removal order cannot
+  // change the output. A stopped run returns a superset of the core, fine
+  // for best-effort callers.
+  degree = oracle.Degrees(graph, alive, ctx);
+  std::vector<VertexId> frontier;
+  for (VertexId v : survivors) {
+    if (degree[v] < k && !kept[v]) frontier.push_back(v);
+  }
+  while (!frontier.empty() && !ctx.ShouldStop()) {
+    std::vector<VertexId> next;
+    const std::vector<uint64_t> destroyed = oracle.PeelBatch(
+        graph, frontier, alive,
+        [&](VertexId u, uint64_t count) {
+          if (!alive[u]) return;
+          const bool supported = degree[u] >= k;
+          degree[u] -= count;
+          if (supported && degree[u] < k && !kept[u]) next.push_back(u);
+        },
+        ctx);
+    if (destroyed.size() < frontier.size()) break;
+    std::sort(next.begin(), next.end());
+    frontier = std::move(next);
+  }
+  prune();
   return survivors;
 }
 

@@ -12,6 +12,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,10 @@ struct MotifCoreDecomposition {
   std::vector<VertexId> CoreVertices(uint64_t k) const;
   /// Vertices of the best residual subgraph (PeelApp's answer), sorted.
   std::vector<VertexId> BestResidualVertices() const;
+  /// rho of the (k, Psi)-core, read from residual_density: core numbers
+  /// never fall along removal_order, so the k-core is a removal suffix.
+  /// nullopt for a truncated decomposition, whose suffixes are not cores.
+  std::optional<double> CoreDensity(uint64_t k) const;
 };
 
 /// Full decomposition of `graph` w.r.t. the oracle's motif, by batch-bracket
@@ -127,15 +133,17 @@ std::shared_ptr<const MotifCoreDecomposition> DecomposeForSolve(
     AlgoStats& stats);
 
 /// Restricts `vertices` (ids of `graph`) to the (k, Psi)-core of the induced
-/// subgraph G[vertices]: iteratively drops members with motif-degree < k.
-/// Returns the surviving vertices, sorted. Used by CoreExact to tighten a
-/// connected component as the binary-search lower bound grows. Each round
-/// is one whole-subgraph degree pass — exactly the query `ctx` parallelises
-/// and a CachingOracle memoizes.
+/// subgraph G[vertices], never dropping a member of `keep`: the result is
+/// the unique maximal subset that contains keep ∩ vertices and in which
+/// every other member has motif-degree >= k. Returns it sorted. CoreExact
+/// and CoreApp restrict with `keep` empty; QueryDensest keeps Q. Costs at
+/// most two degree passes (one over the input, one over its bulk
+/// survivors) plus a PeelBatch cascade over the survivors that fall.
 std::vector<VertexId> RestrictToCore(
     const Graph& graph, const MotifOracle& oracle,
     const std::vector<VertexId>& vertices, uint64_t k,
-    const ExecutionContext& ctx = ExecutionContext());
+    const ExecutionContext& ctx = ExecutionContext(),
+    std::span<const VertexId> keep = {});
 
 }  // namespace dsd
 

@@ -54,6 +54,13 @@ std::vector<uint64_t> CliqueOracle::DegreesImpl(const Graph& graph,
 uint64_t CliqueOracle::CountInstancesImpl(const Graph& graph,
                                           std::span<const char> alive,
                                           const ExecutionContext&) const {
+  if (h_ == 2) {
+    // Edges among the alive vertices: half the alive-neighbour counts.
+    if (alive.empty()) return graph.NumEdges();
+    uint64_t twice = 0;
+    for (uint64_t d : CliqueDegreesWithin(graph, 2, alive)) twice += d;
+    return twice / 2;
+  }
   if (alive.empty()) return CliqueEnumerator(graph, h_).Count();
   Subgraph sub = InducedAliveSubgraph(graph, alive);
   return CliqueEnumerator(sub.graph, h_).Count();

@@ -10,14 +10,17 @@ namespace dsd {
 // Alive-masked clique queries reduce to whole-graph kernel runs on the
 // induced alive subgraph (InducedAliveSubgraph — the same reduction the
 // sequential oracle uses), keeping the kernels' per-root partitioning
-// intact. The pattern kernels take the mask natively (the plan-compiled
-// matcher and the closed forms are alive-aware), matching the sequential
-// PatternOracle paths exactly.
+// intact. Edges (h = 2) skip the kernels: the sequential alive-neighbour
+// count is O(n + m) and beats any copy or thread spawn. The pattern kernels
+// take the mask natively (the plan-compiled matcher and the closed forms
+// are alive-aware), matching the sequential PatternOracle paths exactly.
 
 std::vector<uint64_t> ParallelCliqueOracle::DegreesImpl(
     const Graph& graph, std::span<const char> alive,
     const ExecutionContext& ctx) const {
-  if (ctx.threads <= 1) return CliqueOracle::DegreesImpl(graph, alive, ctx);
+  if (ctx.threads <= 1 || h() == 2) {
+    return CliqueOracle::DegreesImpl(graph, alive, ctx);
+  }
   if (alive.empty()) return ParallelCliqueDegrees(graph, h(), ctx.threads);
   Subgraph sub = InducedAliveSubgraph(graph, alive);
   std::vector<uint64_t> local =
@@ -32,7 +35,7 @@ std::vector<uint64_t> ParallelCliqueOracle::DegreesImpl(
 uint64_t ParallelCliqueOracle::CountInstancesImpl(
     const Graph& graph, std::span<const char> alive,
     const ExecutionContext& ctx) const {
-  if (ctx.threads <= 1) {
+  if (ctx.threads <= 1 || h() == 2) {
     return CliqueOracle::CountInstancesImpl(graph, alive, ctx);
   }
   if (alive.empty()) return ParallelCliqueCount(graph, h(), ctx.threads);

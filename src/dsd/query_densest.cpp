@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "dsd/core_exact.h"
+#include "dsd/dinkelbach.h"
 #include "dsd/flow_networks.h"
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
@@ -13,47 +15,6 @@
 
 namespace dsd {
 
-namespace {
-
-// Q-protected core restriction: batch-drops non-query vertices whose motif
-// degree falls below k. Query vertices are never dropped, but still supply
-// degrees to their neighbors. Valid location for the optimum: every non-Q
-// vertex of the optimal answer participates in >= ceil(rho*) >= k instances
-// inside the answer (Lemma 4's argument applied to removable vertices only).
-std::vector<VertexId> RestrictToCoreProtected(
-    const Graph& graph, const MotifOracle& oracle,
-    const std::vector<VertexId>& vertices, uint64_t k,
-    std::span<const VertexId> query, const ExecutionContext& ctx) {
-  std::vector<char> is_query(graph.NumVertices(), 0);
-  for (VertexId q : query) is_query[q] = 1;
-  std::vector<VertexId> survivors(vertices);
-  std::sort(survivors.begin(), survivors.end());
-  // Polled like RestrictToCore: every round is a full degree pass, and a
-  // superset of the protected core is a valid (best-effort) search space.
-  // Like RestrictToCore, rounds are alive-masked queries on the parent
-  // graph, keyed by its generation tag in the CachingOracle — an induced
-  // rebuild per round would make every query an uncacheable fresh graph.
-  std::vector<char> alive(graph.NumVertices(), 0);
-  for (VertexId v : survivors) alive[v] = 1;
-  while (!ctx.ShouldStop()) {
-    std::vector<uint64_t> degree = oracle.Degrees(graph, alive, ctx);
-    std::vector<VertexId> next;
-    next.reserve(survivors.size());
-    for (VertexId v : survivors) {
-      if (degree[v] >= k || is_query[v]) {
-        next.push_back(v);
-      } else {
-        alive[v] = 0;
-      }
-    }
-    if (next.size() == survivors.size()) break;
-    survivors = std::move(next);
-  }
-  return survivors;
-}
-
-}  // namespace
-
 DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
                            std::span<const VertexId> query,
                            const ExecutionContext& ctx) {
@@ -61,71 +22,74 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
   Timer timer;
   DensestResult result;
   const VertexId n = graph.NumVertices();
-  const int h = oracle.MotifSize();
   assert(n >= 1);
   for (VertexId q : query) {
     assert(q < n);
     (void)q;
   }
 
-  // Core decomposition gives x = min core number over Q; the x-core contains
-  // Q and has density >= x / |V_Psi| (Theorem 1), the paper's lower bound.
+  // Any superset of Q is feasible, so the start density is the denser of
+  // two supersets the decomposition already holds: the x-core (x = min core
+  // number over Q; the paper's anchor) and the best residual suffix plus Q.
   const std::shared_ptr<const MotifCoreDecomposition> decomposition =
       DecomposeForSolve(graph, oracle, ctx, result.stats);
-
   uint64_t x = UINT64_MAX;
   for (VertexId q : query) x = std::min(x, decomposition->core[q]);
-
-  // Initial candidate: the x-core (always contains Q).
   std::vector<VertexId> best = decomposition->CoreVertices(x);
-  double best_density = MeasureDensity(graph, oracle, best, ctx);
-  double lower = std::max(static_cast<double>(x) / h, best_density);
-  double upper = static_cast<double>(decomposition->kmax);
+  const std::optional<double> core_density = decomposition->CoreDensity(x);
+  double best_density = core_density
+                            ? *core_density
+                            : MeasureDensity(graph, oracle, best, ctx);
 
-  // Locate the search in the Q-protected ceil(lower)-core.
+  std::vector<VertexId> anchored = decomposition->BestResidualVertices();
+  const size_t suffix_size = anchored.size();
+  anchored.insert(anchored.end(), query.begin(), query.end());
+  std::sort(anchored.begin(), anchored.end());
+  anchored.erase(std::unique(anchored.begin(), anchored.end()),
+                 anchored.end());
+  const double anchored_density =
+      anchored.size() == suffix_size
+          ? decomposition->best_residual_density
+          : MeasureDensity(graph, oracle, anchored, ctx);
+  if (anchored_density > best_density) {
+    best_density = anchored_density;
+    best = std::move(anchored);
+  }
+
+  // Every non-Q vertex of an optimal answer D has motif-degree >= rho(D)
+  // inside D (else dropping it would raise the density), so the optimum
+  // lies in the Q-protected ceil(best_density)-core.
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
-  std::vector<VertexId> located = RestrictToCoreProtected(
-      graph, oracle, all, static_cast<uint64_t>(std::ceil(lower)), query,
-      ctx);
+  std::vector<VertexId> located = RestrictToCore(
+      graph, oracle, all, static_cast<uint64_t>(std::ceil(best_density)),
+      ctx, query);
   result.stats.located_vertices = located.size();
 
-  if (located.size() >= 2 && upper > lower && !ctx.ShouldStop()) {
+  if (located.size() >= 2 && !ctx.ShouldStop()) {
     Subgraph sub = InducedSubgraph(graph, located);
     std::vector<VertexId> local_query;
-    for (VertexId i = 0; i < sub.graph.NumVertices(); ++i) {
-      if (std::find(query.begin(), query.end(), sub.to_parent[i]) !=
-          query.end()) {
-        local_query.push_back(i);
-      }
+    for (VertexId q : query) {
+      local_query.push_back(static_cast<VertexId>(
+          std::lower_bound(located.begin(), located.end(), q) -
+          located.begin()));
     }
     std::unique_ptr<DensestFlowSolver> solver =
         MakeDefaultFlowSolver(sub.graph, oracle, ctx);
     solver->ForceToSource(local_query);
-    const double gap =
-        1.0 / (static_cast<double>(located.size()) *
-               std::max<double>(1.0, static_cast<double>(located.size()) - 1));
-    while (upper - lower >= gap && !ctx.ShouldStop()) {
-      const double alpha = (lower + upper) / 2.0;
-      std::vector<VertexId> side = solver->Solve(alpha);
-      ++result.stats.binary_search_iterations;
-      // Q is forced into S, so S is never just {s}: feasibility is decided
-      // by the witness's actual density.
-      std::vector<VertexId> candidate = sub.ToParent(side);
-      double density = MeasureDensity(graph, oracle, candidate, ctx);
-      if (density > alpha) {
-        lower = alpha;
-        if (density > best_density) {
-          best_density = density;
-          best = std::move(candidate);
-        }
-      } else {
-        upper = alpha;
-      }
+    DensitySearch found = DinkelbachSearch(graph, oracle, sub, *solver,
+                                           best_density, ctx, result.stats);
+    AccumulateFlowStats(*solver, result.stats);
+    // Q is forced into every cut, so the search's sets all contain Q; on a
+    // tie the search returns the union of the optimal sets, a superset of
+    // `best` whenever `best` is optimal.
+    if (found.density > best_density ||
+        (found.density == best_density &&
+         found.vertices.size() > best.size())) {
+      best = std::move(found.vertices);
     }
   }
 
-  if (best.empty()) best.assign(query.begin(), query.end());
   FillResult(graph, oracle, std::move(best), result, ctx);
   result.stats.total_seconds = timer.Seconds();
   return result;

@@ -2,10 +2,13 @@
 // given a set Q of query vertices, find the maximum-Psi-density subgraph
 // that CONTAINS all of Q.
 //
-// Following the paper: the x-core (x = the minimum motif-core number over
-// Q) contains Q and supplies the lower bound x/|V_Psi| on the optimum, so
-// the flow search runs on a small Q-protected core instead of all of G.
-// Query vertices are forced onto the source side with infinite s->q arcs.
+// Any superset of Q is feasible, so the search starts from the denser of
+// two supersets the decomposition already holds: the paper's x-core (x =
+// the minimum motif-core number over Q) and the best residual suffix plus
+// Q. Its density d bounds the optimum from below, so the flow search runs
+// on the Q-protected ceil(d)-core instead of all of G, by the Dinkelbach
+// iteration of dsd/dinkelbach.h. Query vertices are forced onto the source
+// side with infinite s->q arcs.
 #ifndef DSD_DSD_QUERY_DENSEST_H_
 #define DSD_DSD_QUERY_DENSEST_H_
 
@@ -18,10 +21,9 @@
 
 namespace dsd {
 
-/// Exact max-density subgraph containing every vertex of `query`.
-/// Runs core-located binary search like CoreExact; the answer always
-/// includes `query` (it falls back to exactly `query` when nothing denser
-/// containing it exists).
+/// Exact max-density subgraph containing every vertex of `query`. When
+/// several share the optimum density, returns their union (the largest).
+/// An empty `query` runs CoreExact.
 DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
                            std::span<const VertexId> query,
                            const ExecutionContext& ctx = ExecutionContext());

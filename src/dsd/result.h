@@ -42,11 +42,14 @@ struct AlgoStats {
   double total_seconds = 0.0;
   /// Time spent in (k, Psi)-core decomposition (Table 3 numerator).
   double decomposition_seconds = 0.0;
-  /// Binary-search iterations executed.
+  /// Flow solves of the density search: Exact's bisection steps, or the
+  /// Dinkelbach iterations of CoreExact and QueryDensest (summed over
+  /// components). StreamApp reuses it as its pass count.
   int binary_search_iterations = 0;
   /// Flow-network node counts: entry 0 is the network the baseline would
-  /// build on the whole graph, entry 1 the first core-located network, then
-  /// one entry per binary-search iteration (Figure 9's x-axis -1, 0, 1, ...).
+  /// build on the whole graph, then one entry per network the run built —
+  /// CoreExact builds one per searched component (Figure 9's x-axis -1, 0,
+  /// 1, ...).
   std::vector<uint64_t> flow_network_sizes;
   /// Maximum motif-core number kmax, when the algorithm computes it.
   uint32_t kmax = 0;

@@ -292,4 +292,29 @@ std::vector<FlowNetwork::NodeId> FlowNetwork::MinCutSourceSide(
   return side;
 }
 
+std::vector<FlowNetwork::NodeId> FlowNetwork::MaximalMinCutSourceSide(
+    NodeId t) const {
+  // Reverse residual search from t: u reaches t through arc u->w when the
+  // pair of w's out-arc w->u, i.e. u->w, still has residual capacity.
+  std::vector<char> reaches_t(num_nodes(), 0);
+  std::vector<NodeId> stack = {t};
+  reaches_t[t] = 1;
+  while (!stack.empty()) {
+    const NodeId w = stack.back();
+    stack.pop_back();
+    for (const ArcId a : out_[w]) {
+      const NodeId u = to_[a];
+      if (residual_[a ^ 1] > kEps && !reaches_t[u]) {
+        reaches_t[u] = 1;
+        stack.push_back(u);
+      }
+    }
+  }
+  std::vector<NodeId> side;
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    if (!reaches_t[v]) side.push_back(v);
+  }
+  return side;
+}
+
 }  // namespace dsd

@@ -2,8 +2,8 @@
 // algorithms — sequential FIFO push-relabel, warm-startable across
 // capacity retunes.
 //
-// The paper's exact algorithms answer every binary-search guess alpha with
-// a minimum st-cut on a network whose structure never changes; only the
+// The paper's exact algorithms answer every density guess alpha with a
+// minimum st-cut on a network whose structure never changes; only the
 // v->t capacities move with alpha. The Dinic reference (flow/max_flow.h)
 // rebuilds the residual state from scratch on every MaxFlow call, so each
 // guess re-routes all the flow the previous guess already placed.
@@ -24,8 +24,9 @@
 //
 // Determinism: for capacities on which double arithmetic is exact (the
 // integral and dyadic-rational mixes the DSD networks use), the max-flow
-// value is unique and MinCutSourceSide returns the unique inclusion-minimal
-// source side — bit-identical across warm/cold starts. The differential
+// value is unique, MinCutSourceSide returns the unique inclusion-minimal
+// source side and MaximalMinCutSourceSide the unique inclusion-maximal
+// one — both bit-identical across warm/cold starts. The differential
 // suites (tests/flow_network_test.cpp, tests/flow_differential_test.cpp)
 // enforce this against cold-start networks and the Dinic reference.
 //
@@ -46,7 +47,7 @@ namespace dsd {
 
 /// Work counters, cumulative across MaxFlow calls (ResetStats() clears).
 /// bench_flow reports these to show warm starts doing less work than
-/// cold-start-per-iteration on the same binary search.
+/// cold-start-per-iteration on the same density search.
 struct FlowStats {
   uint64_t max_flow_calls = 0;
   uint64_t warm_starts = 0;       // calls that reused the previous preflow
@@ -104,6 +105,12 @@ class FlowNetwork {
   /// capacities this is the unique minimal min cut, independent of
   /// warm/cold history.
   std::vector<NodeId> MinCutSourceSide(NodeId s) const;
+
+  /// After a completed MaxFlow(s, t): the source side of the sink-side-
+  /// minimal minimum cut (every node that cannot reach t in the residual
+  /// graph), sorted. The unique inclusion-maximal min-cut source side; it
+  /// contains MinCutSourceSide(s).
+  std::vector<NodeId> MaximalMinCutSourceSide(NodeId t) const;
 
   /// When off, every MaxFlow call re-routes from scratch (the ablation
   /// baseline bench_flow compares against). Default on.

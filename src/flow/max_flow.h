@@ -3,7 +3,7 @@
 //
 // All exact densest-subgraph algorithms in the paper reduce to a sequence of
 // minimum st-cut computations on flow networks whose v->t capacities depend
-// on the binary-search guess alpha. The solvers run on the warm-started
+// on the density guess alpha. The solvers run on the warm-started
 // FlowNetwork (flow/flow_network.h); this cold-start Dinic is the
 // independent reference the flow tests and bench_ablation compare it
 // against. It supports
@@ -12,8 +12,9 @@
 //   * extracting the source side S of a minimum cut after MaxFlow().
 //
 // Capacities are doubles: the networks mix integral capacities with
-// alpha-dependent ones where alpha is a dyadic rational from binary search
-// (the authors' reference implementation does the same). Comparisons use an
+// alpha-dependent ones, where alpha is a midpoint of Exact's bisection or a
+// set density of the Dinkelbach search (the authors' reference
+// implementation also uses doubles). Comparisons use an
 // epsilon far below the paper's 1/(n(n-1)) density-separation bound.
 #ifndef DSD_FLOW_MAX_FLOW_H_
 #define DSD_FLOW_MAX_FLOW_H_

@@ -7,8 +7,10 @@
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
+#include "dsd/motif_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/subgraph.h"
 #include "util/combinatorics.h"
 
 namespace dsd {
@@ -140,6 +142,34 @@ TEST(CliqueDegreeWithin, AliveMaskRestricts) {
   EXPECT_EQ(rest[0], 1u);
   EXPECT_EQ(rest[1], 0u);
   EXPECT_EQ(rest[3], 1u);
+}
+
+TEST(CliqueDegreeWithin, EdgeFastPathMatchesEnumerator) {
+  // h = 2 degrees and counts are alive-neighbour counts; they must equal
+  // the enumerator's on the induced alive subgraph, dead vertices at 0.
+  CliqueOracle edge(2);
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const Graph g = gen::ErdosRenyi(50, 0.15, seed);
+    for (int keep_every : {1, 2, 3}) {
+      std::vector<char> alive(g.NumVertices(), 0);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        alive[v] = (v + seed) % keep_every == 0;
+      }
+      const Subgraph sub = InducedAliveSubgraph(g, alive);
+      const std::vector<uint64_t> local =
+          CliqueEnumerator(sub.graph, 2).Degrees();
+      std::vector<uint64_t> expected(g.NumVertices(), 0);
+      for (VertexId i = 0; i < local.size(); ++i) {
+        expected[sub.to_parent[i]] = local[i];
+      }
+      EXPECT_EQ(CliqueDegreesWithin(g, 2, alive), expected) << seed;
+      EXPECT_EQ(edge.CountInstances(g, alive),
+                CliqueEnumerator(sub.graph, 2).Count())
+          << seed;
+    }
+    EXPECT_EQ(CliqueDegreesWithin(g, 2, {}), CliqueEnumerator(g, 2).Degrees());
+    EXPECT_EQ(edge.CountInstances(g, {}), CliqueEnumerator(g, 2).Count());
+  }
 }
 
 TEST(EnumerateCliquesContaining, ReportsCompanions) {

@@ -1,7 +1,7 @@
 // Tests for flow/flow_network: the warm-startable push-relabel engine.
-// Known instances, warm-start retuning, deadline truncation + resume,
-// reverse-arc-id rejection, and bitwise parity of the cut across the
-// thread budgets a caller's context may carry.
+// Known instances, minimal and maximal min cuts, warm-start retuning,
+// deadline truncation + resume, reverse-arc-id rejection, and bitwise
+// parity of the cut across the thread budgets a caller's context may carry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,6 +61,16 @@ TEST(FlowNetwork, DisconnectedIsZero) {
   net.AddArc(2, 3, 10);
   EXPECT_EQ(net.MaxFlow(0, 3), 0.0);
   EXPECT_EQ(net.MinCutSourceSide(0), (std::vector<NodeId>{0, 1}));
+}
+
+TEST(FlowNetwork, MinimalAndMaximalMinCuts) {
+  // s -> a -> t with equal capacities: {s} and {s, a} are both min cuts.
+  FlowNetwork net(3);
+  net.AddArc(0, 1, 1.0);
+  net.AddArc(1, 2, 1.0);
+  EXPECT_EQ(net.MaxFlow(0, 2), 1.0);
+  EXPECT_EQ(net.MinCutSourceSide(0), (std::vector<NodeId>{0}));
+  EXPECT_EQ(net.MaximalMinCutSourceSide(2), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(FlowNetwork, InfiniteSourceArcNeverCutAndNeverNaN) {
@@ -124,6 +134,12 @@ TEST(FlowNetwork, WarmRetuneMatchesColdAcrossAlphaSchedule) {
     for (const auto arc : cold_alpha) cold.SetCapacity(arc, alpha);
     EXPECT_EQ(warm.MaxFlow(0, t), cold.MaxFlow(0, t)) << "alpha=" << alpha;
     EXPECT_EQ(warm.MinCutSourceSide(0), cold.MinCutSourceSide(0))
+        << "alpha=" << alpha;
+    const std::vector<NodeId> maximal = warm.MaximalMinCutSourceSide(t);
+    EXPECT_EQ(maximal, cold.MaximalMinCutSourceSide(t)) << "alpha=" << alpha;
+    const std::vector<NodeId> minimal = warm.MinCutSourceSide(0);
+    EXPECT_TRUE(std::includes(maximal.begin(), maximal.end(), minimal.begin(),
+                              minimal.end()))
         << "alpha=" << alpha;
   }
   EXPECT_EQ(warm.stats().warm_starts, 7u);

@@ -5,15 +5,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
+#include <tuple>
 
 #include "clique/clique_degree.h"
 #include "core/kcore.h"
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
+#include "dsd/parallel_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
+#include "util/random.h"
 
 namespace dsd {
 namespace {
@@ -307,6 +312,109 @@ TEST(RestrictToCore, CascadingRemovals) {
   // k=2: only vertex 2 and 4 touch two triangles, but their triangles need
   // the degree-1 companions, which die first => everything unravels.
   EXPECT_TRUE(RestrictToCore(g, tri, all, 2).empty());
+}
+
+// Reference for RestrictToCore: whole-subset degree rounds to a fixpoint,
+// never dropping a kept vertex.
+std::vector<VertexId> NaiveRestrict(const Graph& g, const MotifOracle& oracle,
+                                    const std::vector<VertexId>& vertices,
+                                    uint64_t k,
+                                    const std::vector<VertexId>& keep) {
+  std::vector<char> alive(g.NumVertices(), 0);
+  for (VertexId v : vertices) alive[v] = 1;
+  for (bool changed = true; changed;) {
+    changed = false;
+    const std::vector<uint64_t> degree = oracle.Degrees(g, alive);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      const bool kept = std::find(keep.begin(), keep.end(), v) != keep.end();
+      if (alive[v] && degree[v] < k && !kept) {
+        alive[v] = 0;
+        changed = true;
+      }
+    }
+  }
+  std::vector<VertexId> survivors;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (alive[v]) survivors.push_back(v);
+  }
+  return survivors;
+}
+
+// (motif, threads): the merged RestrictToCore against the naive fixpoint
+// over random graphs, whole-V and random-subset inputs, levels up to the
+// largest degree, with and without three never-dropped vertices.
+class RestrictToCoreReferenceTest
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {};
+
+TEST_P(RestrictToCoreReferenceTest, MatchesNaiveFixpoint) {
+  const auto& [motif, threads] = GetParam();
+  std::unique_ptr<MotifOracle> oracle;
+  if (motif == "edge") oracle = std::make_unique<ParallelCliqueOracle>(2);
+  if (motif == "triangle") oracle = std::make_unique<ParallelCliqueOracle>(3);
+  if (motif == "2-star") {
+    oracle = std::make_unique<ParallelPatternOracle>(Pattern::TwoStar());
+  }
+  const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const Graph g = gen::ErdosRenyi(40, 0.1 + 0.04 * seed, seed + 70);
+    Rng rng(seed);
+    std::vector<VertexId> all(g.NumVertices()), half;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      all[v] = v;
+      if (rng.NextBernoulli(0.5)) half.push_back(v);
+    }
+    std::vector<VertexId> three;
+    while (three.size() < 3) {
+      const VertexId v =
+          static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+      if (std::find(three.begin(), three.end(), v) == three.end()) {
+        three.push_back(v);
+      }
+    }
+    uint64_t max_degree = 0;
+    for (uint64_t d : oracle->Degrees(g, {})) {
+      max_degree = std::max(max_degree, d);
+    }
+    for (const std::vector<VertexId>* input : {&all, &half}) {
+      for (const std::vector<VertexId>& keep :
+           {std::vector<VertexId>{}, three}) {
+        // ~20 levels from 0 past the largest degree: 2-star degrees run
+        // into the hundreds.
+        const uint64_t step = std::max<uint64_t>(1, max_degree / 20);
+        for (uint64_t k = 0; k <= max_degree + 1; k += step) {
+          EXPECT_EQ(RestrictToCore(g, *oracle, *input, k, ctx, keep),
+                    NaiveRestrict(g, *oracle, *input, k, keep))
+              << "seed " << seed << " k " << k << " input "
+              << input->size() << " keep " << keep.size();
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MotifsAndThreads, RestrictToCoreReferenceTest,
+    ::testing::Combine(::testing::Values("edge", "triangle", "2-star"),
+                       ::testing::Values(1u, 4u)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) + "_t" +
+                         std::to_string(std::get<1>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(MotifCoreDecomposition, CoreDensityReadsTheSuffix) {
+  const Graph g = gen::ErdosRenyi(40, 0.2, 5);
+  CliqueOracle tri(3);
+  const MotifCoreDecomposition d = MotifCoreDecompose(g, tri);
+  for (uint64_t k = 0; k <= d.kmax + 1; ++k) {
+    ASSERT_TRUE(d.CoreDensity(k).has_value());
+    EXPECT_EQ(*d.CoreDensity(k), MeasureDensity(g, tri, d.CoreVertices(k)))
+        << k;
+  }
+  MotifCoreDecomposition truncated = d;
+  truncated.complete = false;
+  EXPECT_FALSE(truncated.CoreDensity(1).has_value());
 }
 
 }  // namespace
