@@ -2,6 +2,9 @@
 // decomposition, clique enumeration, motif-core peeling, max-flow, pattern
 // matching. These are throughput baselines for regressions, not paper
 // figures.
+#include <algorithm>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "clique/clique_enumerator.h"
@@ -40,6 +43,28 @@ void BM_CliqueEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CliqueEnumeration)->Arg(3)->Arg(4)->Arg(5);
+
+// Peels a 100k-vertex graph in id order, one CliqueOracle::PeelVertex call
+// per vertex. Each call should cost O(its alive neighbourhood); an O(n)
+// term per call (a graph-sized array, a per-call graph copy) shows up here
+// as a ~10^5x blow-up of the total.
+void BM_CliquePeelVertex(benchmark::State& state) {
+  static const Graph g = gen::BarabasiAlbert(100000, 3, 0xB3);
+  const CliqueOracle oracle(static_cast<int>(state.range(0)));
+  std::vector<char> alive(g.NumVertices());
+  for (auto _ : state) {
+    std::fill(alive.begin(), alive.end(), 1);
+    uint64_t destroyed = 0;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      destroyed += oracle.PeelVertex(g, v, alive, [](VertexId, uint64_t) {});
+      alive[v] = 0;
+    }
+    benchmark::DoNotOptimize(destroyed);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.NumVertices()));
+}
+BENCHMARK(BM_CliquePeelVertex)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_MotifCoreDecompose(benchmark::State& state) {
   Graph g = BenchGraph(5000);

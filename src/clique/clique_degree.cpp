@@ -1,11 +1,48 @@
 #include "clique/clique_degree.h"
 
-#include <algorithm>
-
 #include "clique/clique_enumerator.h"
 #include "graph/subgraph.h"
 
 namespace dsd {
+
+namespace {
+
+// Lists the (h-1)-cliques of G[N] in ascending-id order, N being v's alive
+// neighbourhood. At depth d, companions[0, d) is a clique of G[N] and
+// `candidates` are the members of N above its last vertex that are adjacent
+// to all of it; depth d's candidates live at slots + d * slot.
+struct CompanionLister {
+  const Graph& graph;
+  int last;              // depth of the final companion: h - 2
+  size_t slot;           // length of one depth's candidate slot: |N(v)|
+  VertexId* slots;       // last + 1 candidate slots
+  VertexId* companions;  // last + 1 entries
+  const std::function<void(std::span<const VertexId>)>& cb;
+
+  void Extend(int depth, std::span<const VertexId> candidates) const {
+    if (depth == last) {
+      // Every candidate completes a clique.
+      for (VertexId c : candidates) {
+        companions[depth] = c;
+        cb({companions, static_cast<size_t>(last) + 1});
+      }
+      return;
+    }
+    VertexId* next = slots + static_cast<size_t>(depth + 1) * slot;
+    // Companions still to pick after c.
+    const size_t needed = static_cast<size_t>(last - depth);
+    for (size_t i = 0; i + needed < candidates.size(); ++i) {
+      const VertexId c = candidates[i];
+      const size_t size =
+          IntersectSorted(candidates.subspan(i + 1), graph.Neighbors(c), next);
+      if (size < needed) continue;
+      companions[depth] = c;
+      Extend(depth + 1, {next, size});
+    }
+  }
+};
+
+}  // namespace
 
 void EnumerateCliquesContaining(
     const Graph& graph, int h, VertexId v, std::span<const char> alive,
@@ -24,22 +61,22 @@ void EnumerateCliquesContaining(
     }
     return;
   }
-  // The h-cliques through v are {v} ∪ C for (h-1)-cliques C of the subgraph
-  // induced by v's alive neighborhood.
-  std::vector<VertexId> neighborhood;
-  for (VertexId u : graph.Neighbors(v)) {
-    if (is_alive(u)) neighborhood.push_back(u);
+  // The h-cliques through v are {v} ∪ C for (h-1)-cliques C of G[N], N
+  // being v's alive neighbourhood (ascending, like the adjacency list). One
+  // buffer holds h-1 candidate slots of deg(v) ids (slot 0 is N), then the
+  // h-1 companions.
+  const std::span<const VertexId> neighbors = graph.Neighbors(v);
+  if (neighbors.size() < static_cast<size_t>(h - 1)) return;
+  const size_t slot = neighbors.size();
+  std::vector<VertexId> buffer((slot + 1) * static_cast<size_t>(h - 1));
+  size_t size = 0;
+  for (VertexId u : neighbors) {
+    if (is_alive(u)) buffer[size++] = u;
   }
-  if (static_cast<int>(neighborhood.size()) < h - 1) return;
-  Subgraph local = InducedSubgraph(graph, neighborhood);
-  CliqueEnumerator enumerator(local.graph, h - 1);
-  std::vector<VertexId> mapped(h - 1);
-  enumerator.Enumerate([&](std::span<const VertexId> clique) {
-    for (size_t i = 0; i < clique.size(); ++i) {
-      mapped[i] = local.to_parent[clique[i]];
-    }
-    cb({mapped.data(), clique.size()});
-  });
+  if (size < static_cast<size_t>(h - 1)) return;
+  const CompanionLister lister{graph, h - 2, slot, buffer.data(),
+                               buffer.data() + slot * (h - 1), cb};
+  lister.Extend(0, {buffer.data(), size});
 }
 
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,

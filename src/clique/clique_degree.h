@@ -18,8 +18,14 @@
 namespace dsd {
 
 /// Invokes `cb` once per h-clique instance that contains `v` and otherwise
-/// uses only vertices u with alive[u] != 0. The span passed to `cb` holds the
-/// h-1 vertices other than v.
+/// uses only vertices u with alive[u] != 0 (an empty `alive` means all).
+/// The span passed to `cb` holds the h-1 vertices other than v in ascending
+/// id order; the instances come in lexicographic order of those spans.
+///
+/// Cost: O(local), with no O(n) term per call. The (h-1)-cliques of v's
+/// alive neighbourhood N are listed by intersecting suffixes of N with
+/// sorted adjacency lists (galloping through a hub's long list), in one
+/// buffer of h-1 deg(v)-sized slots; no subgraph or enumerator is built.
 void EnumerateCliquesContaining(
     const Graph& graph, int h, VertexId v, std::span<const char> alive,
     const std::function<void(std::span<const VertexId>)>& cb);

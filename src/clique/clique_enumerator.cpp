@@ -2,85 +2,172 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "core/kcore.h"
 
 namespace dsd {
 
+namespace {
+
+// Above this length ratio, galloping through the longer list beats a merge.
+constexpr size_t kGallopRatio = 16;
+
+}  // namespace
+
+size_t IntersectSorted(std::span<const VertexId> a,
+                       std::span<const VertexId> b, VertexId* out) {
+  if (a.size() > b.size()) std::swap(a, b);
+  size_t size = 0;
+  if (a.size() * kGallopRatio < b.size()) {
+    // Exponential probe from the last match position, then binary search
+    // inside the final doubling step.
+    const VertexId* lo = b.data();
+    const VertexId* const end = b.data() + b.size();
+    for (VertexId x : a) {
+      const size_t left = static_cast<size_t>(end - lo);
+      size_t bound = 1;
+      while (bound <= left && lo[bound - 1] < x) bound *= 2;
+      lo = std::lower_bound(lo + bound / 2, lo + std::min(bound, left), x);
+      if (lo == end) break;
+      if (*lo == x) out[size++] = x;
+    }
+    return size;
+  }
+  // Branch-free merge: `out[size]` is written speculatively and kept only
+  // on a match (size <= min(i, j), so the write stays in bounds).
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const VertexId x = a[i];
+    const VertexId y = b[j];
+    out[size] = x;
+    size += x == y;
+    i += x <= y;
+    j += y <= x;
+  }
+  return size;
+}
+
 CliqueEnumerator::CliqueEnumerator(const Graph& graph, int h)
-    : graph_(graph), h_(h), dag_(graph.NumVertices()) {
+    : graph_(graph), h_(h), dag_offsets_(graph.NumVertices() + 1, 0) {
   assert(h >= 1);
   CoreDecomposition decomposition = KCoreDecomposition(graph);
   std::vector<VertexId> rank = DegeneracyRank(decomposition);
+  dag_targets_.reserve(graph.NumEdges());
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    for (VertexId w : graph.Neighbors(v)) {
-      if (rank[w] > rank[v]) dag_[v].push_back(w);
-    }
     // Graph adjacency is sorted by id, so each DAG list is too.
+    for (VertexId w : graph.Neighbors(v)) {
+      if (rank[w] > rank[v]) dag_targets_.push_back(w);
+    }
+    dag_offsets_[v + 1] = dag_targets_.size();
+    max_out_degree_ = std::max<size_t>(max_out_degree_, Out(v).size());
   }
 }
 
-void CliqueEnumerator::Recurse(int depth, std::vector<VertexId>& prefix,
-                               std::vector<VertexId>& candidates,
-                               const CliqueCallback& cb) const {
-  if (depth == h_) {
-    cb(prefix);
-    return;
-  }
+CliqueEnumerator::Scratch CliqueEnumerator::MakeScratch() const {
+  // Depths 1..h-2 each write one intersection no longer than an out-list.
+  const size_t slots = h_ > 2 ? static_cast<size_t>(h_ - 2) : 0;
+  return {std::vector<VertexId>(h_),
+          std::vector<VertexId>(slots * max_out_degree_)};
+}
+
+template <typename Leaf>
+void CliqueEnumerator::Extend(int depth, std::span<const VertexId> candidates,
+                              Scratch& scratch, Leaf& leaf) const {
+  // prefix[0, depth) is a clique; `candidates` are its common successors.
   if (depth == h_ - 1) {
     // Every remaining candidate completes a clique.
-    for (VertexId c : candidates) {
-      prefix.push_back(c);
-      cb(prefix);
-      prefix.pop_back();
-    }
+    leaf(std::span<const VertexId>(scratch.prefix.data(), depth), candidates);
     return;
   }
   // Prune: not enough candidates left to reach size h.
   if (static_cast<int>(candidates.size()) < h_ - depth) return;
+  VertexId* next =
+      scratch.candidates.data() + static_cast<size_t>(depth - 1) *
+                                      max_out_degree_;
   for (VertexId c : candidates) {
     // Survivors must be DAG-successors of every prefix vertex including c;
     // both ranges are sorted by vertex id.
-    const auto& out = dag_[c];
-    std::vector<VertexId> next;
-    std::set_intersection(candidates.begin(), candidates.end(), out.begin(),
-                          out.end(), std::back_inserter(next));
-    prefix.push_back(c);
-    Recurse(depth + 1, prefix, next, cb);
-    prefix.pop_back();
+    const size_t size = IntersectSorted(candidates, Out(c), next);
+    scratch.prefix[depth] = c;
+    Extend(depth + 1, {next, size}, scratch, leaf);
   }
+}
+
+template <typename Leaf>
+void CliqueEnumerator::Walk(VertexId root, Scratch& scratch,
+                            Leaf& leaf) const {
+  if (h_ == 1) {
+    Extend(0, {&root, 1}, scratch, leaf);
+    return;
+  }
+  scratch.prefix[0] = root;
+  Extend(1, Out(root), scratch, leaf);
+}
+
+void CliqueEnumerator::EnumerateFromRoot(VertexId root, Scratch& scratch,
+                                         const CliqueCallback& cb) const {
+  auto leaf = [&](std::span<const VertexId>,
+                  std::span<const VertexId> last) {
+    for (VertexId c : last) {
+      scratch.prefix[h_ - 1] = c;
+      cb(scratch.prefix);
+    }
+  };
+  Walk(root, scratch, leaf);
+}
+
+uint64_t CliqueEnumerator::CountFromRoot(VertexId root,
+                                         Scratch& scratch) const {
+  uint64_t count = 0;
+  auto leaf = [&count](std::span<const VertexId>,
+                       std::span<const VertexId> last) {
+    count += last.size();
+  };
+  Walk(root, scratch, leaf);
+  return count;
+}
+
+void CliqueEnumerator::DegreesFromRoot(
+    VertexId root, Scratch& scratch,
+    const std::function<void(VertexId, uint64_t)>& add) const {
+  auto leaf = [&add](std::span<const VertexId> prefix,
+                     std::span<const VertexId> last) {
+    if (last.empty()) return;
+    for (VertexId u : prefix) add(u, last.size());
+    for (VertexId c : last) add(c, 1);
+  };
+  Walk(root, scratch, leaf);
 }
 
 void CliqueEnumerator::Enumerate(const CliqueCallback& cb) const {
+  Scratch scratch = MakeScratch();
   for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    EnumerateFromRoot(v, cb);
+    EnumerateFromRoot(v, scratch, cb);
   }
-}
-
-void CliqueEnumerator::EnumerateFromRoot(VertexId root,
-                                         const CliqueCallback& cb) const {
-  std::vector<VertexId> prefix;
-  prefix.reserve(h_);
-  prefix.assign(1, root);
-  if (h_ == 1) {
-    cb(prefix);
-    return;
-  }
-  std::vector<VertexId> candidates = dag_[root];
-  Recurse(1, prefix, candidates, cb);
 }
 
 uint64_t CliqueEnumerator::Count() const {
+  Scratch scratch = MakeScratch();
   uint64_t count = 0;
-  Enumerate([&count](std::span<const VertexId>) { ++count; });
+  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+    count += CountFromRoot(v, scratch);
+  }
   return count;
 }
 
 std::vector<uint64_t> CliqueEnumerator::Degrees() const {
+  Scratch scratch = MakeScratch();
   std::vector<uint64_t> degrees(graph_.NumVertices(), 0);
-  Enumerate([&degrees](std::span<const VertexId> clique) {
-    for (VertexId v : clique) ++degrees[v];
-  });
+  auto leaf = [&degrees](std::span<const VertexId> prefix,
+                         std::span<const VertexId> last) {
+    for (VertexId u : prefix) degrees[u] += last.size();
+    for (VertexId c : last) ++degrees[c];
+  };
+  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+    Walk(v, scratch, leaf);
+  }
   return degrees;
 }
 

@@ -11,14 +11,13 @@ uint64_t ParallelCliqueCount(const Graph& graph, int h, unsigned threads) {
   // NumVertices() units of work, so extra workers would only spawn and exit.
   const unsigned t = ResolveThreadCount(threads, graph.NumVertices());
   CliqueEnumerator enumerator(graph, h);
+  std::vector<CliqueEnumerator::Scratch> scratch;
+  for (unsigned w = 0; w < t; ++w) scratch.push_back(enumerator.MakeScratch());
   std::vector<PaddedCounter> partial(t);
   ParallelForStrided(graph.NumVertices(), t,
                      [&](unsigned worker, uint64_t root) {
-                       enumerator.EnumerateFromRoot(
-                           static_cast<VertexId>(root),
-                           [&](std::span<const VertexId>) {
-                             ++partial[worker].value;
-                           });
+                       partial[worker].value += enumerator.CountFromRoot(
+                           static_cast<VertexId>(root), scratch[worker]);
                      });
   uint64_t total = 0;
   for (const PaddedCounter& p : partial) total += p.value;
@@ -29,6 +28,8 @@ std::vector<uint64_t> ParallelCliqueDegrees(const Graph& graph, int h,
                                             unsigned threads) {
   const unsigned t = ResolveThreadCount(threads, graph.NumVertices());
   CliqueEnumerator enumerator(graph, h);
+  std::vector<CliqueEnumerator::Scratch> scratch;
+  for (unsigned w = 0; w < t; ++w) scratch.push_back(enumerator.MakeScratch());
   // Chunk-owned shared accumulator: one n-sized totals array with buffered,
   // per-chunk-locked increments, so accumulator memory no longer scales
   // with the thread count (it used to be t private n-sized arrays). The
@@ -36,12 +37,10 @@ std::vector<uint64_t> ParallelCliqueDegrees(const Graph& graph, int h,
   ChunkedAccumulator accumulator(graph.NumVertices(), t);
   ParallelForStrided(graph.NumVertices(), t,
                      [&](unsigned worker, uint64_t root) {
-                       enumerator.EnumerateFromRoot(
-                           static_cast<VertexId>(root),
-                           [&](std::span<const VertexId> clique) {
-                             for (VertexId v : clique) {
-                               accumulator.Add(worker, v);
-                             }
+                       enumerator.DegreesFromRoot(
+                           static_cast<VertexId>(root), scratch[worker],
+                           [&](VertexId v, uint64_t count) {
+                             accumulator.Add(worker, v, count);
                            });
                      });
   return std::move(accumulator).Finish();

@@ -53,11 +53,13 @@ inline constexpr size_t kMinParallelPeelFrontier = 8;
 /// Whether a bracket is worth the parallel kernels at all. Beyond the
 /// absolute floor (worker spawn), the kernels pay O(n) setup per call —
 /// the rank array, the delta accumulator's totals, the survivor drain —
-/// so a bracket must also be a non-trivial fraction of the graph or the
-/// setup would dwarf the members' peel work (thousands of small brackets
-/// on a huge sparse graph would otherwise cost O(n) each). The sequential
-/// default loop pays only per-member work, so it stays the right choice
-/// below the ratio.
+/// while a clique member's own peel (EnumerateCliquesContaining) is
+/// O(local): sorted intersections over its alive neighbourhood, with no
+/// O(n) term. So a bracket must also be a non-trivial fraction of the
+/// graph, or the setup would dwarf the members' peel work (thousands of
+/// small brackets on a huge sparse graph would otherwise cost O(n) each).
+/// The sequential default loop pays only the per-member work, so it stays
+/// the right choice below the ratio.
 inline bool WorthParallelPeel(size_t frontier_size, uint64_t num_vertices) {
   return frontier_size >= kMinParallelPeelFrontier &&
          frontier_size * 256 >= num_vertices;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include "clique/clique_degree.h"
@@ -224,6 +225,112 @@ TEST(EnumerateCliquesContaining, RespectsAliveForLargerCliques) {
   EnumerateCliquesContaining(g, 4, 0, alive,
                              [&](std::span<const VertexId>) { ++count; });
   EXPECT_EQ(count, 1);  // only {1,2,3} remains: C(3,3)
+}
+
+// Reference for EnumerateCliquesContaining: every (h-1)-subset of v's alive
+// neighbours that is pairwise adjacent, each as a sorted vector.
+std::multiset<std::vector<VertexId>> ReferenceCompanions(
+    const Graph& g, int h, VertexId v, std::span<const char> alive) {
+  std::vector<VertexId> neighbours;
+  for (VertexId u : g.Neighbors(v)) {
+    if (alive.empty() || alive[u]) neighbours.push_back(u);
+  }
+  std::multiset<std::vector<VertexId>> out;
+  std::vector<VertexId> pick;
+  std::function<void(size_t)> rec = [&](size_t start) {
+    if (static_cast<int>(pick.size()) == h - 1) {
+      out.insert(pick);
+      return;
+    }
+    for (size_t i = start; i < neighbours.size(); ++i) {
+      const VertexId u = neighbours[i];
+      bool adjacent = true;
+      for (VertexId p : pick) adjacent = adjacent && g.HasEdge(p, u);
+      if (!adjacent) continue;
+      pick.push_back(u);
+      rec(i + 1);
+      pick.pop_back();
+    }
+  };
+  rec(0);
+  return out;
+}
+
+// Every vertex's reported companion sets, checked against the reference
+// under one mask; each reported span must be strictly ascending.
+void ExpectCompanionsMatchReference(const Graph& g, int h,
+                                    std::span<const char> alive,
+                                    const std::string& label) {
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    std::multiset<std::vector<VertexId>> got;
+    EnumerateCliquesContaining(
+        g, h, v, alive, [&](std::span<const VertexId> rest) {
+          ASSERT_EQ(rest.size(), static_cast<size_t>(h - 1));
+          EXPECT_TRUE(std::adjacent_find(rest.begin(), rest.end(),
+                                         std::greater_equal<VertexId>()) ==
+                      rest.end())
+              << label << " v=" << v << ": span not ascending";
+          got.emplace(rest.begin(), rest.end());
+        });
+    EXPECT_EQ(got, ReferenceCompanions(g, h, v, alive))
+        << label << " h=" << h << " v=" << v;
+  }
+}
+
+TEST(EnumerateCliquesContaining, MatchesReferenceUnderMasks) {
+  // ErdosRenyi graphs, plus a power-law graph whose hubs are hundreds of
+  // times longer than a low-degree vertex's neighbourhood: the skewed
+  // (galloping) intersection branch.
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (uint64_t seed : {1, 2}) {
+    graphs.emplace_back("er" + std::to_string(seed),
+                        gen::ErdosRenyi(40, 0.3, seed));
+  }
+  graphs.emplace_back("powerlaw",
+                      gen::PowerLawWithCommunities(600, 3, 8, 10, 0.9, 17));
+  const Graph& hubby = graphs.back().second;
+  ASSERT_GT(hubby.MaxDegree(), 16u * 3u);
+  for (const auto& [name, g] : graphs) {
+    const VertexId n = g.NumVertices();
+    std::vector<char> all(n, 1);
+    std::vector<char> every_second(n, 0);
+    for (VertexId v = 0; v < n; v += 2) every_second[v] = 1;
+    std::vector<char> random(n, 0);
+    std::mt19937_64 rng(n);
+    for (VertexId v = 0; v < n; ++v) random[v] = rng() % 3 != 0;
+    for (int h = 2; h <= 6; ++h) {
+      ExpectCompanionsMatchReference(g, h, {}, name + "/empty");
+      ExpectCompanionsMatchReference(g, h, all, name + "/all");
+      ExpectCompanionsMatchReference(g, h, every_second, name + "/second");
+      ExpectCompanionsMatchReference(g, h, random, name + "/random");
+    }
+  }
+}
+
+TEST(IntersectSorted, MatchesSetIntersectionBalancedAndSkewed) {
+  std::mt19937_64 rng(5);
+  for (size_t long_size : {0u, 1u, 7u, 40u, 600u, 5000u}) {
+    for (size_t short_size : {0u, 1u, 3u, 40u}) {
+      const size_t universe = 4 * std::max(long_size, short_size) + 8;
+      auto draw = [&](size_t size) {
+        std::set<VertexId> ids;
+        while (ids.size() < size) ids.insert(rng() % universe);
+        return std::vector<VertexId>(ids.begin(), ids.end());
+      };
+      const std::vector<VertexId> a = draw(short_size);
+      const std::vector<VertexId> b = draw(long_size);
+      std::vector<VertexId> expected;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(expected));
+      for (bool swap : {false, true}) {
+        std::vector<VertexId> out(std::min(a.size(), b.size()));
+        const size_t size = swap ? IntersectSorted(b, a, out.data())
+                                 : IntersectSorted(a, b, out.data());
+        out.resize(size);
+        EXPECT_EQ(out, expected) << short_size << " x " << long_size;
+      }
+    }
+  }
 }
 
 }  // namespace

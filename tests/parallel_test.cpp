@@ -97,6 +97,61 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCliqueTest,
                                             ::testing::Values(1u, 2u, 4u,
                                                               0u)));
 
+class ParallelCliqueHubTest
+    : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
+
+TEST_P(ParallelCliqueHubTest, DegreesAndCountMatchSerial) {
+  // Hub-heavy: a few roots own most of the work, and every worker reuses
+  // its one scratch across thousands of roots of very different depths.
+  auto [h, threads] = GetParam();
+  static const Graph g =
+      gen::PowerLawWithCommunities(3000, 3, 20, 12, 0.9, 2024);
+  const CliqueEnumerator serial(g, h);
+  EXPECT_EQ(ParallelCliqueDegrees(g, h, threads), serial.Degrees());
+  EXPECT_EQ(ParallelCliqueCount(g, h, threads), serial.Count());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCliqueHubTest,
+                         ::testing::Combine(::testing::Values(3, 4, 5),
+                                            ::testing::Values(1u, 2u, 4u,
+                                                              8u)));
+
+TEST(ParallelCliqueEdgeCases, EmptyIsolatedSingletonAndTooDeep) {
+  for (unsigned threads : {1u, 4u}) {
+    const Graph empty;
+    for (int h : {1, 3}) {
+      EXPECT_EQ(CliqueEnumerator(empty, h).Count(), 0u);
+      EXPECT_TRUE(CliqueEnumerator(empty, h).Degrees().empty());
+      EXPECT_EQ(ParallelCliqueCount(empty, h, threads), 0u);
+      EXPECT_TRUE(ParallelCliqueDegrees(empty, h, threads).empty());
+    }
+
+    // A triangle plus isolated vertices 3..5.
+    GraphBuilder b;
+    b.AddEdge(0, 1);
+    b.AddEdge(1, 2);
+    b.AddEdge(0, 2);
+    b.EnsureVertices(6);
+    const Graph g = b.Build();
+    ASSERT_EQ(g.NumVertices(), 6u);
+    // h = 1 lists every vertex once, isolated ones included.
+    EXPECT_EQ(CliqueEnumerator(g, 1).Count(), 6u);
+    EXPECT_EQ(ParallelCliqueCount(g, 1, threads), 6u);
+    EXPECT_EQ(ParallelCliqueDegrees(g, 1, threads),
+              std::vector<uint64_t>(6, 1));
+    EXPECT_EQ(ParallelCliqueDegrees(g, 3, threads),
+              (std::vector<uint64_t>{1, 1, 1, 0, 0, 0}));
+    // The degeneracy is 2, so no clique has more than 3 vertices.
+    for (int h : {4, 5}) {
+      EXPECT_EQ(CliqueEnumerator(g, h).Count(), 0u) << h;
+      EXPECT_EQ(ParallelCliqueCount(g, h, threads), 0u) << h;
+      EXPECT_EQ(ParallelCliqueDegrees(g, h, threads),
+                std::vector<uint64_t>(6, 0))
+          << h;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parallel pattern kernels: per-root sharding of the embedding enumerator
 // and the parallel appendix-D closed forms, vs their sequential pattern/
