@@ -49,8 +49,7 @@ std::unique_ptr<MotifOracle> BuildPatternOracle(Pattern pattern,
   // honored end to end); a sequential budget keeps the plain oracle.
   if (options.threads > 1) {
     return std::make_unique<ParallelPatternOracle>(
-        std::move(pattern), options.use_special_kernels,
-        options.pattern_scratch_budget_bytes);
+        std::move(pattern), options.use_special_kernels);
   }
   return std::make_unique<PatternOracle>(std::move(pattern),
                                          options.use_special_kernels);
@@ -153,8 +152,7 @@ StatusOr<std::unique_ptr<MotifOracle>> OracleFactory::Make(
   // cache bookkeeping (generation-tag keying, mask scan, hit-path copy);
   // edge degrees are already linear.
   if (options.cache && oracle->MotifSize() >= 3) {
-    oracle = std::make_unique<CachingOracle>(std::move(oracle),
-                                             options.cache_budget_bytes);
+    oracle = std::make_unique<CachingOracle>(std::move(oracle));
   }
   return oracle;
 }

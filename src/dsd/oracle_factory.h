@@ -14,7 +14,6 @@
 #ifndef DSD_DSD_ORACLE_FACTORY_H_
 #define DSD_DSD_ORACLE_FACTORY_H_
 
-#include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,19 +41,9 @@ struct OracleOptions {
   /// linear, so the edge motif skips the decorator.
   bool cache = false;
 
-  /// Byte budget for the cache's memoized vectors (see CachingOracle).
-  size_t cache_budget_bytes = size_t{64} << 20;
-
   /// PatternOracle toggle: false forces the generic embedding engine even
   /// for stars and 4-cycles (the bench_ablation baseline).
   bool use_special_kernels = true;
-
-  /// Per-worker scratch budget for pattern kernels that carry O(n) scratch
-  /// per worker (today: the 4-cycle two-path arrays). 0 = unbounded;
-  /// otherwise the worker count is clamped so total scratch stays within
-  /// budget (FourCycleScratchWorkerCap) — results are unaffected, only the
-  /// achievable parallelism. For memory-constrained deployments.
-  size_t pattern_scratch_budget_bytes = 0;
 };
 
 /// Name -> oracle-builder registry. Global() comes pre-populated with the

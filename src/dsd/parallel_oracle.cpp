@@ -4,6 +4,7 @@
 #include "parallel/parallel_clique.h"
 #include "parallel/parallel_pattern.h"
 #include "parallel/parallel_peel.h"
+#include "pattern/special.h"
 
 namespace dsd {
 
@@ -59,11 +60,10 @@ std::vector<uint64_t> ParallelPatternOracle::DegreesImpl(
     const ExecutionContext& ctx) const {
   if (ctx.threads <= 1) return PatternOracle::DegreesImpl(graph, alive, ctx);
   if (star_tails() >= 2) {
-    return ParallelStarDegrees(graph, star_tails(), alive, ctx.threads);
+    return StarDegrees(graph, star_tails(), alive, ctx.threads);
   }
   if (four_cycle_kernel()) {
-    return ParallelFourCycleDegrees(graph, alive, ctx.threads,
-                                    scratch_budget_bytes_);
+    return FourCycleDegrees(graph, alive, ctx.threads);
   }
   return ParallelPatternDegrees(graph, plans(), alive, ctx.threads);
 }
@@ -75,11 +75,10 @@ uint64_t ParallelPatternOracle::CountInstancesImpl(
     return PatternOracle::CountInstancesImpl(graph, alive, ctx);
   }
   if (star_tails() >= 2) {
-    return ParallelStarCount(graph, star_tails(), alive, ctx.threads);
+    return StarCount(graph, star_tails(), alive, ctx.threads);
   }
   if (four_cycle_kernel()) {
-    return ParallelFourCycleCount(graph, alive, ctx.threads,
-                                  scratch_budget_bytes_);
+    return FourCycleCount(graph, alive, ctx.threads);
   }
   return ParallelPatternCount(graph, plans(), alive, ctx.threads);
 }
@@ -96,8 +95,7 @@ std::vector<uint64_t> ParallelPatternOracle::PeelBatch(
         return ParallelStarPeelBatch(graph, star_tails(), frontier, alive, cb,
                                      ctx);
       }
-      return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx,
-                                        scratch_budget_bytes_);
+      return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx);
     }
     // Generic patterns shard through the rank-masked plan kernel; the
     // per-member peel is expensive enough that even small brackets win

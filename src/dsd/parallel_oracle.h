@@ -7,12 +7,14 @@
 // CountInstances (the queries the exact and core algorithms issue on every
 // (k, Psi)-core restriction) parallelise embarrassingly for both problem
 // families. These oracles dispatch those two queries to the src/parallel/
-// kernels on ctx.threads workers, and PeelBatch — the whole-bracket removal
-// the batch peeling engine in dsd/motif_core.cpp issues — to the frontier
-// kernels of parallel/parallel_peel.h for EVERY motif family (cliques,
-// stars, 4-cycles, and arbitrary patterns via the rank-masked generic
-// kernel). Everything else (PeelVertex, Groups, core bounds) is inherited
-// from the sequential bases unchanged.
+// kernels (stars and 4-cycles: to the closed forms of pattern/special.h)
+// on ctx.threads workers, and PeelBatch — the whole-bracket removal the
+// batch peeling engine in dsd/motif_core.cpp issues — to the frontier
+// kernels of parallel/parallel_peel.h, which every motif family has
+// (cliques, stars, 4-cycles, and arbitrary patterns via the rank-masked
+// generic kernel); brackets too small for a kernel keep the sequential
+// PeelVertex loop. Everything else (PeelVertex, Groups, core bounds) is
+// inherited from the sequential bases unchanged.
 // Results are bit-identical to the sequential oracles for every thread
 // count: the only cross-worker combination in the kernels is uint64
 // addition, and the peel kernels evaluate each bracket member under the
@@ -62,21 +64,16 @@ class ParallelCliqueOracle : public CliqueOracle {
 /// PatternOracle whose hot queries run on ctx.threads workers: the root
 /// loop of the generic plan-compiled matcher is sharded per worker (hub
 /// roots split into candidate-loop slices), and the appendix-D closed
-/// forms (stars, 4-cycle) become per-vertex parallel passes — the same
-/// kernel branch the sequential oracle would take, so results match it
-/// bit-for-bit under every thread count. A sequential context falls
-/// straight through to PatternOracle.
+/// forms (stars, 4-cycle) run the sequential oracle's own functions of
+/// pattern/special.h with ctx.threads — the same kernel branch the
+/// sequential oracle would take, so results match it bit-for-bit under
+/// every thread count. A sequential context falls straight through to
+/// PatternOracle.
 class ParallelPatternOracle : public PatternOracle {
  public:
-  /// `scratch_budget_bytes` caps the per-worker scratch of the 4-cycle
-  /// kernels (0 = unbounded): their O(n) two-path arrays are inherent to
-  /// the appendix-D formula, so memory-constrained deployments bound the
-  /// worker count instead (FourCycleScratchWorkerCap).
   explicit ParallelPatternOracle(Pattern pattern,
-                                 bool use_special_kernels = true,
-                                 uint64_t scratch_budget_bytes = 0)
-      : PatternOracle(std::move(pattern), use_special_kernels),
-        scratch_budget_bytes_(scratch_budget_bytes) {}
+                                 bool use_special_kernels = true)
+      : PatternOracle(std::move(pattern), use_special_kernels) {}
 
   /// Same contract as ParallelCliqueOracle: the kernels clamp per call by
   /// hardware concurrency and the root-vertex count.
@@ -100,9 +97,6 @@ class ParallelPatternOracle : public PatternOracle {
                                     const ExecutionContext& ctx) const override;
   uint64_t CountInstancesImpl(const Graph& graph, std::span<const char> alive,
                               const ExecutionContext& ctx) const override;
-
- private:
-  uint64_t scratch_budget_bytes_;
 };
 
 }  // namespace dsd

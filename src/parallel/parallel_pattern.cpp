@@ -1,35 +1,14 @@
 #include "parallel/parallel_pattern.h"
 
-#include <cassert>
+#include <algorithm>
 
 #include "parallel/chunked_accumulator.h"
 #include "parallel/parallel_for.h"
 #include "pattern/isomorphism.h"
-#include "util/combinatorics.h"
 
 namespace dsd {
 
 namespace {
-
-// Mirrors the helpers of pattern/special.cpp. The duplication is
-// deliberate: pattern/ stays an independent sequential reference with no
-// parallel/ dependency, so the randomized differential suite and the
-// per-thread-count parity tests compare two genuinely separate
-// implementations of the appendix-D formulas rather than one delegating
-// to the other. Edit the two in step.
-bool IsAlive(std::span<const char> alive, VertexId v) {
-  return alive.empty() || alive[v] != 0;
-}
-
-uint64_t AliveDegree(const Graph& graph, std::span<const char> alive,
-                     VertexId v) {
-  if (alive.empty()) return graph.Degree(v);
-  uint64_t d = 0;
-  for (VertexId u : graph.Neighbors(v)) {
-    if (alive[u]) ++d;
-  }
-  return d;
-}
 
 // One unit of generic-matcher work: a root, or one candidate-loop slice
 // of a hub root (MatchFromRoot's slice parameters).
@@ -121,101 +100,6 @@ uint64_t ParallelPatternCount(const Graph& graph, const PatternPlanSet& plans,
 uint64_t ParallelPatternCount(const Graph& graph, const Pattern& pattern,
                               std::span<const char> alive, unsigned threads) {
   return ParallelPatternCount(graph, PatternPlanSet(pattern), alive, threads);
-}
-
-std::vector<uint64_t> ParallelStarDegrees(const Graph& graph, int x,
-                                          std::span<const char> alive,
-                                          unsigned threads) {
-  assert(x >= 2);
-  const VertexId n = graph.NumVertices();
-  const unsigned t = ResolveThreadCount(threads, n);
-  // Two per-vertex passes, each worker writing only its strided indices —
-  // no shared accumulation at all, so the results are trivially the
-  // sequential StarDegrees values.
-  std::vector<uint64_t> alive_degree(n, 0);
-  ParallelForStrided(n, t, [&](unsigned, uint64_t v) {
-    if (IsAlive(alive, static_cast<VertexId>(v))) {
-      alive_degree[v] = AliveDegree(graph, alive, static_cast<VertexId>(v));
-    }
-  });
-  std::vector<uint64_t> degrees(n, 0);
-  ParallelForStrided(n, t, [&](unsigned, uint64_t i) {
-    const VertexId v = static_cast<VertexId>(i);
-    if (!IsAlive(alive, v)) return;
-    uint64_t d = Binomial(alive_degree[v], static_cast<uint64_t>(x));
-    for (VertexId u : graph.Neighbors(v)) {
-      if (!IsAlive(alive, u)) continue;
-      d += Binomial(alive_degree[u] - 1, static_cast<uint64_t>(x - 1));
-    }
-    degrees[v] = d;
-  });
-  return degrees;
-}
-
-uint64_t ParallelStarCount(const Graph& graph, int x,
-                           std::span<const char> alive, unsigned threads) {
-  const VertexId n = graph.NumVertices();
-  const unsigned t = ResolveThreadCount(threads, n);
-  std::vector<PaddedCounter> partial(t);
-  ParallelForStrided(n, t, [&](unsigned worker, uint64_t i) {
-    const VertexId v = static_cast<VertexId>(i);
-    if (!IsAlive(alive, v)) return;
-    partial[worker].value +=
-        Binomial(AliveDegree(graph, alive, v), static_cast<uint64_t>(x));
-  });
-  uint64_t total = 0;
-  for (const PaddedCounter& p : partial) total += p.value;
-  return total;
-}
-
-std::vector<uint64_t> ParallelFourCycleDegrees(const Graph& graph,
-                                               std::span<const char> alive,
-                                               unsigned threads,
-                                               uint64_t scratch_budget_bytes) {
-  const VertexId n = graph.NumVertices();
-  const unsigned t =
-      std::min(ResolveThreadCount(threads, n),
-               FourCycleScratchWorkerCap(n, scratch_budget_bytes));
-  std::vector<uint64_t> degrees(n, 0);
-  // Per-worker two-path scratch (counts per 2-hop endpoint), as in the
-  // sequential kernel; each worker writes only degrees[v] of its own roots.
-  std::vector<std::vector<uint64_t>> paths(t,
-                                           std::vector<uint64_t>(n, 0));
-  std::vector<std::vector<VertexId>> touched(t);
-  ParallelForStrided(n, t, [&](unsigned worker, uint64_t i) {
-    const VertexId v = static_cast<VertexId>(i);
-    if (!IsAlive(alive, v)) return;
-    std::vector<uint64_t>& path_count = paths[worker];
-    std::vector<VertexId>& endpoints = touched[worker];
-    endpoints.clear();
-    for (VertexId u : graph.Neighbors(v)) {
-      if (!IsAlive(alive, u)) continue;
-      for (VertexId w : graph.Neighbors(u)) {
-        if (w == v || !IsAlive(alive, w)) continue;
-        if (path_count[w] == 0) endpoints.push_back(w);
-        ++path_count[w];
-      }
-    }
-    uint64_t d = 0;
-    for (VertexId w : endpoints) {
-      d += path_count[w] * (path_count[w] - 1) / 2;
-      path_count[w] = 0;
-    }
-    degrees[v] = d;
-  });
-  return degrees;
-}
-
-uint64_t ParallelFourCycleCount(const Graph& graph,
-                                std::span<const char> alive, unsigned threads,
-                                uint64_t scratch_budget_bytes) {
-  uint64_t total = 0;
-  for (uint64_t d : ParallelFourCycleDegrees(graph, alive, threads,
-                                             scratch_budget_bytes)) {
-    total += d;
-  }
-  assert(total % 4 == 0);
-  return total / 4;
 }
 
 }  // namespace dsd

@@ -7,8 +7,8 @@
 #include "clique/clique_degree.h"
 #include "parallel/chunked_accumulator.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_pattern.h"
-#include "util/combinatorics.h"
+#include "pattern/isomorphism.h"
+#include "pattern/special.h"
 
 namespace dsd {
 
@@ -57,21 +57,62 @@ size_t RunChunked(size_t b, unsigned t, const ExecutionContext& ctx,
   return processed;
 }
 
-// Drains the summed survivor deltas into the caller's (single-threaded)
-// callback and clears the processed frontier prefix from the alive mask.
-std::vector<uint64_t> FinishBatch(std::vector<uint64_t> destroyed,
-                                  size_t processed,
-                                  std::span<const VertexId> frontier,
-                                  std::span<char> alive,
-                                  ChunkedAccumulator&& deltas,
-                                  const PeelCallback& cb) {
+// The body every kernel shares: ranks the frontier, runs
+// peel_member(worker, i, rank, deltas) -- which returns member i's
+// destroyed count and stages its survivor deltas -- on t workers over
+// rank-contiguous chunks. Members compute against the bracket-start mask
+// (every member still alive); the rank restores each member's sequential
+// view. After the join the processed prefix leaves the alive mask and the
+// summed survivor deltas go to the caller's (single-threaded) callback.
+template <typename PeelMember>
+std::vector<uint64_t> PeelFrontier(const Graph& graph,
+                                   std::span<const VertexId> frontier,
+                                   std::span<char> alive,
+                                   const PeelCallback& cb,
+                                   const ExecutionContext& ctx, unsigned t,
+                                   PeelMember&& peel_member) {
+  const VertexId n = graph.NumVertices();
+  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
+  std::vector<uint64_t> destroyed(frontier.size(), 0);
+  ChunkedAccumulator deltas(n, t);
+  const size_t processed =
+      RunChunked(frontier.size(), t, ctx, [&](unsigned worker, size_t i) {
+        destroyed[i] = peel_member(worker, i, rank, deltas);
+      });
   destroyed.resize(processed);
   for (size_t i = 0; i < processed; ++i) alive[frontier[i]] = 0;
-  std::vector<uint64_t> totals = std::move(deltas).Finish();
+  const std::vector<uint64_t> totals = std::move(deltas).Finish();
   for (uint64_t u = 0; u < totals.size(); ++u) {
     if (totals[u] > 0) cb(static_cast<VertexId>(u), totals[u]);
   }
   return destroyed;
+}
+
+// PeelFrontier for the appendix-D peel bodies of pattern/special.h:
+// peel_member(worker, v, is_alive, report) sees member i's rank-prefix view
+// (u is alive iff it survives the bracket or is a member of higher rank,
+// so v itself is not), and only survivors' positive counts are staged.
+template <typename PeelMember>
+std::vector<uint64_t> ClosedFormPeelBatch(const Graph& graph,
+                                          std::span<const VertexId> frontier,
+                                          std::span<char> alive,
+                                          const PeelCallback& cb,
+                                          const ExecutionContext& ctx,
+                                          unsigned t,
+                                          PeelMember&& peel_member) {
+  return PeelFrontier(
+      graph, frontier, alive, cb, ctx, t,
+      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
+          ChunkedAccumulator& deltas) {
+        const uint32_t my_rank = static_cast<uint32_t>(i);
+        auto is_alive = [&](VertexId u) {
+          return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
+        };
+        auto report = [&](VertexId u, uint64_t count) {
+          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
+        };
+        return peel_member(worker, frontier[i], is_alive, report);
+      });
 }
 
 }  // namespace
@@ -81,22 +122,16 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
                                               std::span<char> alive,
                                               const PeelCallback& cb,
                                               const ExecutionContext& ctx) {
-  const VertexId n = graph.NumVertices();
-  const size_t b = frontier.size();
-  const unsigned t = ResolveThreadCount(ctx.threads, b);
-  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
-  std::vector<uint64_t> destroyed(b, 0);
-  ChunkedAccumulator deltas(n, t);
-  // Enumeration runs against the bracket-start mask (every member still
-  // alive); the rank filter below restores each member's sequential view.
   const std::span<const char> mask(alive.data(), alive.size());
-  const size_t processed =
-      RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        const VertexId v = frontier[i];
+  return PeelFrontier(
+      graph, frontier, alive, cb, ctx,
+      ResolveThreadCount(ctx.threads, frontier.size()),
+      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
+          ChunkedAccumulator& deltas) {
         const uint32_t my_rank = static_cast<uint32_t>(i);
         uint64_t lost = 0;
         EnumerateCliquesContaining(
-            graph, h, v, mask, [&](std::span<const VertexId> rest) {
+            graph, h, frontier[i], mask, [&](std::span<const VertexId> rest) {
               // The clique is destroyed at the step of its minimum-rank
               // member; members of lower rank than i own it (or already
               // destroyed it), so member i must skip it.
@@ -108,10 +143,8 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
                 if (rank[u] == kNoRank) deltas.Add(worker, u);
               }
             });
-        destroyed[i] = lost;
+        return lost;
       });
-  return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
@@ -120,143 +153,49 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             const PeelCallback& cb,
                                             const ExecutionContext& ctx) {
   assert(x >= 2);
-  const uint64_t ux = static_cast<uint64_t>(x);
-  const VertexId n = graph.NumVertices();
-  const size_t b = frontier.size();
-  const unsigned t = ResolveThreadCount(ctx.threads, b);
-  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
-  std::vector<uint64_t> destroyed(b, 0);
-  ChunkedAccumulator deltas(n, t);
-  const size_t processed =
-      RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        const VertexId v = frontier[i];
-        const uint32_t my_rank = static_cast<uint32_t>(i);
-        // Mirror of StarPeelVertex (pattern/special.cpp) under the rank
-        // mask: u is alive for member i iff it survives the bracket or is
-        // a member of higher rank; v itself is "relevant" (it participates
-        // in the instances being destroyed) but never alive.
-        auto alive_i = [&](VertexId u) {
-          return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
-        };
-        auto relevant = [&](VertexId w) { return w == v || alive_i(w); };
-        auto degree_with_v = [&](VertexId w) {
-          uint64_t d = 0;
-          for (VertexId u : graph.Neighbors(w)) d += relevant(u);
-          return d;
-        };
-        auto add = [&](VertexId u, uint64_t count) {
-          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
-        };
-        uint64_t dv = 0;
-        for (VertexId u : graph.Neighbors(v)) dv += alive_i(u);
-        uint64_t lost = Binomial(dv, ux);
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          const uint64_t du = degree_with_v(u);
-          lost += Binomial(du - 1, ux - 1);
-          add(u, Binomial(dv - 1, ux - 1) + Binomial(du - 1, ux - 1));
-          if (du >= 2) {
-            const uint64_t shared = Binomial(du - 2, ux - 2);
-            if (shared > 0) {
-              for (VertexId w : graph.Neighbors(u)) {
-                if (w != v && alive_i(w)) add(w, shared);
-              }
-            }
-          }
-        }
-        destroyed[i] = lost;
+  return ClosedFormPeelBatch(
+      graph, frontier, alive, cb, ctx,
+      ResolveThreadCount(ctx.threads, frontier.size()),
+      [&](unsigned, VertexId v, const auto& is_alive, const auto& report) {
+        return StarPeelMember(graph, x, v, is_alive, report);
       });
-  return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
-    std::span<char> alive, const PeelCallback& cb, const ExecutionContext& ctx,
-    uint64_t scratch_budget_bytes) {
-  const VertexId n = graph.NumVertices();
-  const size_t b = frontier.size();
-  // Same per-worker O(n) two-path scratch (hence the same budget clamp) as
-  // ParallelFourCycleDegrees.
-  const unsigned t =
-      std::min(ResolveThreadCount(ctx.threads, b),
-               FourCycleScratchWorkerCap(n, scratch_budget_bytes));
-  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
-  std::vector<uint64_t> destroyed(b, 0);
-  ChunkedAccumulator deltas(n, t);
-  std::vector<std::vector<uint64_t>> paths(t, std::vector<uint64_t>(n, 0));
-  std::vector<std::vector<VertexId>> endpoints(t);
-  const size_t processed =
-      RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        const VertexId v = frontier[i];
-        const uint32_t my_rank = static_cast<uint32_t>(i);
-        // Mirror of FourCyclePeelVertex (pattern/special.cpp) under the
-        // rank mask.
-        auto alive_i = [&](VertexId u) {
-          return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
-        };
-        auto add = [&](VertexId u, uint64_t count) {
-          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
-        };
-        std::vector<uint64_t>& path_count = paths[worker];
-        std::vector<VertexId>& ends = endpoints[worker];
-        ends.clear();
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (w == v || !alive_i(w)) continue;
-            if (path_count[w] == 0) ends.push_back(w);
-            ++path_count[w];
-          }
-        }
-        uint64_t lost = 0;
-        for (VertexId w : ends) {
-          const uint64_t pairs = path_count[w] * (path_count[w] - 1) / 2;
-          lost += pairs;
-          add(w, pairs);
-        }
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          uint64_t u_lost = 0;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (w == v || !alive_i(w)) continue;
-            u_lost += path_count[w] - 1;
-          }
-          add(u, u_lost);
-        }
-        for (VertexId w : ends) path_count[w] = 0;
-        destroyed[i] = lost;
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) {
+  const unsigned t = ResolveThreadCount(ctx.threads, frontier.size());
+  std::vector<FourCycleScratch> scratch(t,
+                                        FourCycleScratch(graph.NumVertices()));
+  return ClosedFormPeelBatch(
+      graph, frontier, alive, cb, ctx, t,
+      [&](unsigned worker, VertexId v, const auto& is_alive,
+          const auto& report) {
+        return FourCyclePeelMember(graph, v, is_alive, scratch[worker],
+                                   report);
       });
-  return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     std::move(deltas), cb);
 }
 
 std::vector<uint64_t> ParallelPatternPeelBatch(
     const Graph& graph, const PatternPlanSet& plans,
     std::span<const VertexId> frontier, std::span<char> alive,
     const PeelCallback& cb, const ExecutionContext& ctx) {
-  const VertexId n = graph.NumVertices();
-  const size_t b = frontier.size();
-  const unsigned t = ResolveThreadCount(ctx.threads, b);
-  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
-  std::vector<uint64_t> destroyed(b, 0);
-  ChunkedAccumulator deltas(n, t);
+  const unsigned t = ResolveThreadCount(ctx.threads, frontier.size());
   PatternMatcher matcher(graph, plans);
   std::vector<PatternMatcher::Scratch> scratch;
   scratch.reserve(t);
   for (unsigned w = 0; w < t; ++w) scratch.push_back(matcher.MakeScratch());
-  // Enumeration runs against the bracket-start mask (every member still
-  // alive); PeelContaining's rank filter restores each member's sequential
-  // view and reports survivor deltas only.
+  // PeelContaining's rank filter reports survivor deltas only.
   const std::span<const char> mask(alive.data(), alive.size());
-  const size_t processed =
-      RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        destroyed[i] = matcher.PeelContaining(
+  return PeelFrontier(
+      graph, frontier, alive, cb, ctx, t,
+      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
+          ChunkedAccumulator& deltas) {
+        return matcher.PeelContaining(
             frontier[i], rank, static_cast<uint32_t>(i), mask, scratch[worker],
             [&](VertexId u, uint64_t count) { deltas.Add(worker, u, count); });
       });
-  return FinishBatch(std::move(destroyed), processed, frontier, alive,
-                     std::move(deltas), cb);
 }
 
 }  // namespace dsd

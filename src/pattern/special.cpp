@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "util/combinatorics.h"
+#include "parallel/parallel_for.h"
 
 namespace dsd {
 
@@ -23,73 +23,92 @@ uint64_t AliveDegree(const Graph& graph, std::span<const char> alive,
   return d;
 }
 
+// Star degree of alive vertex v (appendix D.1): v as the center, plus v as
+// a tail of a star centered at an alive neighbor u, whose remaining x-1
+// tails come from u's other alive neighbors. Taking the views by value
+// keeps them in registers across the out-of-line Binomial calls; read
+// through a parallel loop body's captures they would be reloaded per call.
+uint64_t StarDegree(const Graph& graph, uint64_t x,
+                    std::span<const char> alive,
+                    std::span<const uint64_t> alive_degree, VertexId v) {
+  uint64_t d = Binomial(alive_degree[v], x);
+  for (VertexId u : graph.Neighbors(v)) {
+    if (IsAlive(alive, u)) d += Binomial(alive_degree[u] - 1, x - 1);
+  }
+  return d;
+}
+
 }  // namespace
 
+// Every pass below is a per-vertex loop in which each worker writes only the
+// entries (or the partial sum) of its own strided vertices, so the result is
+// the same for every thread count.
+
 std::vector<uint64_t> StarDegrees(const Graph& graph, int x,
-                                  std::span<const char> alive) {
+                                  std::span<const char> alive,
+                                  unsigned threads) {
   // x == 1 (a single edge) is excluded: center and tail are then symmetric
   // and the closed form below would double count.
   assert(x >= 2);
   const VertexId n = graph.NumVertices();
   std::vector<uint64_t> alive_degree(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
+  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
     if (IsAlive(alive, v)) alive_degree[v] = AliveDegree(graph, alive, v);
-  }
+  });
   std::vector<uint64_t> degrees(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (!IsAlive(alive, v)) continue;
-    // v as the star center.
-    uint64_t d = Binomial(alive_degree[v], static_cast<uint64_t>(x));
-    // v as a tail of a star centered at a neighbor u: choose the remaining
-    // x-1 tails among u's other alive neighbors.
-    for (VertexId u : graph.Neighbors(v)) {
-      if (!IsAlive(alive, u)) continue;
-      d += Binomial(alive_degree[u] - 1, static_cast<uint64_t>(x - 1));
+  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (IsAlive(alive, v)) {
+      degrees[v] = StarDegree(graph, static_cast<uint64_t>(x), alive,
+                              alive_degree, v);
     }
-    degrees[v] = d;
-  }
+  });
   return degrees;
 }
 
-uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive) {
+uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive,
+                   unsigned threads) {
+  const VertexId n = graph.NumVertices();
+  std::vector<PaddedCounter> partial(ResolveThreadCount(threads, n));
+  ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (!IsAlive(alive, v)) return;
+    partial[worker].value +=
+        Binomial(AliveDegree(graph, alive, v), static_cast<uint64_t>(x));
+  });
   uint64_t total = 0;
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    if (!IsAlive(alive, v)) continue;
-    total += Binomial(AliveDegree(graph, alive, v), static_cast<uint64_t>(x));
-  }
+  for (const PaddedCounter& p : partial) total += p.value;
   return total;
 }
 
 std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
-                                       std::span<const char> alive) {
+                                       std::span<const char> alive,
+                                       unsigned threads) {
   const VertexId n = graph.NumVertices();
+  std::vector<FourCycleScratch> scratch(ResolveThreadCount(threads, n),
+                                        FourCycleScratch(n));
+  auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
   std::vector<uint64_t> degrees(n, 0);
-  std::vector<uint64_t> paths(n, 0);      // #2-paths from v to w
-  std::vector<VertexId> touched;          // endpoints with paths > 0
-  for (VertexId v = 0; v < n; ++v) {
-    if (!IsAlive(alive, v)) continue;
-    touched.clear();
-    for (VertexId u : graph.Neighbors(v)) {
-      if (!IsAlive(alive, u)) continue;
-      for (VertexId w : graph.Neighbors(u)) {
-        if (w == v || !IsAlive(alive, w)) continue;
-        if (paths[w] == 0) touched.push_back(w);
-        ++paths[w];
-      }
-    }
+  ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (!is_alive(v)) return;
+    FourCycleScratch& s = scratch[worker];
+    CountTwoPaths(graph, v, is_alive, s);
     uint64_t d = 0;
-    for (VertexId w : touched) {
-      d += paths[w] * (paths[w] - 1) / 2;
-      paths[w] = 0;
+    for (VertexId w : s.endpoints) {
+      d += s.paths[w] * (s.paths[w] - 1) / 2;
+      s.paths[w] = 0;
     }
     degrees[v] = d;
-  }
+  });
   return degrees;
 }
 
-uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive) {
+uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
+                        unsigned threads) {
   uint64_t total = 0;
-  for (uint64_t d : FourCycleDegrees(graph, alive)) total += d;
+  for (uint64_t d : FourCycleDegrees(graph, alive, threads)) total += d;
   assert(total % 4 == 0);
   return total / 4;
 }
@@ -98,74 +117,17 @@ uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
                         std::span<const char> alive,
                         const std::function<void(VertexId, uint64_t)>& cb) {
   assert(x >= 2);
-  const uint64_t ux = static_cast<uint64_t>(x);
-  // D(w): degree of w in the graph induced by alive ∪ {v} (v participates in
-  // the instances being destroyed even though the caller already cleared
-  // alive[v]).
-  auto relevant = [&](VertexId w) { return w == v || IsAlive(alive, w); };
-  auto degree_with_v = [&](VertexId w) {
-    uint64_t d = 0;
-    for (VertexId u : graph.Neighbors(w)) d += relevant(u);
-    return d;
-  };
-
-  const uint64_t dv = AliveDegree(graph, alive, v);  // D(v): v's alive nbrs
-  uint64_t destroyed = Binomial(dv, ux);
-  for (VertexId u : graph.Neighbors(v)) {
-    if (!IsAlive(alive, u)) continue;
-    const uint64_t du = degree_with_v(u);
-    destroyed += Binomial(du - 1, ux - 1);
-    // Case a: v is the center, u one of its tails — the other x-1 tails come
-    // from N(v) \ {u}. Case b: u is the center with v as a tail.
-    cb(u, Binomial(dv - 1, ux - 1) + Binomial(du - 1, ux - 1));
-    // Case c: u (the current neighbor) is the center of stars that have BOTH
-    // v and some other alive tail t: every such star also disappears for t.
-    if (du >= 2) {
-      const uint64_t shared = Binomial(du - 2, ux - 2);
-      if (shared > 0) {
-        for (VertexId t : graph.Neighbors(u)) {
-          if (t != v && IsAlive(alive, t)) cb(t, shared);
-        }
-      }
-    }
-  }
-  return destroyed;
+  return StarPeelMember(
+      graph, x, v, [alive](VertexId u) { return IsAlive(alive, u); }, cb);
 }
 
 uint64_t FourCyclePeelVertex(
     const Graph& graph, VertexId v, std::span<const char> alive,
     const std::function<void(VertexId, uint64_t)>& cb) {
-  // P(w): number of alive 2-paths v -> w. Every unordered pair of such paths
-  // is a destroyed 4-cycle.
-  std::vector<uint64_t> paths(graph.NumVertices(), 0);
-  std::vector<VertexId> endpoints;
-  for (VertexId u : graph.Neighbors(v)) {
-    if (!IsAlive(alive, u)) continue;
-    for (VertexId w : graph.Neighbors(u)) {
-      if (w == v || !IsAlive(alive, w)) continue;
-      if (paths[w] == 0) endpoints.push_back(w);
-      ++paths[w];
-    }
-  }
-  uint64_t destroyed = 0;
-  for (VertexId w : endpoints) {
-    const uint64_t pairs = paths[w] * (paths[w] - 1) / 2;
-    destroyed += pairs;
-    // w is the corner opposite v in those cycles.
-    if (pairs > 0) cb(w, pairs);
-  }
-  // Middle vertices: u on the path v-u-w loses one cycle per OTHER path to
-  // the same endpoint w.
-  for (VertexId u : graph.Neighbors(v)) {
-    if (!IsAlive(alive, u)) continue;
-    uint64_t lost = 0;
-    for (VertexId w : graph.Neighbors(u)) {
-      if (w == v || !IsAlive(alive, w)) continue;
-      lost += paths[w] - 1;
-    }
-    if (lost > 0) cb(u, lost);
-  }
-  return destroyed;
+  FourCycleScratch scratch(graph.NumVertices());
+  return FourCyclePeelMember(
+      graph, v, [alive](VertexId u) { return IsAlive(alive, u); }, scratch,
+      cb);
 }
 
 }  // namespace dsd

@@ -4,6 +4,13 @@
 // enumerator is overkill: pattern-degrees have closed forms over 1- and 2-hop
 // neighborhoods, reducing core decomposition from O(n d^x) to O(n d^2).
 // These kernels are cross-checked against the generic engine in tests.
+//
+// This header is the one home of those formulas. The degree and count passes
+// take a thread count (per-vertex passes over ParallelForStrided; 1 is the
+// plain inline loop), and the peel bodies are templates over the aliveness
+// predicate and the report sink, so the sequential oracle (alive mask) and
+// the batch peel kernels of parallel/parallel_peel.cpp (rank-prefix mask,
+// survivor-only deltas) run the same code.
 #ifndef DSD_PATTERN_SPECIAL_H_
 #define DSD_PATTERN_SPECIAL_H_
 
@@ -13,41 +20,141 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/combinatorics.h"
 
 namespace dsd {
 
 /// Pattern-degrees for the x-star K_{1,x} restricted to alive vertices
-/// (empty alive = all alive). Appendix D.1:
+/// (empty alive = all alive), on `threads` workers. Appendix D.1:
 ///   deg(v) = C(deg(v), x) + sum over neighbors u of C(deg(u) - 1, x - 1).
 std::vector<uint64_t> StarDegrees(const Graph& graph, int x,
-                                  std::span<const char> alive);
+                                  std::span<const char> alive,
+                                  unsigned threads = 1);
 
 /// Number of x-star instances restricted to alive vertices:
 /// each instance has a unique center, so mu = sum_v C(deg(v), x).
-uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive);
+uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive,
+                   unsigned threads = 1);
 
 /// Pattern-degrees for the 4-cycle restricted to alive vertices.
 /// Appendix D.2: group the 2-paths leaving v by endpoint w; every pair of
 /// distinct paths to the same w closes a 4-cycle, so
 ///   deg(v) = sum over 2-hop endpoints w of C(#paths(v, w), 2).
+/// Each worker carries one FourCycleScratch (O(n)).
 std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
-                                       std::span<const char> alive);
+                                       std::span<const char> alive,
+                                       unsigned threads = 1);
 
 /// Number of 4-cycle instances restricted to alive vertices
 /// (= sum of degrees / 4: each cycle contains 4 vertices).
-uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive);
+uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
+                        unsigned threads = 1);
 
-/// Appendix D.1.2, star peeling: reports how many x-star instances each
-/// other vertex loses when `v` is removed from the alive set, via the
-/// closed forms over v's 1- and 2-hop neighborhood (O(d^2) instead of
-/// enumerating embeddings). Returns the total number of destroyed
-/// instances. `cb(u, count)` may fire several times per u.
+/// Appendix D.1.2, star peeling: the instances v takes with it when it
+/// leaves the graph, via the closed forms over v's 1- and 2-hop
+/// neighborhood (O(d^2) instead of enumerating embeddings). `is_alive(u)`
+/// says whether u is alive for this removal (false for v itself); every
+/// other vertex's lost instances go to `report(u, count)`, which may fire
+/// several times per u and with count 0. Returns the destroyed total.
+template <typename AliveFn, typename ReportFn>
+uint64_t StarPeelMember(const Graph& graph, int x, VertexId v,
+                        const AliveFn& is_alive, const ReportFn& report) {
+  const uint64_t ux = static_cast<uint64_t>(x);
+  // D(w): degree of w among the alive vertices plus v (v participates in
+  // the instances being destroyed although it is no longer alive).
+  auto degree_with_v = [&](VertexId w) {
+    uint64_t d = 0;
+    for (VertexId u : graph.Neighbors(w)) d += u == v || is_alive(u);
+    return d;
+  };
+  uint64_t dv = 0;  // D(v): v's alive neighbours
+  for (VertexId u : graph.Neighbors(v)) dv += is_alive(u);
+  uint64_t destroyed = Binomial(dv, ux);
+  for (VertexId u : graph.Neighbors(v)) {
+    if (!is_alive(u)) continue;
+    const uint64_t du = degree_with_v(u);
+    destroyed += Binomial(du - 1, ux - 1);
+    // Case a: v is the center, u one of its tails — the other x-1 tails come
+    // from N(v) \ {u}. Case b: u is the center with v as a tail.
+    report(u, Binomial(dv - 1, ux - 1) + Binomial(du - 1, ux - 1));
+    // Case c: u (the current neighbor) is the center of stars that have BOTH
+    // v and some other alive tail t: every such star also disappears for t.
+    if (du >= 2) {
+      const uint64_t shared = Binomial(du - 2, ux - 2);
+      if (shared > 0) {
+        for (VertexId t : graph.Neighbors(u)) {
+          if (t != v && is_alive(t)) report(t, shared);
+        }
+      }
+    }
+  }
+  return destroyed;
+}
+
+/// Per-worker 2-path scratch of the 4-cycle formulas: a path counter per
+/// vertex (all zero between uses) and the endpoints touched by one vertex.
+struct FourCycleScratch {
+  explicit FourCycleScratch(VertexId n) : paths(n, 0) {}
+  std::vector<uint64_t> paths;
+  std::vector<VertexId> endpoints;
+};
+
+/// Counts the alive 2-paths v-u-w (u, w alive, w != v) into scratch.paths,
+/// listing each endpoint once in scratch.endpoints. The caller resets
+/// paths[w] for the listed endpoints when done.
+template <typename AliveFn>
+void CountTwoPaths(const Graph& graph, VertexId v, const AliveFn& is_alive,
+                   FourCycleScratch& scratch) {
+  scratch.endpoints.clear();
+  for (VertexId u : graph.Neighbors(v)) {
+    if (!is_alive(u)) continue;
+    for (VertexId w : graph.Neighbors(u)) {
+      if (w == v || !is_alive(w)) continue;
+      if (scratch.paths[w] == 0) scratch.endpoints.push_back(w);
+      ++scratch.paths[w];
+    }
+  }
+}
+
+/// Appendix D.2.2, loop (4-cycle) peeling: same contract as StarPeelMember
+/// for the diamond pattern, via 2-path group bookkeeping (O(d^2)); reports
+/// only positive counts.
+template <typename AliveFn, typename ReportFn>
+uint64_t FourCyclePeelMember(const Graph& graph, VertexId v,
+                             const AliveFn& is_alive,
+                             FourCycleScratch& scratch,
+                             const ReportFn& report) {
+  // P(w): number of alive 2-paths v -> w. Every unordered pair of such paths
+  // is a destroyed 4-cycle, and w is the corner opposite v in it.
+  CountTwoPaths(graph, v, is_alive, scratch);
+  std::vector<uint64_t>& paths = scratch.paths;
+  uint64_t destroyed = 0;
+  for (VertexId w : scratch.endpoints) {
+    const uint64_t pairs = paths[w] * (paths[w] - 1) / 2;
+    destroyed += pairs;
+    if (pairs > 0) report(w, pairs);
+  }
+  // Middle vertices: u on the path v-u-w loses one cycle per OTHER path to
+  // the same endpoint w.
+  for (VertexId u : graph.Neighbors(v)) {
+    if (!is_alive(u)) continue;
+    uint64_t lost = 0;
+    for (VertexId w : graph.Neighbors(u)) {
+      if (w == v || !is_alive(w)) continue;
+      lost += paths[w] - 1;
+    }
+    if (lost > 0) report(u, lost);
+  }
+  for (VertexId w : scratch.endpoints) paths[w] = 0;
+  return destroyed;
+}
+
+/// StarPeelMember under an alive mask (the caller already cleared v's bit).
 uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
                         std::span<const char> alive,
                         const std::function<void(VertexId, uint64_t)>& cb);
 
-/// Appendix D.2.2, loop (4-cycle) peeling: same contract as StarPeelVertex
-/// for the diamond pattern, via 2-path group bookkeeping (O(d^2)).
+/// FourCyclePeelMember under an alive mask, with a fresh O(n) scratch.
 uint64_t FourCyclePeelVertex(
     const Graph& graph, VertexId v, std::span<const char> alive,
     const std::function<void(VertexId, uint64_t)>& cb);

@@ -179,21 +179,24 @@ TEST_P(ParallelPatternTest, GenericDegreesAndCountMatchSequential) {
   }
 }
 
-TEST_P(ParallelPatternTest, SpecialKernelsMatchSequential) {
+TEST_P(ParallelPatternTest, SpecialKernelsMatchGenericEngine) {
+  // The appendix-D closed forms at each thread count against the plan-
+  // compiled engine, an independent implementation of the same degrees.
   const unsigned threads = GetParam();
   Graph g = gen::BarabasiAlbert(120, 4, 21);
   std::vector<char> alive(g.NumVertices(), 1);
   for (VertexId v = 1; v < g.NumVertices(); v += 5) alive[v] = 0;
   for (int x : {2, 3, 4}) {
-    EXPECT_EQ(ParallelStarDegrees(g, x, alive, threads),
-              StarDegrees(g, x, alive))
+    PatternMatcher star(g, Pattern::Star(x));
+    EXPECT_EQ(StarDegrees(g, x, alive, threads), star.Degrees(alive))
         << "x=" << x;
-    EXPECT_EQ(ParallelStarCount(g, x, alive, threads), StarCount(g, x, alive))
+    EXPECT_EQ(StarCount(g, x, alive, threads), star.CountInstances(alive))
         << "x=" << x;
   }
-  EXPECT_EQ(ParallelFourCycleDegrees(g, alive, threads),
-            FourCycleDegrees(g, alive));
-  EXPECT_EQ(ParallelFourCycleCount(g, {}, threads), FourCycleCount(g, {}));
+  PatternMatcher cycle(g, Pattern::Cycle(4));
+  EXPECT_EQ(FourCycleDegrees(g, alive, threads), cycle.Degrees(alive));
+  EXPECT_EQ(FourCycleCount(g, alive, threads), cycle.CountInstances(alive));
+  EXPECT_EQ(FourCycleCount(g, {}, threads), cycle.CountInstances({}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelPatternTest,
@@ -319,7 +322,9 @@ TEST_P(ParallelPeelBatchTest, StarBatchMatchesSequentialLoop) {
   const std::vector<VertexId> frontier = SampleFrontier(alive);
   ASSERT_GE(frontier.size(), kMinParallelPeelFrontier);
   for (int x : {2, 3, 4}) {
-    PatternOracle oracle(Pattern::Star(x));
+    // The generic engine's loop is the reference: the closed-form loop
+    // shares the peel body under test.
+    PatternOracle oracle(Pattern::Star(x), /*use_special_kernels=*/false);
     BatchResult sequential = RunBatch(
         frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
           return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
@@ -345,7 +350,7 @@ TEST_P(ParallelPeelBatchTest, FourCycleBatchMatchesSequentialLoop) {
   std::vector<char> alive(g.NumVertices(), 1);
   const std::vector<VertexId> frontier = SampleFrontier(alive);
   ASSERT_GE(frontier.size(), kMinParallelPeelFrontier);
-  PatternOracle oracle(Pattern::Cycle(4));
+  PatternOracle oracle(Pattern::Cycle(4), /*use_special_kernels=*/false);
   BatchResult sequential = RunBatch(
       frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
         return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
@@ -353,18 +358,14 @@ TEST_P(ParallelPeelBatchTest, FourCycleBatchMatchesSequentialLoop) {
       });
   ExecutionContext ctx;
   ctx.threads = threads == 0 ? 8 : threads;
-  for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 12, uint64_t{1} << 30}) {
-    BatchResult parallel = RunBatch(
-        frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
-          return ParallelFourCyclePeelBatch(g, f, {mask.data(), mask.size()},
-                                            cb, ctx, budget);
-        });
-    EXPECT_EQ(parallel.destroyed, sequential.destroyed) << "budget=" << budget;
-    EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas)
-        << "budget=" << budget;
-    EXPECT_EQ(parallel.alive_after, sequential.alive_after)
-        << "budget=" << budget;
-  }
+  BatchResult parallel = RunBatch(
+      frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+        return ParallelFourCyclePeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                          ctx);
+      });
+  EXPECT_EQ(parallel.destroyed, sequential.destroyed);
+  EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas);
+  EXPECT_EQ(parallel.alive_after, sequential.alive_after);
 }
 
 TEST_P(ParallelPeelBatchTest, GenericPatternBatchMatchesSequentialLoop) {
@@ -412,11 +413,20 @@ TEST_P(ParallelPeelBatchTest, ExpiredDeadlineTruncatesToPrefix) {
   // An already-expired context processes nothing: no alive bit may change.
   EXPECT_TRUE(destroyed.empty());
   EXPECT_EQ(mask, alive);
-  // Same truncation contract for the generic pattern kernel.
+  // Same truncation contract for the generic and closed-form kernels.
   const PatternPlanSet plans(Pattern::C3Star());
   destroyed = ParallelPatternPeelBatch(g, plans, frontier,
                                        {mask.data(), mask.size()},
                                        [](VertexId, uint64_t) {}, ctx);
+  EXPECT_TRUE(destroyed.empty());
+  EXPECT_EQ(mask, alive);
+  destroyed = ParallelStarPeelBatch(g, 3, frontier, {mask.data(), mask.size()},
+                                    [](VertexId, uint64_t) {}, ctx);
+  EXPECT_TRUE(destroyed.empty());
+  EXPECT_EQ(mask, alive);
+  destroyed = ParallelFourCyclePeelBatch(g, frontier,
+                                         {mask.data(), mask.size()},
+                                         [](VertexId, uint64_t) {}, ctx);
   EXPECT_TRUE(destroyed.empty());
   EXPECT_EQ(mask, alive);
 }
@@ -525,39 +535,6 @@ TEST(ParallelPatternHubSplit, RootSlicesPartitionEmbeddings) {
           s, slices);
     }
     EXPECT_EQ(sliced_total, full) << slices;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Four-cycle scratch budget: the worker-count clamp and its no-op effect on
-// results.
-
-TEST(FourCycleScratchBudget, CapMath) {
-  // 0 = unbounded, and a budget always admits at least one worker.
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 0),
-            std::numeric_limits<unsigned>::max());
-  const uint64_t per_worker = 1000 * (sizeof(uint64_t) + sizeof(VertexId));
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 4 * per_worker), 4u);
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, per_worker - 1), 1u);
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 1), 1u);
-}
-
-TEST(FourCycleScratchBudget, ClampedKernelMatchesUnclamped) {
-  Graph g = gen::ErdosRenyi(120, 0.1, 77);
-  std::vector<char> alive(g.NumVertices(), 1);
-  for (VertexId v = 0; v < g.NumVertices(); v += 6) alive[v] = 0;
-  const std::vector<uint64_t> expected = FourCycleDegrees(g, alive);
-  const uint64_t per_worker =
-      g.NumVertices() * (sizeof(uint64_t) + sizeof(VertexId));
-  // A budget for exactly 2 workers under an 8-thread request clamps to 2;
-  // a 1-worker budget degrades to the sequential path. Results never move.
-  EXPECT_EQ(FourCycleScratchWorkerCap(g.NumVertices(), 2 * per_worker), 2u);
-  for (uint64_t budget : {uint64_t{0}, 2 * per_worker, per_worker / 2}) {
-    EXPECT_EQ(ParallelFourCycleDegrees(g, alive, 8, budget), expected)
-        << budget;
-    EXPECT_EQ(ParallelFourCycleCount(g, alive, 8, budget),
-              FourCycleCount(g, alive))
-        << budget;
   }
 }
 

@@ -256,39 +256,56 @@ std::pair<uint64_t, std::map<VertexId, uint64_t>> GenericPeel(
 class SpecialPeelTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpecialPeelTest, StarPeelMatchesGeneric) {
-  Graph g = gen::ErdosRenyi(24, 0.25, GetParam() + 300);
-  std::vector<char> alive(g.NumVertices(), 1);
-  for (int x = 2; x <= 3; ++x) {
-    Pattern p = Pattern::Star(x);
-    for (VertexId v = 0; v < g.NumVertices(); v += 5) {
-      std::vector<char> mask = alive;
-      mask[v] = 0;
-      auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
-      std::map<VertexId, uint64_t> got_hits;
-      uint64_t got_destroyed = StarPeelVertex(
-          g, x, v, mask,
-          [&](VertexId u, uint64_t c) { got_hits[u] += c; });
-      std::erase_if(got_hits, [](const auto& kv) { return kv.second == 0; });
-      EXPECT_EQ(got_destroyed, want_destroyed) << "x=" << x << " v=" << v;
-      EXPECT_EQ(got_hits, want_hits) << "x=" << x << " v=" << v;
+  // A sparse random graph, and a hub-heavy one whose high-degree centers
+  // exercise case c (stars sharing v and another tail) hard.
+  const int seed = GetParam();
+  for (const Graph& g : {gen::ErdosRenyi(24, 0.25, seed + 300),
+                         gen::BarabasiAlbert(36, 3, seed + 400)}) {
+    const VertexId n = g.NumVertices();
+    for (int x = 2; x <= 4; ++x) {
+      Pattern p = Pattern::Star(x);
+      for (VertexId v = 0; v < n; v += 5) {
+        for (bool extra_dead : {false, true}) {
+          std::vector<char> mask(n, 1);
+          if (extra_dead) {
+            for (VertexId u = (v + 2) % 3; u < n; u += 3) mask[u] = 0;
+          }
+          mask[v] = 0;
+          auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
+          std::map<VertexId, uint64_t> got_hits;
+          uint64_t got_destroyed = StarPeelVertex(
+              g, x, v, mask,
+              [&](VertexId u, uint64_t c) { got_hits[u] += c; });
+          std::erase_if(got_hits,
+                        [](const auto& kv) { return kv.second == 0; });
+          EXPECT_EQ(got_destroyed, want_destroyed)
+              << "n=" << n << " x=" << x << " v=" << v << " " << extra_dead;
+          EXPECT_EQ(got_hits, want_hits)
+              << "n=" << n << " x=" << x << " v=" << v << " " << extra_dead;
+        }
+      }
     }
   }
 }
 
 TEST_P(SpecialPeelTest, FourCyclePeelMatchesGeneric) {
-  Graph g = gen::ErdosRenyi(22, 0.3, GetParam() + 600);
+  const int seed = GetParam();
   Pattern p = Pattern::Diamond();
-  for (VertexId v = 0; v < g.NumVertices(); v += 4) {
-    std::vector<char> mask(g.NumVertices(), 1);
-    mask[v] = 0;
-    mask[(v + 7) % g.NumVertices()] = 0;  // an extra dead vertex
-    auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
-    std::map<VertexId, uint64_t> got_hits;
-    uint64_t got_destroyed = FourCyclePeelVertex(
-        g, v, mask, [&](VertexId u, uint64_t c) { got_hits[u] += c; });
-    std::erase_if(got_hits, [](const auto& kv) { return kv.second == 0; });
-    EXPECT_EQ(got_destroyed, want_destroyed) << "v=" << v;
-    EXPECT_EQ(got_hits, want_hits) << "v=" << v;
+  for (const Graph& g : {gen::ErdosRenyi(22, 0.3, seed + 600),
+                         gen::BarabasiAlbert(36, 3, seed + 700)}) {
+    const VertexId n = g.NumVertices();
+    for (VertexId v = 0; v < n; v += 4) {
+      std::vector<char> mask(n, 1);
+      mask[v] = 0;
+      mask[(v + 7) % n] = 0;  // an extra dead vertex
+      auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
+      std::map<VertexId, uint64_t> got_hits;
+      uint64_t got_destroyed = FourCyclePeelVertex(
+          g, v, mask, [&](VertexId u, uint64_t c) { got_hits[u] += c; });
+      std::erase_if(got_hits, [](const auto& kv) { return kv.second == 0; });
+      EXPECT_EQ(got_destroyed, want_destroyed) << "n=" << n << " v=" << v;
+      EXPECT_EQ(got_hits, want_hits) << "n=" << n << " v=" << v;
+    }
   }
 }
 
