@@ -3,6 +3,7 @@
 // matching. These are throughput baselines for regressions, not paper
 // figures.
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "dsd/core_exact.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
+#include "dsd/oracle_factory.h"
 #include "flow/flow_network.h"
 #include "graph/generators.h"
 #include "pattern/isomorphism.h"
@@ -66,14 +68,54 @@ void BM_CliquePeelVertex(benchmark::State& state) {
 }
 BENCHMARK(BM_CliquePeelVertex)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_MotifCoreDecompose(benchmark::State& state) {
-  Graph g = BenchGraph(5000);
-  CliqueOracle oracle(static_cast<int>(state.range(0)));
+// Motif-core decomposition (the peel engine behind peel, core-app, at-least
+// and query) at state.range(0) threads. count_ms is the time inside
+// PeelBatch; the rest of a row is the initial Degrees, the bracket pops and
+// the apply stage (refiling survivors into the BucketQueue).
+void BM_MotifCoreDecompose(benchmark::State& state, const char* motif,
+                           Graph (*make_graph)()) {
+  const Graph g = make_graph();
+  OracleOptions options;
+  options.threads = static_cast<unsigned>(state.range(0));
+  std::unique_ptr<MotifOracle> oracle = MakeOracle(motif, options).value();
+  ExecutionContext ctx;
+  ctx.threads = options.threads;
+  uint64_t count_ns = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MotifCoreDecompose(g, oracle));
+    MotifCoreDecomposition d = MotifCoreDecompose(g, *oracle, ctx);
+    count_ns += d.peel_stats.refill_ns;
+    benchmark::DoNotOptimize(d);
   }
+  state.counters["count_ms"] = benchmark::Counter(
+      static_cast<double>(count_ns) / 1e6, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_MotifCoreDecompose)->Arg(2)->Arg(3)->Arg(4);
+
+Graph CliqueDecomposeGraph() { return BenchGraph(5000); }
+
+// The shape of perfbench's batch-peel pattern graph: 30k vertices, a
+// Barabasi-Albert backbone (m = 3) and 16 planted 16-vertex communities.
+// Its 3-star degrees reach far past the queue's near band.
+Graph PatternDecomposeGraph() {
+  return gen::PowerLawWithCommunities(30000, 3, 16, 16, 0.9, 0xB3);
+}
+
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, edge, "edge", &CliqueDecomposeGraph)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, triangle, "triangle",
+                  &CliqueDecomposeGraph)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, 4-clique, "4-clique",
+                  &CliqueDecomposeGraph)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, 3-star, "3-star",
+                  &PatternDecomposeGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, diamond, "diamond",
+                  &PatternDecomposeGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MotifCoreDecompose, basket, "basket",
+                  &PatternDecomposeGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_CoreApp(benchmark::State& state) {
   Graph g = BenchGraph(20000);

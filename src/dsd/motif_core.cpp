@@ -71,7 +71,7 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
 
   // Batch-bracket peeling: a monotone bucket queue (lazy entries, dense
   // near band sized O(n) so astronomically large motif-degrees spill to its
-  // sparse far map) yields whole lowest-degree brackets; each bracket is
+  // far heap) yields whole lowest-degree brackets; each bracket is
   // removed through one PeelBatch call (which matches one-vertex-at-a-time
   // removal in ascending-id order exactly, so the decomposition is
   // deterministic and thread-count independent while a parallel oracle
@@ -84,6 +84,9 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
   std::vector<char> alive(n, 1);
   std::vector<uint64_t> delta(n, 0);
   std::vector<VertexId> touched;
+  // One bracket buffer for the whole run: each pop trades its storage with
+  // the popped bucket's, so neither side reallocates once warm.
+  std::vector<VertexId> frontier;
   PeelEngineStats& stats = result.peel_stats;
   uint64_t k = 0;
   VertexId remaining_vertices = n;
@@ -101,11 +104,11 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
     // downstream (densities, removal_order, survivor deltas) is derived
     // from this one order, so sequential and parallel peels agree bitwise.
     uint64_t bracket_degree = 0;
-    std::vector<VertexId> frontier = queue.PopMinBucket(
+    const bool popped = queue.PopMinBucket(
         [&](VertexId v, uint64_t d) { return alive[v] != 0 && degree[v] == d; },
-        &bracket_degree);
-    assert(!frontier.empty());
-    if (frontier.empty()) {
+        &bracket_degree, &frontier);
+    assert(popped);
+    if (!popped) {
       // Defensive (cannot happen: every alive vertex has a live entry).
       // Degrade to the documented truncation semantics so removal_order
       // stays a permutation even if the invariant ever drifts.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
@@ -13,13 +12,15 @@
 
 namespace dsd {
 
-// ---------------------------------------------------------------------------
-// MotifOracle
+namespace {
 
-std::vector<uint64_t> MotifOracle::PeelBatch(
-    const Graph& graph, std::span<const VertexId> frontier,
-    std::span<char> alive, const PeelCallback& cb,
-    const ExecutionContext& ctx) const {
+// The sequential PeelBatch loop: clears each member's alive bit in frontier
+// order and collects peel_one(v)'s destroyed counts.
+template <typename PeelOne>
+std::vector<uint64_t> PeelInOrder(std::span<const VertexId> frontier,
+                                  std::span<char> alive,
+                                  const ExecutionContext& ctx,
+                                  PeelOne&& peel_one) {
   std::vector<uint64_t> destroyed;
   destroyed.reserve(frontier.size());
   // Cancel is checked per removal (deterministic truncation point); the
@@ -29,9 +30,23 @@ std::vector<uint64_t> MotifOracle::PeelBatch(
     if (poller.ShouldStop()) break;
     // Member i is peeled with frontier[0..i) dead.
     alive[v] = 0;
-    destroyed.push_back(PeelVertex(graph, v, alive, cb));
+    destroyed.push_back(peel_one(v));
   }
   return destroyed;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// MotifOracle
+
+std::vector<uint64_t> MotifOracle::PeelBatch(
+    const Graph& graph, std::span<const VertexId> frontier,
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) const {
+  return PeelInOrder(frontier, alive, ctx, [&](VertexId v) {
+    return PeelVertex(graph, v, alive, cb);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -139,28 +154,60 @@ uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
   return PatternMatcher(graph, plans_).CountInstances(alive);
 }
 
+// One member's sequential peel, with the scratch a bracket's members share:
+// the matcher's O(k) search buffers, and the 4-cycle's O(n) 2-path counters
+// (sized only for the 4-cycle kernel; FourCyclePeelMember leaves them
+// all-zero again).
+class PatternOracle::Peeler {
+ public:
+  Peeler(const PatternOracle& oracle, const Graph& graph)
+      : oracle_(oracle),
+        graph_(graph),
+        matcher_(graph, oracle.plans_),
+        scratch_(matcher_.MakeScratch()),
+        four_cycle_(oracle.is_four_cycle_ ? graph.NumVertices() : 0) {}
+
+  uint64_t Peel(VertexId v, std::span<const char> alive,
+                const PeelCallback& cb) {
+    // Appendix D fast paths: closed-form O(d^2) peeling for stars and loops.
+    if (oracle_.star_tails_ >= 2) {
+      return StarPeelVertex(graph_, oracle_.star_tails_, v, alive, cb);
+    }
+    if (oracle_.is_four_cycle_) {
+      return FourCyclePeelMember(
+          graph_, v,
+          [alive](VertexId u) { return alive.empty() || alive[u] != 0; },
+          four_cycle_, cb);
+    }
+    // Canonical instance-level peel: each destroyed instance is matched once
+    // (no automorphism division), and the folded reduction reports weighted
+    // per-member hits straight to cb without materializing images.
+    return matcher_.PeelContaining(v, /*rank=*/{}, /*my_rank=*/0, alive,
+                                   scratch_, cb);
+  }
+
+ private:
+  const PatternOracle& oracle_;
+  const Graph& graph_;
+  PatternMatcher matcher_;
+  PatternMatcher::Scratch scratch_;
+  FourCycleScratch four_cycle_;
+};
+
 uint64_t PatternOracle::PeelVertex(const Graph& graph, VertexId v,
                                    std::span<const char> alive,
                                    const PeelCallback& cb) const {
-  // Appendix D fast paths: closed-form O(d^2) peeling for stars and loops.
-  if (star_tails_ >= 2) {
-    return StarPeelVertex(graph, star_tails_, v, alive, cb);
-  }
-  if (is_four_cycle_) {
-    return FourCyclePeelVertex(graph, v, alive, cb);
-  }
-  // Canonical instance-level peel: each destroyed instance is matched once
-  // (no automorphism division), and the folded reduction reports weighted
-  // per-member hits without materializing images. Aggregate those into one
-  // cb call per vertex, matching the pre-plan behaviour.
-  PatternMatcher matcher(graph, plans_);
-  PatternMatcher::Scratch scratch = matcher.MakeScratch();
-  std::unordered_map<VertexId, uint64_t> hits;
-  const uint64_t destroyed = matcher.PeelContaining(
-      v, /*rank=*/{}, /*my_rank=*/0, alive, scratch,
-      [&](VertexId u, uint64_t count) { hits[u] += count; });
-  for (const auto& [u, count] : hits) cb(u, count);
-  return destroyed;
+  return Peeler(*this, graph).Peel(v, alive, cb);
+}
+
+std::vector<uint64_t> PatternOracle::PeelBatch(
+    const Graph& graph, std::span<const VertexId> frontier,
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) const {
+  Peeler peeler(*this, graph);
+  return PeelInOrder(frontier, alive, ctx, [&](VertexId v) {
+    return peeler.Peel(v, alive, cb);
+  });
 }
 
 std::vector<InstanceGroup> PatternOracle::Groups(

@@ -192,6 +192,14 @@ class PatternOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
+  /// The PeelVertex loop with one peel scratch shared by the whole bracket
+  /// (the 4-cycle's O(n) 2-path counters are built once per call, not per
+  /// member).
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive,
+                                  const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override;
   std::vector<InstanceGroup> Groups(const Graph& graph,
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(
@@ -218,6 +226,8 @@ class PatternOracle : public MotifOracle {
   const PatternPlanSet& plans() const { return plans_; }
 
  private:
+  class Peeler;
+
   PatternPlanSet plans_;  // owns the pattern
   int star_tails_;        // > 0 iff pattern is K_{1,x}
   bool is_four_cycle_;

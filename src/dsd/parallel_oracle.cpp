@@ -106,7 +106,7 @@ std::vector<uint64_t> ParallelPatternOracle::PeelBatch(
     }
   }
   // Brackets too small to amortise worker spawn (or a sequential context)
-  // keep the default PeelVertex loop.
+  // keep the sequential loop.
   return PatternOracle::PeelBatch(graph, frontier, alive, cb, ctx);
 }
 

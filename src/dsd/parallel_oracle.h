@@ -84,8 +84,8 @@ class ParallelPatternOracle : public PatternOracle {
   /// Stars and 4-cycles take the parallel closed-form frontier kernels;
   /// every other pattern takes the generic rank-masked kernel,
   /// so the thread budget is honored for arbitrary motifs too. Brackets too
-  /// small to amortise a kernel's setup keep the default PeelVertex loop.
-  /// Every path returns the same bits.
+  /// small to amortise a kernel's setup keep PatternOracle's sequential
+  /// loop. Every path returns the same bits.
   std::vector<uint64_t> PeelBatch(const Graph& graph,
                                   std::span<const VertexId> frontier,
                                   std::span<char> alive, const PeelCallback& cb,

@@ -221,19 +221,22 @@ void PatternMatcher::Extend(const PatternPlan& plan, size_t level,
   // Hub slicing applies to the root's own candidate loop only (level 1,
   // where the anchor is necessarily the root): the stride is over adjacency
   // positions, before any filtering, so the slices partition the loop
-  // regardless of alive mask, used marks, or policy filters.
+  // regardless of alive mask, path checks, or policy filters.
   const bool sliced = level == 1 && num_slices > 1;
   uint64_t terminal_hits = 0;
   size_t position = 0;
   for (VertexId u : graph_.Neighbors(scratch.placed[anchor])) {
     const size_t index = position++;
     if (sliced && index % num_slices != slice) continue;
-    if (scratch.used_graph[u]) continue;
     if (!alive.empty() && !alive[u]) continue;
     if constexpr (kHasAdmit<Policy>) {
       if (!policy.Admit(u)) continue;
     }
+    // Already on the path: patterns have at most 31 vertices, so scanning
+    // the placed prefix keeps the scratch O(k) instead of an O(n) mark
+    // array.
     bool ok = true;
+    for (size_t l = 0; ok && l < level; ++l) ok = u != scratch.placed[l];
     for (uint32_t m = lv.greater; ok && m != 0; m &= m - 1) {
       ok = u > scratch.placed[std::countr_zero(m)];
     }
@@ -257,9 +260,7 @@ void PatternMatcher::Extend(const PatternPlan& plan, size_t level,
     } else {
       scratch.placed[level] = u;
       scratch.image[lv.pattern_vertex] = u;
-      scratch.used_graph[u] = 1;
       Extend(plan, level + 1, alive, scratch, slice, num_slices, policy);
-      scratch.used_graph[u] = 0;
     }
   }
   if constexpr (!kMaterializes<Policy>) {
@@ -290,9 +291,7 @@ void PatternMatcher::RunFromRoot(const PatternPlan& plan, VertexId root,
     }
     return;
   }
-  scratch.used_graph[root] = 1;
   Extend(plan, 1, alive, scratch, slice, num_slices, policy);
-  scratch.used_graph[root] = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -310,8 +309,7 @@ PatternMatcher::PatternMatcher(const Graph& graph, const Pattern& pattern,
 
 PatternMatcher::Scratch PatternMatcher::MakeScratch() const {
   const size_t k = static_cast<size_t>(pattern().size());
-  return {std::vector<VertexId>(k), std::vector<VertexId>(k),
-          std::vector<char>(graph_.NumVertices(), 0)};
+  return {std::vector<VertexId>(k), std::vector<VertexId>(k)};
 }
 
 void PatternMatcher::MatchAll(std::span<const char> alive,

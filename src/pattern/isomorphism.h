@@ -125,11 +125,11 @@ class PatternPlanSet {
 /// worker its own Scratch.
 class PatternMatcher {
  public:
-  /// Reusable search buffers, sized by MakeScratch(). One per worker.
+  /// Reusable search buffers, sized by MakeScratch(): O(k), independent of
+  /// the graph. One per worker.
   struct Scratch {
     std::vector<VertexId> image;   // pattern vertex -> data vertex
-    std::vector<VertexId> placed;  // level -> data vertex
-    std::vector<char> used_graph;  // data vertices on the current path
+    std::vector<VertexId> placed;  // level -> data vertex on the current path
   };
 
   /// Non-owning view over caller-owned plans (the oracle path: plans are
@@ -141,7 +141,7 @@ class PatternMatcher {
   PatternMatcher(const Graph& graph, const Pattern& pattern,
                  MatchSemantics semantics = MatchSemantics::kInstances);
 
-  /// Scratch buffers sized for this (graph, pattern) pair, all-clear.
+  /// Scratch buffers sized for this pattern.
   Scratch MakeScratch() const;
 
   /// Invokes cb for every match using only alive vertices. An empty
@@ -153,8 +153,8 @@ class PatternMatcher {
   /// Roots partition the match space — every match has exactly one such
   /// image — so MatchAll == union over all roots, which is what lets the
   /// parallel kernels shard this loop per root. `scratch` must come from
-  /// MakeScratch() and not be shared between concurrent calls; its
-  /// used_graph is all-clear again on return.
+  /// MakeScratch() and not be shared between concurrent calls; no state
+  /// carries from one call to the next.
   ///
   /// (slice, num_slices) sub-partitions one root's matches for hub
   /// load-balancing: slice s covers the candidates at positions s, s+S,

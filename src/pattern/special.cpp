@@ -121,13 +121,4 @@ uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
       graph, x, v, [alive](VertexId u) { return IsAlive(alive, u); }, cb);
 }
 
-uint64_t FourCyclePeelVertex(
-    const Graph& graph, VertexId v, std::span<const char> alive,
-    const std::function<void(VertexId, uint64_t)>& cb) {
-  FourCycleScratch scratch(graph.NumVertices());
-  return FourCyclePeelMember(
-      graph, v, [alive](VertexId u) { return IsAlive(alive, u); }, scratch,
-      cb);
-}
-
 }  // namespace dsd

@@ -154,11 +154,6 @@ uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
                         std::span<const char> alive,
                         const std::function<void(VertexId, uint64_t)>& cb);
 
-/// FourCyclePeelMember under an alive mask, with a fresh O(n) scratch.
-uint64_t FourCyclePeelVertex(
-    const Graph& graph, VertexId v, std::span<const char> alive,
-    const std::function<void(VertexId, uint64_t)>& cb);
-
 }  // namespace dsd
 
 #endif  // DSD_PATTERN_SPECIAL_H_

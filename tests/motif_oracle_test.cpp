@@ -92,6 +92,51 @@ TEST(PatternOracle, PeelConsistentWithDegreeDrop) {
   }
 }
 
+// At 1 thread PatternOracle::PeelBatch peels a bracket with one shared peel
+// scratch; it must equal a loop of PeelVertex calls, each with a fresh one.
+// A hub-heavy graph with some vertices already dead, so scratch state that
+// leaked from one member to the next would change the counts.
+TEST(PatternOracle, PeelBatchMatchesFreshScratchLoop) {
+  Graph g = gen::BarabasiAlbert(240, 4, 29);
+  const VertexId n = g.NumVertices();
+  std::vector<char> alive(n, 1);
+  for (VertexId v = 2; v < n; v += 7) alive[v] = 0;
+  std::vector<VertexId> frontier;  // every 3rd alive vertex, hubs included
+  for (VertexId v = 0; v < n; v += 3) {
+    if (alive[v]) frontier.push_back(v);
+  }
+  for (const Pattern& pattern :
+       {Pattern::Diamond(), Pattern::Star(3), Pattern::Basket()}) {
+    PatternOracle oracle(pattern);
+    std::vector<char> batch_alive = alive;
+    std::map<VertexId, uint64_t> batch_hits;
+    const std::vector<uint64_t> batch_destroyed = oracle.PeelBatch(
+        g, frontier, {batch_alive.data(), batch_alive.size()},
+        [&](VertexId u, uint64_t c) { batch_hits[u] += c; },
+        ExecutionContext());
+
+    std::vector<char> loop_alive = alive;
+    std::map<VertexId, uint64_t> loop_hits;
+    std::vector<uint64_t> loop_destroyed;
+    for (VertexId v : frontier) {
+      loop_alive[v] = 0;
+      loop_destroyed.push_back(
+          oracle.PeelVertex(g, v, loop_alive, [&](VertexId u, uint64_t c) {
+            loop_hits[u] += c;
+          }));
+    }
+    std::erase_if(batch_hits, [](const auto& kv) { return kv.second == 0; });
+    std::erase_if(loop_hits, [](const auto& kv) { return kv.second == 0; });
+
+    uint64_t total = 0;
+    for (uint64_t d : loop_destroyed) total += d;
+    EXPECT_GT(total, 0u) << pattern.name();
+    EXPECT_EQ(batch_destroyed, loop_destroyed) << pattern.name();
+    EXPECT_EQ(batch_hits, loop_hits) << pattern.name();
+    EXPECT_EQ(batch_alive, loop_alive) << pattern.name();
+  }
+}
+
 TEST(CliqueOracle, GroupsAreSingletonInstances) {
   Graph g = gen::ErdosRenyi(20, 0.4, 23);
   CliqueOracle oracle(3);

@@ -294,14 +294,18 @@ TEST_P(SpecialPeelTest, FourCyclePeelMatchesGeneric) {
   for (const Graph& g : {gen::ErdosRenyi(22, 0.3, seed + 600),
                          gen::BarabasiAlbert(36, 3, seed + 700)}) {
     const VertexId n = g.NumVertices();
+    // One scratch for every peel, as a bracket shares it: each peel must
+    // leave it all-zero for the next.
+    FourCycleScratch scratch(n);
     for (VertexId v = 0; v < n; v += 4) {
       std::vector<char> mask(n, 1);
       mask[v] = 0;
       mask[(v + 7) % n] = 0;  // an extra dead vertex
       auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
       std::map<VertexId, uint64_t> got_hits;
-      uint64_t got_destroyed = FourCyclePeelVertex(
-          g, v, mask, [&](VertexId u, uint64_t c) { got_hits[u] += c; });
+      uint64_t got_destroyed = FourCyclePeelMember(
+          g, v, [&](VertexId u) { return mask[u] != 0; }, scratch,
+          [&](VertexId u, uint64_t c) { got_hits[u] += c; });
       std::erase_if(got_hits, [](const auto& kv) { return kv.second == 0; });
       EXPECT_EQ(got_destroyed, want_destroyed) << "n=" << n << " v=" << v;
       EXPECT_EQ(got_hits, want_hits) << "n=" << n << " v=" << v;

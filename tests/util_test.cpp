@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/bucket_queue.h"
@@ -64,6 +66,15 @@ TEST(Binomial, SaturatesOnOverflow) {
 // Accepts every entry as current (no external degree table).
 const auto kAlwaysCurrent = [](VertexId, uint64_t) { return true; };
 
+// PopMinBucket into a fresh buffer: the bracket, empty once none is left.
+template <typename IsCurrent>
+std::vector<VertexId> Pop(BucketQueue& queue, IsCurrent&& is_current,
+                          uint64_t* degree) {
+  std::vector<VertexId> bucket;
+  queue.PopMinBucket(is_current, degree, &bucket);
+  return bucket;
+}
+
 TEST(BucketQueue, PopsBucketsInDegreeOrder) {
   BucketQueue queue(/*near_limit=*/16);
   queue.Push(0, 3);
@@ -71,17 +82,17 @@ TEST(BucketQueue, PopsBucketsInDegreeOrder) {
   queue.Push(2, 3);
   queue.Push(3, 7);
   uint64_t degree = 0;
-  std::vector<VertexId> bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  std::vector<VertexId> bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 1u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{1}));
-  bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 3u);
   std::sort(bucket.begin(), bucket.end());
   EXPECT_EQ(bucket, (std::vector<VertexId>{0, 2}));
-  bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 7u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{3}));
-  EXPECT_TRUE(queue.PopMinBucket(kAlwaysCurrent, &degree).empty());
+  EXPECT_TRUE(Pop(queue, kAlwaysCurrent, &degree).empty());
 }
 
 TEST(BucketQueue, StaleEntriesAreFiltered) {
@@ -94,15 +105,15 @@ TEST(BucketQueue, StaleEntriesAreFiltered) {
     return current_degree[v] == d;
   };
   BucketQueue queue(/*near_limit=*/4);
-  queue.Push(5, 9);  // goes to the far map (>= near_limit)
+  queue.Push(5, 9);  // goes to the far heap (>= near_limit)
   queue.Push(6, 9);
   queue.Push(5, 2);  // degree update lands in the near band
   uint64_t degree = 0;
-  std::vector<VertexId> bucket = queue.PopMinBucket(is_current, &degree);
+  std::vector<VertexId> bucket = Pop(queue, is_current, &degree);
   EXPECT_EQ(degree, 2u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{5}));
   // The far bucket at 9 still holds {5 (stale), 6}: only 6 survives.
-  bucket = queue.PopMinBucket(is_current, &degree);
+  bucket = Pop(queue, is_current, &degree);
   EXPECT_EQ(degree, 9u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{6}));
 }
@@ -111,21 +122,21 @@ TEST(BucketQueue, CursorMovesBackwardOnLowPush) {
   BucketQueue queue(/*near_limit=*/64);
   queue.Push(0, 10);
   uint64_t degree = 0;
-  EXPECT_EQ(queue.PopMinBucket(kAlwaysCurrent, &degree).size(), 1u);
+  EXPECT_EQ(Pop(queue, kAlwaysCurrent, &degree).size(), 1u);
   EXPECT_EQ(degree, 10u);
   // After popping at 10, a later push below 10 must still surface first.
   queue.Push(1, 12);
   queue.Push(2, 3);
-  std::vector<VertexId> bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  std::vector<VertexId> bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 3u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{2}));
-  bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 12u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{1}));
 }
 
 TEST(BucketQueue, HugeDegreesSpillToFarMap) {
-  // Motif-degrees can exceed any sane array size; the far map handles them
+  // Motif-degrees can exceed any sane array size; the far heap handles them
   // without allocating the degree range.
   BucketQueue queue(/*near_limit=*/128);
   const uint64_t huge = uint64_t{1} << 60;
@@ -133,12 +144,12 @@ TEST(BucketQueue, HugeDegreesSpillToFarMap) {
   queue.Push(1, huge - 1);
   queue.Push(2, 5);
   uint64_t degree = 0;
-  std::vector<VertexId> bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  std::vector<VertexId> bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, 5u);
-  bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, huge - 1);
   EXPECT_EQ(bucket, (std::vector<VertexId>{1}));
-  bucket = queue.PopMinBucket(kAlwaysCurrent, &degree);
+  bucket = Pop(queue, kAlwaysCurrent, &degree);
   EXPECT_EQ(degree, huge);
   EXPECT_EQ(bucket, (std::vector<VertexId>{0}));
 }
@@ -149,10 +160,92 @@ TEST(BucketQueue, AllStaleBucketsAreSkipped) {
   queue.Push(1, 2);
   auto only_vertex_1 = [](VertexId v, uint64_t) { return v == 1; };
   uint64_t degree = 0;
-  std::vector<VertexId> bucket = queue.PopMinBucket(only_vertex_1, &degree);
+  std::vector<VertexId> bucket = Pop(queue, only_vertex_1, &degree);
   EXPECT_EQ(degree, 2u);
   EXPECT_EQ(bucket, (std::vector<VertexId>{1}));
-  EXPECT_TRUE(queue.PopMinBucket(only_vertex_1, &degree).empty());
+  EXPECT_TRUE(Pop(queue, only_vertex_1, &degree).empty());
+}
+
+// A randomized peel-shaped run against an ordered multimap of every pushed
+// (degree, vertex) entry: lazy decreasing updates filtered through a degree
+// table, degrees in the near band, above it and at 2^60 and beyond, pushes
+// below the last popped degree, and one reused output buffer. Every bracket
+// must match the reference's as a sorted set, with its degree. The seed is
+// gtest's (0 unless --gtest_shuffle), so shuffled repeats try new ones.
+TEST(BucketQueue, MatchesMultimapReference) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Rng rng(seed);
+  constexpr uint64_t kNearLimit = 64;
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  // [lo, hi) degree bands: near, just above the near limit, and huge.
+  const std::pair<uint64_t, uint64_t> kBands[] = {
+      {0, kNearLimit}, {kNearLimit, 4 * kNearLimit}, {kHuge, kHuge + 1000}};
+  constexpr VertexId kVertices = 300;
+  constexpr uint64_t kDead = std::numeric_limits<uint64_t>::max();
+
+  BucketQueue queue(kNearLimit);
+  std::multimap<uint64_t, VertexId> reference;
+  std::vector<uint64_t> current(kVertices);
+  auto push = [&](VertexId v, uint64_t d) {
+    current[v] = d;
+    queue.Push(v, d);
+    reference.emplace(d, v);
+  };
+  auto is_current = [&](VertexId v, uint64_t d) { return current[v] == d; };
+  for (VertexId v = 0; v < kVertices; ++v) {
+    const auto [lo, hi] = kBands[rng.NextBounded(3)];
+    push(v, lo + rng.NextBounded(hi - lo));
+  }
+
+  std::vector<VertexId> out;  // the caller's buffer, reused by every pop
+  uint64_t last_popped = 0;
+  size_t brackets = 0;
+  while (!reference.empty()) {
+    // A few lazy decreases between pops, some landing below the last
+    // popped degree (behind the near cursor) or leaving the far band.
+    for (int updates = static_cast<int>(rng.NextBounded(5)); updates > 0;
+         --updates) {
+      const VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
+      if (current[v] == kDead || current[v] == 0) continue;
+      auto [lo, hi] = kBands[rng.NextBounded(3)];
+      if (rng.NextBounded(4) == 0) hi = std::min(hi, last_popped);
+      hi = std::min(hi, current[v]);
+      if (lo >= hi) continue;
+      push(v, lo + rng.NextBounded(hi - lo));
+    }
+    // The reference pop: the lowest degree with a current entry; every
+    // entry at or below it leaves the multimap.
+    uint64_t want_degree = 0;
+    std::vector<VertexId> want;
+    while (want.empty() && !reference.empty()) {
+      want_degree = reference.begin()->first;
+      const auto range = reference.equal_range(want_degree);
+      for (auto it = range.first; it != range.second; ++it) {
+        if (is_current(it->second, want_degree)) want.push_back(it->second);
+      }
+      reference.erase(range.first, range.second);
+    }
+    std::sort(want.begin(), want.end());
+    // Junk in the buffer must not leak into the bracket.
+    if (rng.NextBounded(2) == 0) out.assign(3, kVertices + 1);
+    uint64_t got_degree = 0;
+    const bool popped = queue.PopMinBucket(is_current, &got_degree, &out);
+    ASSERT_EQ(popped, !want.empty()) << "bracket " << brackets;
+    if (!popped) {
+      EXPECT_TRUE(out.empty());
+      break;
+    }
+    std::sort(out.begin(), out.end());
+    ASSERT_EQ(got_degree, want_degree) << "bracket " << brackets;
+    ASSERT_EQ(out, want) << "bracket " << brackets;
+    for (VertexId v : out) current[v] = kDead;  // peeled
+    last_popped = got_degree;
+    ++brackets;
+  }
+  EXPECT_GT(brackets, 0u);
+  EXPECT_FALSE(queue.PopMinBucket(is_current, &last_popped, &out));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
