@@ -17,6 +17,7 @@
 #include "dsd/oracle_factory.h"
 #include "flow/flow_network.h"
 #include "graph/generators.h"
+#include "parallel/parallel_for.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
 
@@ -116,6 +117,52 @@ BENCHMARK_CAPTURE(BM_MotifCoreDecompose, diamond, "diamond",
 BENCHMARK_CAPTURE(BM_MotifCoreDecompose, basket, "basket",
                   &PatternDecomposeGraph)
     ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// The fixed cost of one ParallelForStrided call on state.range(0) workers:
+// an empty body over one index per worker, so the row is the wake-up and
+// join of the caller's parked helpers.
+void BM_ParallelForEmpty(benchmark::State& state) {
+  const unsigned t = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    ParallelForStrided(t, t, [](unsigned, uint64_t i) {
+      benchmark::DoNotOptimize(i);
+    });
+  }
+}
+BENCHMARK(BM_ParallelForEmpty)->Arg(4)->UseRealTime();
+
+// One dense-tail bracket of the pattern graph, peeled through PeelBatch at
+// state.range(0) threads: the first vertex the decomposition removes at
+// its top core level, with the rest of that level alive. A generic motif's
+// peel ends in a few hundred such brackets of one or two members, which
+// the 4-thread row spreads over the workers by (position, slice) parts.
+void BM_PeelBatchTail(benchmark::State& state, const char* motif) {
+  static const Graph g = PatternDecomposeGraph();
+  OracleOptions options;
+  options.threads = static_cast<unsigned>(state.range(0));
+  std::unique_ptr<MotifOracle> oracle = MakeOracle(motif, options).value();
+  ExecutionContext ctx;
+  ctx.threads = options.threads;
+  const MotifCoreDecomposition d =
+      MotifCoreDecompose(g, *oracle, ExecutionContext().WithThreads(4));
+  size_t start = 0;
+  while (d.core[d.removal_order[start]] < d.kmax) ++start;
+  std::vector<char> alive(g.NumVertices(), 0);
+  for (size_t i = start; i < d.removal_order.size(); ++i) {
+    alive[d.removal_order[i]] = 1;
+  }
+  const std::vector<VertexId> frontier = {d.removal_order[start]};
+  std::vector<char> mask;
+  uint64_t destroyed = 0;
+  for (auto _ : state) {
+    mask = alive;
+    destroyed = oracle->PeelBatch(g, frontier, {mask.data(), mask.size()},
+                                  [](VertexId, uint64_t) {}, ctx)[0];
+  }
+  state.counters["destroyed"] = static_cast<double>(destroyed);
+}
+BENCHMARK_CAPTURE(BM_PeelBatchTail, basket, "basket")
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_CoreApp(benchmark::State& state) {
   Graph g = BenchGraph(20000);

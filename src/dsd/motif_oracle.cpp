@@ -155,17 +155,16 @@ uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
 }
 
 // One member's sequential peel, with the scratch a bracket's members share:
-// the matcher's O(k) search buffers, and the 4-cycle's O(n) 2-path counters
-// (sized only for the 4-cycle kernel; FourCyclePeelMember leaves them
-// all-zero again).
+// the matcher's O(k) search buffers. The 4-cycle kernel's O(n) 2-path
+// counters are the thread's own (ThisThreadFourCycleScratch), so neither a
+// bracket nor a single PeelVertex allocates anything n-sized.
 class PatternOracle::Peeler {
  public:
   Peeler(const PatternOracle& oracle, const Graph& graph)
       : oracle_(oracle),
         graph_(graph),
         matcher_(graph, oracle.plans_),
-        scratch_(matcher_.MakeScratch()),
-        four_cycle_(oracle.is_four_cycle_ ? graph.NumVertices() : 0) {}
+        scratch_(matcher_.MakeScratch()) {}
 
   uint64_t Peel(VertexId v, std::span<const char> alive,
                 const PeelCallback& cb) {
@@ -177,7 +176,7 @@ class PatternOracle::Peeler {
       return FourCyclePeelMember(
           graph_, v,
           [alive](VertexId u) { return alive.empty() || alive[u] != 0; },
-          four_cycle_, cb);
+          ThisThreadFourCycleScratch(graph_.NumVertices()), cb);
     }
     // Canonical instance-level peel: each destroyed instance is matched once
     // (no automorphism division), and the folded reduction reports weighted
@@ -191,7 +190,6 @@ class PatternOracle::Peeler {
   const Graph& graph_;
   PatternMatcher matcher_;
   PatternMatcher::Scratch scratch_;
-  FourCycleScratch four_cycle_;
 };
 
 uint64_t PatternOracle::PeelVertex(const Graph& graph, VertexId v,

@@ -12,7 +12,7 @@ namespace dsd {
 // induced alive subgraph (InducedAliveSubgraph — the same reduction the
 // sequential oracle uses), keeping the kernels' per-root partitioning
 // intact. Edges (h = 2) skip the kernels: the sequential alive-neighbour
-// count is O(n + m) and beats any copy or thread spawn. The pattern kernels
+// count is O(n + m) and beats any copy or worker wake-up. The pattern kernels
 // take the mask natively (the plan-compiled matcher and the closed forms
 // are alive-aware), matching the sequential PatternOracle paths exactly.
 
@@ -97,16 +97,15 @@ std::vector<uint64_t> ParallelPatternOracle::PeelBatch(
       }
       return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx);
     }
-    // Generic patterns shard through the rank-masked plan kernel; the
-    // per-member peel is expensive enough that even small brackets win
-    // (WorthParallelGenericPeel's laxer ratio).
-    if (!closed_form &&
-        WorthParallelGenericPeel(frontier.size(), graph.NumVertices())) {
+    // Generic patterns always take the rank-masked plan kernel: it splits
+    // members into parts, so even a single member spreads, and a call
+    // costs a wake-up and O(bracket) beyond the members' peels.
+    if (!closed_form) {
       return ParallelPatternPeelBatch(graph, plans(), frontier, alive, cb, ctx);
     }
   }
-  // Brackets too small to amortise worker spawn (or a sequential context)
-  // keep the sequential loop.
+  // Closed-form brackets too small to pay for waking the workers (or a
+  // sequential context) keep the sequential loop.
   return PatternOracle::PeelBatch(graph, frontier, alive, cb, ctx);
 }
 

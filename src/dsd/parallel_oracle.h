@@ -12,9 +12,9 @@
 // batch peeling engine in dsd/motif_core.cpp issues — to the frontier
 // kernels of parallel/parallel_peel.h, which every motif family has
 // (cliques, stars, 4-cycles, and arbitrary patterns via the rank-masked
-// generic kernel); brackets too small for a kernel keep the sequential
-// PeelVertex loop. Everything else (PeelVertex, Groups, core bounds) is
-// inherited from the sequential bases unchanged.
+// generic kernel); clique, star and 4-cycle brackets too small for a
+// kernel keep the sequential PeelVertex loop. Everything else (PeelVertex,
+// Groups, core bounds) is inherited from the sequential bases unchanged.
 // Results are bit-identical to the sequential oracles for every thread
 // count: the only cross-worker combination in the kernels is uint64
 // addition, and the peel kernels evaluate each bracket member under the
@@ -44,10 +44,11 @@ class ParallelCliqueOracle : public CliqueOracle {
     return std::numeric_limits<unsigned>::max();
   }
 
-  /// Brackets worth the kernels' O(n) setup (WorthParallelPeel: absolute
-  /// floor + graph-relative ratio) go to the parallel clique frontier
-  /// kernel; smaller ones (or a sequential context) keep the
-  /// default PeelVertex loop. Either path returns the same bits.
+  /// Brackets that pass WorthParallelPeel (absolute floor +
+  /// graph-relative ratio: a clique member's peel is too cheap for a
+  /// handful of them to pay for waking the workers) go to the parallel
+  /// clique frontier kernel; smaller ones (or a sequential context) keep
+  /// the default PeelVertex loop. Either path returns the same bits.
   std::vector<uint64_t> PeelBatch(const Graph& graph,
                                   std::span<const VertexId> frontier,
                                   std::span<char> alive, const PeelCallback& cb,
@@ -81,11 +82,13 @@ class ParallelPatternOracle : public PatternOracle {
     return std::numeric_limits<unsigned>::max();
   }
 
-  /// Stars and 4-cycles take the parallel closed-form frontier kernels;
-  /// every other pattern takes the generic rank-masked kernel,
-  /// so the thread budget is honored for arbitrary motifs too. Brackets too
-  /// small to amortise a kernel's setup keep PatternOracle's sequential
-  /// loop. Every path returns the same bits.
+  /// Stars and 4-cycles take the parallel closed-form frontier kernels for
+  /// brackets that pass WorthParallelPeel, and keep PatternOracle's
+  /// sequential loop below it. Every other pattern takes the generic
+  /// rank-masked kernel for every bracket, down to a single member: it
+  /// splits members into (position, slice) parts and costs O(bracket)
+  /// beyond their peels, so the thread budget is honored for arbitrary
+  /// motifs too. Every path returns the same bits.
   std::vector<uint64_t> PeelBatch(const Graph& graph,
                                   std::span<const VertexId> frontier,
                                   std::span<char> alive, const PeelCallback& cb,

@@ -8,7 +8,7 @@ namespace dsd {
 
 uint64_t ParallelCliqueCount(const Graph& graph, int h, unsigned threads) {
   // Clamp by hardware AND vertex count: per-root partitioning has at most
-  // NumVertices() units of work, so extra workers would only spawn and exit.
+  // NumVertices() units of work, so extra workers would only wake and idle.
   const unsigned t = ResolveThreadCount(threads, graph.NumVertices());
   CliqueEnumerator enumerator(graph, h);
   std::vector<CliqueEnumerator::Scratch> scratch;

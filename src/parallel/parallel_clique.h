@@ -15,7 +15,7 @@ namespace dsd {
 
 /// Parallel mu(G, Psi) for Psi = h-clique. threads = 0 means "auto"
 /// (hardware concurrency); the count is additionally clamped by the vertex
-/// count so tiny graphs never spawn idle workers. Bit-identical to
+/// count so tiny graphs never wake idle workers. Bit-identical to
 /// CliqueEnumerator::Count() for every thread count.
 uint64_t ParallelCliqueCount(const Graph& graph, int h, unsigned threads = 0);
 

@@ -54,15 +54,12 @@ std::vector<uint64_t> ParallelPatternDegrees(const Graph& graph,
   const unsigned t = ResolveThreadCount(threads, n);
   PatternMatcher matcher(graph, plans);
   if (t == 1) return matcher.Degrees(alive);
-  std::vector<PatternMatcher::Scratch> scratch;
-  scratch.reserve(t);
-  for (unsigned w = 0; w < t; ++w) scratch.push_back(matcher.MakeScratch());
   const std::vector<RootSlice> items = BuildRootSlices(graph, t);
   ChunkedAccumulator hits(n, t);
   ParallelForStrided(items.size(), t, [&](unsigned worker, uint64_t i) {
     const RootSlice& item = items[i];
     matcher.DegreesFromRoot(
-        item.root, alive, scratch[worker],
+        item.root, alive, matcher.ThreadScratch(),
         [&](VertexId u, uint64_t count) { hits.Add(worker, u, count); },
         item.slice, item.num_slices);
   });
@@ -82,15 +79,13 @@ uint64_t ParallelPatternCount(const Graph& graph, const PatternPlanSet& plans,
   const unsigned t = ResolveThreadCount(threads, n);
   PatternMatcher matcher(graph, plans);
   if (t == 1) return matcher.CountInstances(alive);
-  std::vector<PatternMatcher::Scratch> scratch;
-  scratch.reserve(t);
-  for (unsigned w = 0; w < t; ++w) scratch.push_back(matcher.MakeScratch());
   const std::vector<RootSlice> items = BuildRootSlices(graph, t);
   std::vector<PaddedCounter> partial(t);
   ParallelForStrided(items.size(), t, [&](unsigned worker, uint64_t i) {
     const RootSlice& item = items[i];
     partial[worker].value += matcher.CountFromRoot(
-        item.root, alive, scratch[worker], item.slice, item.num_slices);
+        item.root, alive, matcher.ThreadScratch(), item.slice,
+        item.num_slices);
   });
   uint64_t total = 0;
   for (const PaddedCounter& p : partial) total += p.value;

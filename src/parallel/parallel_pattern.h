@@ -13,8 +13,7 @@
 // combination is uint64 addition, which commutes.
 //
 // Thread counts are clamped by the root-vertex count (ResolveThreadCount's
-// 2-arg overload) so tiny graphs neither spawn idle workers nor allocate
-// per-worker scratch they cannot use.
+// 2-arg overload) so tiny graphs do not wake idle workers.
 //
 // Load balancing: the generic kernels no longer shard per root alone. A hub
 // root whose match subtree dwarfs everyone else's would pin one worker

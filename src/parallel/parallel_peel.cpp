@@ -1,8 +1,8 @@
 #include "parallel/parallel_peel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <utility>
 
 #include "clique/clique_degree.h"
 #include "parallel/chunked_accumulator.h"
@@ -19,77 +19,109 @@ namespace {
 // forever" maximum for the rank comparisons below.
 constexpr uint32_t kNoRank = kNoPeelRank;
 
-// rank[v] = position of v in the frontier, kNoRank for survivors. The rank
-// mask turns "peel the bracket one vertex at a time in rank order" into a
-// per-member predicate: when member i is peeled, vertex u counts as alive
-// iff it is a live survivor or a bracket member still waiting its turn.
-std::vector<uint32_t> BuildRanks(VertexId n,
-                                 std::span<const VertexId> frontier) {
-  std::vector<uint32_t> rank(n, kNoRank);
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    rank[frontier[i]] = static_cast<uint32_t>(i);
-  }
-  return rank;
+// The state PeelFrontier keeps per calling thread between brackets, so a
+// bracket allocates, fills and scans nothing n-sized:
+//   - rank[v] = position of v in the current frontier, kNoRank otherwise
+//     (every entry is kNoRank between calls; a call sets and resets its own
+//     frontier's entries only). The rank mask turns "peel the bracket one
+//     vertex at a time in rank order" into a per-member predicate: when
+//     member i is peeled, vertex u counts as alive iff it is a live
+//     survivor or a bracket member still waiting its turn;
+//   - deltas: the survivors' summed losses, staged per worker in bounded
+//     buffers and drained by touched entries;
+//   - part_destroyed: the destroyed count of each part of the current
+//     chunk.
+struct PeelState {
+  std::vector<uint32_t> rank;
+  ChunkedAccumulator deltas;
+  std::vector<uint64_t> part_destroyed;
+};
+
+PeelState& ThisThreadPeelState() {
+  thread_local PeelState state;
+  return state;
 }
 
-// Shared chunked driver: processes frontier ranks [0, b) in contiguous
-// chunks, polling the deadline between chunks, and returns the number of
-// members processed. peel_one(worker, i) must compute destroyed[i] and
-// stage member i's survivor deltas. The chunk scales with the bracket
-// (b/16, floored at ~64 items per worker) so huge brackets pay a bounded
-// number of ParallelForStrided spawn/join rounds, not hundreds, while
-// truncation stays rank-prefix shaped.
-template <typename PeelOne>
-size_t RunChunked(size_t b, unsigned t, const ExecutionContext& ctx,
-                  PeelOne&& peel_one) {
-  const size_t chunk = std::max(
-      {b / 16, static_cast<size_t>(t) * 64, static_cast<size_t>(256)});
-  size_t processed = 0;
-  while (processed < b) {
-    if (ctx.ShouldStop()) break;
-    const size_t end = std::min(b, processed + chunk);
-    ParallelForStrided(end - processed, t,
-                       [&](unsigned worker, uint64_t offset) {
-                         peel_one(worker, processed + offset);
-                       });
-    processed = end;
-  }
-  return processed;
-}
-
-// The body every kernel shares: ranks the frontier, runs
-// peel_member(worker, i, rank, deltas) -- which returns member i's
-// destroyed count and stages its survivor deltas -- on t workers over
-// rank-contiguous chunks. Members compute against the bracket-start mask
-// (every member still alive); the rank restores each member's sequential
-// view. After the join the processed prefix leaves the alive mask and the
-// summed survivor deltas go to the caller's (single-threaded) callback.
-template <typename PeelMember>
+// The body every kernel shares. Each frontier member splits into
+// `parts_per_member` independent parts; peel_part(worker, i, part, rank,
+// deltas) returns that part of member i's destroyed count and stages its
+// survivor deltas. Members compute against the bracket-start mask (every
+// member still alive); the rank restores each member's sequential view.
+// The frontier runs in rank-contiguous chunks of whole members with a
+// deadline poll between chunks, so a stopped call has processed a member
+// prefix. The chunk scales with the bracket (b/16, floored at ~64 members
+// per worker) so huge brackets pay a bounded number of ParallelForStrided
+// rounds, not hundreds. After the last chunk the processed prefix leaves
+// the alive mask and the summed survivor deltas go to the caller's
+// callback on this thread.
+template <typename PeelPart>
 std::vector<uint64_t> PeelFrontier(const Graph& graph,
                                    std::span<const VertexId> frontier,
                                    std::span<char> alive,
                                    const PeelCallback& cb,
                                    const ExecutionContext& ctx, unsigned t,
-                                   PeelMember&& peel_member) {
+                                   uint32_t parts_per_member,
+                                   PeelPart&& peel_part) {
+  PeelState& state = ThisThreadPeelState();
   const VertexId n = graph.NumVertices();
-  const std::vector<uint32_t> rank = BuildRanks(n, frontier);
-  std::vector<uint64_t> destroyed(frontier.size(), 0);
-  ChunkedAccumulator deltas(n, t);
-  const size_t processed =
-      RunChunked(frontier.size(), t, ctx, [&](unsigned worker, size_t i) {
-        destroyed[i] = peel_member(worker, i, rank, deltas);
-      });
+  if (state.rank.size() < n) state.rank.resize(n, kNoRank);
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    state.rank[frontier[i]] = static_cast<uint32_t>(i);
+  }
+  state.deltas.Reset(n, t);
+  // Restores the between-calls invariants on every exit path.
+  struct Restore {
+    PeelState& state;
+    std::span<const VertexId> frontier;
+    ~Restore() {
+      for (VertexId v : frontier) state.rank[v] = kNoRank;
+      state.deltas.Drain([](uint64_t, uint64_t) {});
+    }
+  } restore{state, frontier};
+  const std::span<const uint32_t> rank(state.rank.data(), n);
+  const size_t b = frontier.size();
+  const size_t chunk = std::max(
+      {b / 16, static_cast<size_t>(t) * 64, static_cast<size_t>(256)});
+  std::vector<uint64_t> destroyed(b, 0);
+  size_t processed = 0;
+  while (processed < b && !ctx.ShouldStop()) {
+    const size_t end = std::min(b, processed + chunk);
+    const size_t parts = (end - processed) * parts_per_member;
+    state.part_destroyed.assign(parts, 0);
+    // Workers claim parts in runs of `grain`: one part at a time for small
+    // brackets, where a heavy part (a hub's subtree) must not drag a
+    // static share of the rest with it, and ~64 claims per worker for
+    // huge brackets of cheap members, where a claim per part would cost
+    // more than the part.
+    const size_t grain = std::max<size_t>(1, parts / (size_t{t} * 64));
+    std::atomic<size_t> next{0};
+    ParallelForStrided(t, t, [&](unsigned worker, uint64_t) {
+      for (size_t begin;
+           (begin = next.fetch_add(grain, std::memory_order_relaxed)) <
+           parts;) {
+        for (size_t j = begin; j < std::min(parts, begin + grain); ++j) {
+          state.part_destroyed[j] =
+              peel_part(worker, processed + j / parts_per_member,
+                        static_cast<uint32_t>(j % parts_per_member), rank,
+                        state.deltas);
+        }
+      }
+    });
+    for (size_t j = 0; j < parts; ++j) {
+      destroyed[processed + j / parts_per_member] += state.part_destroyed[j];
+    }
+    processed = end;
+  }
   destroyed.resize(processed);
   for (size_t i = 0; i < processed; ++i) alive[frontier[i]] = 0;
-  const std::vector<uint64_t> totals = std::move(deltas).Finish();
-  for (uint64_t u = 0; u < totals.size(); ++u) {
-    if (totals[u] > 0) cb(static_cast<VertexId>(u), totals[u]);
-  }
+  state.deltas.Drain([&](uint64_t u, uint64_t total) {
+    cb(static_cast<VertexId>(u), total);
+  });
   return destroyed;
 }
 
 // PeelFrontier for the appendix-D peel bodies of pattern/special.h:
-// peel_member(worker, v, is_alive, report) sees member i's rank-prefix view
+// peel_member(v, is_alive, report) sees member i's rank-prefix view
 // (u is alive iff it survives the bracket or is a member of higher rank,
 // so v itself is not), and only survivors' positive counts are staged.
 template <typename PeelMember>
@@ -101,8 +133,8 @@ std::vector<uint64_t> ClosedFormPeelBatch(const Graph& graph,
                                           unsigned t,
                                           PeelMember&& peel_member) {
   return PeelFrontier(
-      graph, frontier, alive, cb, ctx, t,
-      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
+      graph, frontier, alive, cb, ctx, t, 1,
+      [&](unsigned worker, size_t i, uint32_t, std::span<const uint32_t> rank,
           ChunkedAccumulator& deltas) {
         const uint32_t my_rank = static_cast<uint32_t>(i);
         auto is_alive = [&](VertexId u) {
@@ -111,7 +143,7 @@ std::vector<uint64_t> ClosedFormPeelBatch(const Graph& graph,
         auto report = [&](VertexId u, uint64_t count) {
           if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
         };
-        return peel_member(worker, frontier[i], is_alive, report);
+        return peel_member(frontier[i], is_alive, report);
       });
 }
 
@@ -125,8 +157,8 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
   const std::span<const char> mask(alive.data(), alive.size());
   return PeelFrontier(
       graph, frontier, alive, cb, ctx,
-      ResolveThreadCount(ctx.threads, frontier.size()),
-      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
+      ResolveThreadCount(ctx.threads, frontier.size()), 1,
+      [&](unsigned worker, size_t i, uint32_t, std::span<const uint32_t> rank,
           ChunkedAccumulator& deltas) {
         const uint32_t my_rank = static_cast<uint32_t>(i);
         uint64_t lost = 0;
@@ -156,7 +188,7 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
   return ClosedFormPeelBatch(
       graph, frontier, alive, cb, ctx,
       ResolveThreadCount(ctx.threads, frontier.size()),
-      [&](unsigned, VertexId v, const auto& is_alive, const auto& report) {
+      [&](VertexId v, const auto& is_alive, const auto& report) {
         return StarPeelMember(graph, x, v, is_alive, report);
       });
 }
@@ -165,15 +197,13 @@ std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) {
-  const unsigned t = ResolveThreadCount(ctx.threads, frontier.size());
-  std::vector<FourCycleScratch> scratch(t,
-                                        FourCycleScratch(graph.NumVertices()));
+  const VertexId n = graph.NumVertices();
   return ClosedFormPeelBatch(
-      graph, frontier, alive, cb, ctx, t,
-      [&](unsigned worker, VertexId v, const auto& is_alive,
-          const auto& report) {
-        return FourCyclePeelMember(graph, v, is_alive, scratch[worker],
-                                   report);
+      graph, frontier, alive, cb, ctx,
+      ResolveThreadCount(ctx.threads, frontier.size()),
+      [&](VertexId v, const auto& is_alive, const auto& report) {
+        return FourCyclePeelMember(graph, v, is_alive,
+                                   ThisThreadFourCycleScratch(n), report);
       });
 }
 
@@ -181,19 +211,29 @@ std::vector<uint64_t> ParallelPatternPeelBatch(
     const Graph& graph, const PatternPlanSet& plans,
     std::span<const VertexId> frontier, std::span<char> alive,
     const PeelCallback& cb, const ExecutionContext& ctx) {
-  const unsigned t = ResolveThreadCount(ctx.threads, frontier.size());
+  const unsigned t = ResolveThreadCount(ctx.threads);
   PatternMatcher matcher(graph, plans);
-  std::vector<PatternMatcher::Scratch> scratch;
-  scratch.reserve(t);
-  for (unsigned w = 0; w < t; ++w) scratch.push_back(matcher.MakeScratch());
-  // PeelContaining's rank filter reports survivor deltas only.
+  // A member splits into one part per pattern position it can take. A
+  // bracket with fewer than ~4 such parts per worker splits each
+  // position's first-extension loop into slices as well, so even a single
+  // dense-tail member spreads over every worker.
+  const uint64_t positions =
+      frontier.size() * static_cast<uint64_t>(plans.pattern().size());
+  const unsigned slices = static_cast<unsigned>(std::clamp<uint64_t>(
+      (4 * uint64_t{t} + positions - 1) / std::max<uint64_t>(positions, 1), 1,
+      t));
+  const uint32_t parts =
+      static_cast<uint32_t>(plans.pattern().size()) * slices;
+  // PeelContainingPart's rank filter reports survivor deltas only.
   const std::span<const char> mask(alive.data(), alive.size());
   return PeelFrontier(
-      graph, frontier, alive, cb, ctx, t,
-      [&](unsigned worker, size_t i, const std::vector<uint32_t>& rank,
-          ChunkedAccumulator& deltas) {
-        return matcher.PeelContaining(
-            frontier[i], rank, static_cast<uint32_t>(i), mask, scratch[worker],
+      graph, frontier, alive, cb, ctx, t, parts,
+      [&](unsigned worker, size_t i, uint32_t part,
+          std::span<const uint32_t> rank, ChunkedAccumulator& deltas) {
+        return matcher.PeelContainingPart(
+            frontier[i], static_cast<int>(part / slices), part % slices,
+            slices, rank, static_cast<uint32_t>(i), mask,
+            matcher.ThreadScratch(),
             [&](VertexId u, uint64_t count) { deltas.Add(worker, u, count); });
       });
 }

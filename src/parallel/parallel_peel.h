@@ -14,16 +14,26 @@
 //   - stars / 4-cycles: the appendix-D peel bodies of pattern/special.h
 //     (StarPeelMember, FourCyclePeelMember), run under the rank-aware
 //     aliveness predicate;
-//   - generic patterns: PatternMatcher::PeelContaining drives the compiled
-//     plans under the same rank mask, pruning branches through lower-rank
-//     members mid-extension (min-rank attribution without enumerating the
-//     instances the member does not own).
-// Per-frontier destroyed counts are written to worker-owned slots;
-// survivor degree-deltas are summed through ChunkedAccumulator (weighted
-// adds) and reported through the caller's single-threaded callback after
-// the join. Results are bit-identical to looping MotifOracle::PeelVertex
-// over the frontier in order, for every thread count: the only cross-
-// worker combination is uint64 addition.
+//   - generic patterns: PatternMatcher::PeelContainingPart drives the
+//     compiled plans under the same rank mask, pruning branches through
+//     lower-rank members mid-extension (min-rank attribution without
+//     enumerating the instances the member does not own). A member splits
+//     into one part per pattern position, and in small brackets into
+//     first-extension slices too, so a one-member bracket still spreads
+//     over every worker.
+// Per-part destroyed counts are written to part-owned slots and summed per
+// member after the join; survivor degree-deltas are merged and staged per
+// worker in bounded memory by a ChunkedAccumulator (weighted adds) and
+// reported through the caller's callback on the calling thread after the
+// join.
+// Results are bit-identical to looping MotifOracle::PeelVertex over the
+// frontier in order, for every thread count: the only cross-worker
+// combination is uint64 addition.
+//
+// A call costs O(bracket) beyond its members' peel work: the rank mask and
+// the delta totals are n-sized arrays kept per calling thread, set and
+// reset by frontier entries and touched deltas only, and the workers are
+// ParallelForStrided's parked helpers.
 //
 // Every kernel honours ctx.ShouldStop() at sub-bracket granularity: the
 // frontier is processed in rank-contiguous chunks with a deadline poll
@@ -43,35 +53,23 @@
 
 namespace dsd {
 
-/// Brackets smaller than this are peeled by the sequential default loop
-/// even under a multi-thread budget: spawning workers costs more than a
-/// handful of PeelVertex calls.
+/// Clique, star and 4-cycle brackets smaller than this are peeled by the
+/// sequential default loop even under a multi-thread budget: their
+/// members' peels are cheap (a clique member's is sorted intersections over
+/// its alive neighbourhood, a closed-form member's a 2-hop scan), and a
+/// handful of them does not pay for waking the workers.
 inline constexpr size_t kMinParallelPeelFrontier = 8;
 
-/// Whether a bracket is worth the parallel kernels at all. Beyond the
-/// absolute floor (worker spawn), the kernels pay O(n) setup per call —
-/// the rank array, the delta accumulator's totals, the survivor drain —
-/// while a clique member's own peel (EnumerateCliquesContaining) is
-/// O(local): sorted intersections over its alive neighbourhood, with no
-/// O(n) term. So a bracket must also be a non-trivial fraction of the
-/// graph, or the setup would dwarf the members' peel work (thousands of
-/// small brackets on a huge sparse graph would otherwise cost O(n) each).
-/// The sequential default loop pays only the per-member work, so it stays
-/// the right choice below the ratio.
+/// Whether a clique, star or 4-cycle bracket is worth a parallel kernel:
+/// the absolute floor, and a bracket-to-graph ratio. The ratio dates from
+/// kernels that paid O(n) setup per call; they now pay O(bracket), so it is
+/// conservative, and it stays until it is recalibrated against the clique
+/// and star rows on >= 4 cores. Generic patterns have no such rule: their
+/// members' peels are plan-driven enumerations, and ParallelPatternOracle
+/// sends every bracket to ParallelPatternPeelBatch.
 inline bool WorthParallelPeel(size_t frontier_size, uint64_t num_vertices) {
   return frontier_size >= kMinParallelPeelFrontier &&
          frontier_size * 256 >= num_vertices;
-}
-
-/// Worth test for the generic-pattern batch kernel. Same absolute floor as
-/// WorthParallelPeel, but a much laxer bracket-to-graph ratio: a generic
-/// member's peel work (full plan-driven enumeration through the member)
-/// dwarfs the kernel's O(n) setup long before a clique member's cheap
-/// neighborhood scan would, so small brackets on big graphs still win.
-inline bool WorthParallelGenericPeel(size_t frontier_size,
-                                     uint64_t num_vertices) {
-  return frontier_size >= kMinParallelPeelFrontier &&
-         frontier_size * 4096 >= num_vertices;
 }
 
 /// Batch h-clique peel of `frontier` (rank = span position) from `alive`
@@ -91,18 +89,19 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             const PeelCallback& cb,
                                             const ExecutionContext& ctx);
 
-/// Batch 4-cycle peel (appendix D.2 two-path grouping). Each worker
-/// carries one O(n) FourCycleScratch.
+/// Batch 4-cycle peel (appendix D.2 two-path grouping). Each worker uses
+/// its thread's FourCycleScratch (ThisThreadFourCycleScratch).
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx);
 
 /// Batch peel for an arbitrary connected pattern via the compiled plans'
-/// rank-masked PeelContaining reduction. Workers share one PatternMatcher
-/// (and the caller's once-compiled PatternPlanSet) and carry their own
-/// Scratch. Bit-identical to looping PatternOracle::PeelVertex over the
-/// frontier in order, for every thread count.
+/// rank-masked PeelContainingPart reduction, sharded by (member, pattern
+/// position, first-extension slice). Workers share one PatternMatcher (and
+/// the caller's once-compiled PatternPlanSet), each searching with its
+/// thread's Scratch. Bit-identical to looping PatternOracle::PeelVertex
+/// over the frontier in order, for every thread count.
 std::vector<uint64_t> ParallelPatternPeelBatch(
     const Graph& graph, const PatternPlanSet& plans,
     std::span<const VertexId> frontier, std::span<char> alive,

@@ -312,6 +312,14 @@ PatternMatcher::Scratch PatternMatcher::MakeScratch() const {
   return {std::vector<VertexId>(k), std::vector<VertexId>(k)};
 }
 
+PatternMatcher::Scratch& PatternMatcher::ThreadScratch() const {
+  thread_local Scratch scratch;
+  const size_t k = static_cast<size_t>(pattern().size());
+  scratch.image.resize(k);
+  scratch.placed.resize(k);
+  return scratch;
+}
+
 void PatternMatcher::MatchAll(std::span<const char> alive,
                               const EmbeddingCallback& cb) const {
   Scratch scratch = MakeScratch();
@@ -368,13 +376,24 @@ uint64_t PatternMatcher::PeelContaining(VertexId v,
                                         std::span<const char> alive,
                                         Scratch& scratch,
                                         const DegreeSink& sink) const {
+  uint64_t destroyed = 0;
+  for (int p = 0; p < pattern().size(); ++p) {
+    destroyed +=
+        PeelContainingPart(v, p, 0, 1, rank, my_rank, alive, scratch, sink);
+  }
+  return destroyed;
+}
+
+uint64_t PatternMatcher::PeelContainingPart(
+    VertexId v, int position, unsigned slice, unsigned num_slices,
+    std::span<const uint32_t> rank, uint32_t my_rank,
+    std::span<const char> alive, Scratch& scratch,
+    const DegreeSink& sink) const {
   assert(plans_->semantics() == MatchSemantics::kInstances);
   assert(pattern().size() >= 2);
   PeelPolicy policy{rank, my_rank, sink};
-  for (int p = 0; p < pattern().size(); ++p) {
-    RunFromRoot(plans_->RootedAt(p), v, /*check_root=*/false, alive, scratch,
-                0, 1, policy);
-  }
+  RunFromRoot(plans_->RootedAt(position), v, /*check_root=*/false, alive,
+              scratch, slice, num_slices, policy);
   return policy.destroyed;
 }
 

@@ -121,8 +121,8 @@ class PatternPlanSet {
 };
 
 /// Drives a PatternPlanSet over one data graph. The matcher itself is
-/// const-thread-safe: the parallel kernels share one matcher and give each
-/// worker its own Scratch.
+/// const-thread-safe: the parallel kernels share one matcher, and each
+/// worker thread searches with its own Scratch (ThreadScratch).
 class PatternMatcher {
  public:
   /// Reusable search buffers, sized by MakeScratch(): O(k), independent of
@@ -143,6 +143,13 @@ class PatternMatcher {
 
   /// Scratch buffers sized for this pattern.
   Scratch MakeScratch() const;
+
+  /// The calling thread's Scratch, sized for this pattern. The parallel
+  /// kernels use it rather than a vector of per-worker Scratch: O(k)
+  /// buffers allocated side by side by one thread share cache lines, and
+  /// workers writing their placed/image entries on every extension step
+  /// would ping-pong those lines between cores.
+  Scratch& ThreadScratch() const;
 
   /// Invokes cb for every match using only alive vertices. An empty
   /// `alive` span means every vertex is alive.
@@ -203,6 +210,18 @@ class PatternMatcher {
   uint64_t PeelContaining(VertexId v, std::span<const uint32_t> rank,
                           uint32_t my_rank, std::span<const char> alive,
                           Scratch& scratch, const DegreeSink& sink) const;
+
+  /// One part of PeelContaining: the matches that pin v to pattern
+  /// position `position`, restricted to slice `slice` of `num_slices` of
+  /// v's first-extension candidate loop (the MatchFromRoot stride). The
+  /// parts over every position and slice partition PeelContaining's
+  /// matches, so their counts and reports sum to it exactly — which lets
+  /// one member's peel spread over several workers.
+  uint64_t PeelContainingPart(VertexId v, int position, unsigned slice,
+                              unsigned num_slices,
+                              std::span<const uint32_t> rank, uint32_t my_rank,
+                              std::span<const char> alive, Scratch& scratch,
+                              const DegreeSink& sink) const;
 
   /// mu(G, Psi) restricted to alive vertices: the canonical match count
   /// under kInstances; embeddings / |Aut| under kEmbeddings.

@@ -86,14 +86,12 @@ std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
                                        std::span<const char> alive,
                                        unsigned threads) {
   const VertexId n = graph.NumVertices();
-  std::vector<FourCycleScratch> scratch(ResolveThreadCount(threads, n),
-                                        FourCycleScratch(n));
   auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
   std::vector<uint64_t> degrees(n, 0);
-  ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
+  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
     const VertexId v = static_cast<VertexId>(i);
     if (!is_alive(v)) return;
-    FourCycleScratch& s = scratch[worker];
+    FourCycleScratch& s = ThisThreadFourCycleScratch(n);
     CountTwoPaths(graph, v, is_alive, s);
     uint64_t d = 0;
     for (VertexId w : s.endpoints) {
@@ -111,6 +109,12 @@ uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
   for (uint64_t d : FourCycleDegrees(graph, alive, threads)) total += d;
   assert(total % 4 == 0);
   return total / 4;
+}
+
+FourCycleScratch& ThisThreadFourCycleScratch(VertexId n) {
+  thread_local FourCycleScratch scratch(0);
+  if (scratch.paths.size() < n) scratch.paths.resize(n, 0);
+  return scratch;
 }
 
 uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,

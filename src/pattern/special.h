@@ -40,7 +40,8 @@ uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive,
 /// Appendix D.2: group the 2-paths leaving v by endpoint w; every pair of
 /// distinct paths to the same w closes a 4-cycle, so
 ///   deg(v) = sum over 2-hop endpoints w of C(#paths(v, w), 2).
-/// Each worker carries one FourCycleScratch (O(n)).
+/// Each worker uses its thread's FourCycleScratch (O(n), kept between
+/// calls).
 std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
                                        std::span<const char> alive,
                                        unsigned threads = 1);
@@ -98,6 +99,12 @@ struct FourCycleScratch {
   std::vector<uint64_t> paths;
   std::vector<VertexId> endpoints;
 };
+
+/// This thread's FourCycleScratch, grown to at least n vertices. Its path
+/// counters are all zero between uses (FourCyclePeelMember leaves them so),
+/// which lets the peel paths reuse it: a peel costs O(its 2-hop
+/// neighbourhood), not an O(n) scratch per bracket.
+FourCycleScratch& ThisThreadFourCycleScratch(VertexId n);
 
 /// Counts the alive 2-paths v-u-w (u, w alive, w != v) into scratch.paths,
 /// listing each endpoint once in scratch.endpoints. The caller resets

@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "clique/clique_enumerator.h"
 #include "core/nucleus.h"
@@ -73,6 +75,100 @@ TEST(ParallelFor, TinyRangeSpawnsNoIdleWorkers) {
   });
   ASSERT_FALSE(workers_seen.empty());
   EXPECT_LT(*workers_seen.rbegin(), ResolveThreadCount(64, 3));
+}
+
+TEST(ParallelFor, BackToBackCallsCoverEveryIndexOnce) {
+  // The workers persist between calls: every call must still hand each
+  // index to exactly one worker, with nothing left over from the call
+  // before.
+  std::vector<std::atomic<uint32_t>> hits(64);
+  for (int call = 0; call < 1200; ++call) {
+    const uint64_t n = 1 + static_cast<uint64_t>(call) % hits.size();
+    for (auto& h : hits) h = 0;
+    ParallelForStrided(n, 1 + call % 4,
+                       [&](unsigned, uint64_t i) { ++hits[i]; });
+    for (uint64_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), i < n ? 1u : 0u)
+          << "call=" << call << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelFor, ConcurrentCallersStayWithinTheirBudgets) {
+  // Two callers (server lanes on different grants) each see only worker
+  // indices below their own t, and each covers its own range.
+  std::atomic<bool> failed{false};
+  auto caller = [&failed](unsigned t) {
+    for (int call = 0; call < 300; ++call) {
+      std::vector<std::atomic<uint32_t>> hits(50);
+      for (auto& h : hits) h = 0;
+      ParallelForStrided(hits.size(), t, [&](unsigned worker, uint64_t i) {
+        if (worker >= t) failed = true;
+        ++hits[i];
+      });
+      for (auto& h : hits) {
+        if (h.load() != 1) failed = true;
+      }
+    }
+  };
+  std::thread two(caller, 2u);
+  std::thread four(caller, 4u);
+  two.join();
+  four.join();
+  EXPECT_FALSE(failed.load());
+}
+
+TEST(ParallelFor, LargerThreadCountAfterSmallerOne) {
+  // A call may need more helpers than the caller has parked so far.
+  for (unsigned t : {2u, 5u, 3u, 7u}) {
+    std::mutex mutex;
+    std::set<unsigned> workers_seen;
+    ParallelForStrided(100, t, [&](unsigned worker, uint64_t) {
+      std::lock_guard<std::mutex> lock(mutex);
+      workers_seen.insert(worker);
+    });
+    // n >= t, so worker w gets at least index w.
+    EXPECT_EQ(workers_seen.size(), t);
+    EXPECT_EQ(*workers_seen.rbegin(), t - 1);
+  }
+}
+
+TEST(ParallelFor, ExceptionReachesTheCaller) {
+  // Whichever worker throws, the caller sees the exception after every
+  // worker has stopped, and the workers serve the next call.
+  for (uint64_t bad : {0u, 1u, 2u, 3u}) {
+    EXPECT_THROW(ParallelForStrided(4, 4,
+                                    [bad](unsigned, uint64_t i) {
+                                      if (i == bad) {
+                                        throw std::runtime_error("bad");
+                                      }
+                                    }),
+                 std::runtime_error);
+  }
+  std::atomic<uint32_t> calls{0};
+  ParallelForStrided(40, 4, [&](unsigned, uint64_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 40u);
+}
+
+TEST(ParallelFor, OneThreadAndNestedCallsRunInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  bool all_inline = true;
+  ParallelForStrided(20, 1, [&](unsigned worker, uint64_t) {
+    all_inline = all_inline && worker == 0 &&
+                 std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(all_inline);
+  // A call from inside a loop body runs its workers on the body's thread.
+  std::atomic<bool> nested_inline{true};
+  ParallelForStrided(4, 4, [&](unsigned, uint64_t) {
+    const std::thread::id body = std::this_thread::get_id();
+    ParallelForStrided(8, 4, [&](unsigned worker, uint64_t) {
+      if (worker >= 4 || std::this_thread::get_id() != body) {
+        nested_inline = false;
+      }
+    });
+  });
+  EXPECT_TRUE(nested_inline.load());
 }
 
 class ParallelCliqueTest
@@ -273,15 +369,46 @@ TEST(WorthParallelPeelTest, FloorAndRatio) {
   EXPECT_TRUE(WorthParallelPeel(4096, 1000000));
 }
 
-TEST(WorthParallelPeelTest, GenericRatioIsLaxer) {
-  // Same absolute floor...
-  EXPECT_FALSE(WorthParallelGenericPeel(7, 10));
-  EXPECT_TRUE(WorthParallelGenericPeel(8, 100));
-  // ...but a generic member's plan-driven peel dwarfs the O(n) setup far
-  // earlier than a clique member's neighborhood scan, so brackets the
-  // clique kernels would refuse are still worth sharding.
-  EXPECT_TRUE(WorthParallelGenericPeel(300, 1000000));
-  EXPECT_FALSE(WorthParallelGenericPeel(100, 1000000));
+TEST(WorthParallelPeelTest, GenericBracketsTakeTheKernelAtAnySize) {
+  // The generic kernel costs a bracket only O(bracket) and wakes the other
+  // workers only for brackets with the work for it, so a multi-threaded
+  // ParallelPatternOracle sends every generic bracket to it: no floor and
+  // no bracket-to-graph ratio. Here one member of a 200k-vertex graph. The
+  // kernel is visible in how the callback fires: once per survivor with
+  // the summed delta, where the sequential loop reports per instance.
+  GraphBuilder b(200000);
+  for (VertexId u = 0; u < 12; ++u) {
+    for (VertexId v = u + 1; v < 12; ++v) b.AddEdge(u, v);
+  }
+  const Graph g = b.Build();
+  const std::vector<VertexId> frontier = {0};
+  auto peel = [&](const MotifOracle& oracle, unsigned threads) {
+    std::vector<char> alive(g.NumVertices(), 1);
+    std::map<VertexId, std::pair<uint64_t, int>> reports;  // sum, calls
+    ExecutionContext ctx;
+    ctx.threads = threads;
+    const std::vector<uint64_t> destroyed = oracle.PeelBatch(
+        g, frontier, {alive.data(), alive.size()},
+        [&](VertexId u, uint64_t count) {
+          reports[u].first += count;
+          ++reports[u].second;
+        },
+        ctx);
+    return std::make_pair(destroyed, reports);
+  };
+  const auto [sequential, seq_reports] =
+      peel(PatternOracle(Pattern::C3Star()), 1);
+  const auto [parallel, par_reports] =
+      peel(ParallelPatternOracle(Pattern::C3Star()), 4);
+  EXPECT_EQ(parallel, sequential);
+  ASSERT_EQ(par_reports.size(), seq_reports.size());
+  bool sequential_repeats = false;
+  for (const auto& [u, report] : seq_reports) {
+    sequential_repeats = sequential_repeats || report.second > 1;
+    EXPECT_EQ(par_reports.at(u).first, report.first) << u;
+    EXPECT_EQ(par_reports.at(u).second, 1) << u;
+  }
+  EXPECT_TRUE(sequential_repeats);
 }
 
 class ParallelPeelBatchTest : public ::testing::TestWithParam<unsigned> {};
@@ -395,6 +522,102 @@ TEST_P(ParallelPeelBatchTest, GenericPatternBatchMatchesSequentialLoop) {
     EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas)
         << pattern.name();
     EXPECT_EQ(parallel.alive_after, sequential.alive_after) << pattern.name();
+  }
+}
+
+TEST_P(ParallelPeelBatchTest, GenericTinyBracketMatchesSequentialLoop) {
+  // The dense-tail shape: brackets of one or two members that sit next to
+  // hubs, which the generic kernel splits into (position, slice) parts.
+  // A Barabasi-Albert backbone gives the hubs, a planted community the
+  // dense tail.
+  const unsigned threads = GetParam();
+  const Graph g = gen::PowerLawWithCommunities(400, 3, 1, 14, 0.9, 0x7A11);
+  std::vector<char> alive(g.NumVertices(), 1);
+  for (VertexId v = 5; v < g.NumVertices(); v += 11) alive[v] = 0;
+  VertexId hub = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (g.Degree(v) > g.Degree(hub)) hub = v;
+  }
+  std::vector<VertexId> next_to_hub;
+  for (VertexId u : g.Neighbors(hub)) {
+    if (alive[u]) next_to_hub.push_back(u);
+  }
+  ASSERT_GE(next_to_hub.size(), 3u);
+  const std::vector<std::vector<VertexId>> frontiers = {
+      {hub}, {next_to_hub[0]}, {next_to_hub[1], next_to_hub[2]},
+      {std::min(hub, next_to_hub[0]), std::max(hub, next_to_hub[0])}};
+  ExecutionContext ctx;
+  ctx.threads = threads == 0 ? 8 : threads;
+  for (const Pattern& pattern :
+       {Pattern::Basket(), Pattern::C3Star(), Pattern::TwoTriangle()}) {
+    const PatternOracle oracle(pattern);
+    const PatternPlanSet plans(pattern);
+    for (const std::vector<VertexId>& frontier : frontiers) {
+      BatchResult sequential = RunBatch(
+          frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+            return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                    ExecutionContext());
+          });
+      BatchResult parallel = RunBatch(
+          frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+            return ParallelPatternPeelBatch(
+                g, plans, f, {mask.data(), mask.size()}, cb, ctx);
+          });
+      EXPECT_EQ(parallel.destroyed, sequential.destroyed) << pattern.name();
+      EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas)
+          << pattern.name();
+      EXPECT_EQ(parallel.alive_after, sequential.alive_after)
+          << pattern.name();
+      // An expired deadline stops before the first member: no member's
+      // parts run, so nothing is destroyed, cleared or reported.
+      BatchResult expired = RunBatch(
+          frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+            return ParallelPatternPeelBatch(g, plans, f,
+                                            {mask.data(), mask.size()}, cb,
+                                            ctx.WithDeadlineAfter(-1.0));
+          });
+      EXPECT_TRUE(expired.destroyed.empty()) << pattern.name();
+      EXPECT_TRUE(expired.survivor_deltas.empty()) << pattern.name();
+      EXPECT_EQ(expired.alive_after, alive) << pattern.name();
+    }
+  }
+}
+
+TEST_P(ParallelPeelBatchTest, GenericDeadlineCutsOnAMemberPrefix) {
+  // Whatever prefix a deadline leaves (the kernel polls between chunks of
+  // whole members), the result must be the sequential loop's over exactly
+  // that prefix: a member's parts are never split across the cut. The
+  // kernel ranks the whole bracket up front, so it reports no deltas to
+  // the unpeeled suffix (the engine stops there anyway); the comparison
+  // covers the vertices outside the bracket.
+  const unsigned threads = GetParam();
+  const Graph g = gen::PowerLawWithCommunities(1500, 3, 4, 12, 0.9, 0xC07);
+  const std::vector<char> alive(g.NumVertices(), 1);
+  std::vector<VertexId> frontier;
+  for (VertexId v = 0; v < g.NumVertices(); v += 2) frontier.push_back(v);
+  const PatternOracle oracle(Pattern::TwoTriangle());
+  const PatternPlanSet plans(Pattern::TwoTriangle());
+  ExecutionContext ctx;
+  ctx.threads = threads == 0 ? 8 : threads;
+  for (double seconds : {2e-4, 1e-3, 5e-3}) {
+    BatchResult cut = RunBatch(
+        frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+          return ParallelPatternPeelBatch(g, plans, f,
+                                          {mask.data(), mask.size()}, cb,
+                                          ctx.WithDeadlineAfter(seconds));
+        });
+    const std::vector<VertexId> prefix(
+        frontier.begin(),
+        frontier.begin() + static_cast<ptrdiff_t>(cut.destroyed.size()));
+    BatchResult sequential = RunBatch(
+        prefix, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+          return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                  ExecutionContext());
+        });
+    for (VertexId v : frontier) sequential.survivor_deltas.erase(v);
+    EXPECT_EQ(cut.destroyed, sequential.destroyed) << seconds;
+    EXPECT_EQ(cut.survivor_deltas, sequential.survivor_deltas) << seconds;
+    EXPECT_EQ(cut.alive_after, sequential.alive_after) << seconds;
   }
 }
 
