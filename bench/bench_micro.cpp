@@ -18,6 +18,7 @@
 #include "flow/flow_network.h"
 #include "graph/generators.h"
 #include "parallel/parallel_for.h"
+#include "parallel/parallel_pattern.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
 
@@ -117,6 +118,20 @@ BENCHMARK_CAPTURE(BM_MotifCoreDecompose, diamond, "diamond",
 BENCHMARK_CAPTURE(BM_MotifCoreDecompose, basket, "basket",
                   &PatternDecomposeGraph)
     ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// One full pattern-degree pass (the Degrees call that opens every generic
+// pattern peel) over the pattern graph at state.range(0) threads, on its own
+// rather than folded into a BM_MotifCoreDecompose row.
+void BM_PatternDegrees(benchmark::State& state, Pattern (*make_pattern)()) {
+  static const Graph g = PatternDecomposeGraph();
+  const PatternPlanSet plans(make_pattern());
+  const unsigned threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ParallelPatternDegrees(g, plans, {}, threads));
+  }
+}
+BENCHMARK_CAPTURE(BM_PatternDegrees, basket, &Pattern::Basket)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The fixed cost of one ParallelForStrided call on state.range(0) workers:
 // an empty body over one index per worker, so the row is the wake-up and

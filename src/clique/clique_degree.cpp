@@ -1,6 +1,7 @@
 #include "clique/clique_degree.h"
 
 #include "clique/clique_enumerator.h"
+#include "graph/intersect.h"
 #include "graph/subgraph.h"
 
 namespace dsd {

@@ -2,52 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "core/kcore.h"
+#include "graph/intersect.h"
 
 namespace dsd {
-
-namespace {
-
-// Above this length ratio, galloping through the longer list beats a merge.
-constexpr size_t kGallopRatio = 16;
-
-}  // namespace
-
-size_t IntersectSorted(std::span<const VertexId> a,
-                       std::span<const VertexId> b, VertexId* out) {
-  if (a.size() > b.size()) std::swap(a, b);
-  size_t size = 0;
-  if (a.size() * kGallopRatio < b.size()) {
-    // Exponential probe from the last match position, then binary search
-    // inside the final doubling step.
-    const VertexId* lo = b.data();
-    const VertexId* const end = b.data() + b.size();
-    for (VertexId x : a) {
-      const size_t left = static_cast<size_t>(end - lo);
-      size_t bound = 1;
-      while (bound <= left && lo[bound - 1] < x) bound *= 2;
-      lo = std::lower_bound(lo + bound / 2, lo + std::min(bound, left), x);
-      if (lo == end) break;
-      if (*lo == x) out[size++] = x;
-    }
-    return size;
-  }
-  // Branch-free merge: `out[size]` is written speculatively and kept only
-  // on a match (size <= min(i, j), so the write stays in bounds).
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const VertexId x = a[i];
-    const VertexId y = b[j];
-    out[size] = x;
-    size += x == y;
-    i += x <= y;
-    j += y <= x;
-  }
-  return size;
-}
 
 CliqueEnumerator::CliqueEnumerator(const Graph& graph, int h)
     : graph_(graph), h_(h), dag_offsets_(graph.NumVertices() + 1, 0) {

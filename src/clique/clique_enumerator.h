@@ -26,12 +26,6 @@ namespace dsd {
 /// Callback invoked once per clique instance with its vertex set (unsorted).
 using CliqueCallback = std::function<void(std::span<const VertexId>)>;
 
-/// Writes a ∩ b (both ascending) to `out`, which must have room for
-/// min(|a|, |b|) ids, and returns the intersection's size. Gallops through
-/// the longer list when the lengths are skewed; merges linearly otherwise.
-size_t IntersectSorted(std::span<const VertexId> a,
-                       std::span<const VertexId> b, VertexId* out);
-
 /// Enumerates h-cliques of a graph. The constructor performs the degeneracy
 /// ordering; Enumerate/Count/Degrees then run the kClist recursion.
 class CliqueEnumerator {

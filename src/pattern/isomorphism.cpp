@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <map>
 #include <set>
+
+#include "graph/intersect.h"
 
 namespace dsd {
 
@@ -205,7 +208,7 @@ void PatternMatcher::Extend(const PatternPlan& plan, size_t level,
                             Policy& policy) const {
   const PatternPlan::Level& lv = plan.levels[level];
   // toExtend: anchor on the placed neighbor level with the smallest data
-  // degree; candidates are the anchor's graph neighbors.
+  // degree; candidates come from the anchor's graph neighbors.
   const uint32_t connected = lv.connected;
   assert(connected != 0);
   int anchor = std::countr_zero(connected);
@@ -217,37 +220,47 @@ void PatternMatcher::Extend(const PatternPlan& plan, size_t level,
       anchor = l;
     }
   }
-  const bool terminal = level + 1 == plan.levels.size();
-  // Hub slicing applies to the root's own candidate loop only (level 1,
-  // where the anchor is necessarily the root): the stride is over adjacency
-  // positions, before any filtering, so the slices partition the loop
-  // regardless of alive mask, path checks, or policy filters.
-  const bool sliced = level == 1 && num_slices > 1;
-  uint64_t terminal_hits = 0;
-  size_t position = 0;
-  for (VertexId u : graph_.Neighbors(scratch.placed[anchor])) {
-    const size_t index = position++;
-    if (sliced && index % num_slices != slice) continue;
-    if (!alive.empty() && !alive[u]) continue;
+  // The symmetry conditions are id comparisons, so on the ascending
+  // adjacency list they cut one range: ids above every `greater` image and
+  // below every `less` image.
+  const std::span<const VertexId> adjacency =
+      graph_.Neighbors(scratch.placed[anchor]);
+  size_t begin = 0;
+  size_t end = adjacency.size();
+  if (lv.greater != 0) {
+    VertexId floor = 0;
+    for (uint32_t m = lv.greater; m != 0; m &= m - 1) {
+      floor = std::max(floor, scratch.placed[std::countr_zero(m)]);
+    }
+    begin = static_cast<size_t>(
+        std::upper_bound(adjacency.begin(), adjacency.end(), floor) -
+        adjacency.begin());
+  }
+  if (lv.less != 0) {
+    VertexId ceiling = std::numeric_limits<VertexId>::max();
+    for (uint32_t m = lv.less; m != 0; m &= m - 1) {
+      ceiling = std::min(ceiling, scratch.placed[std::countr_zero(m)]);
+    }
+    end = static_cast<size_t>(
+        std::lower_bound(adjacency.begin() + begin, adjacency.end(), ceiling) -
+        adjacency.begin());
+  }
+  auto admit = [&](VertexId u) {
+    if (!alive.empty() && !alive[u]) return false;
     if constexpr (kHasAdmit<Policy>) {
-      if (!policy.Admit(u)) continue;
+      if (!policy.Admit(u)) return false;
     }
     // Already on the path: patterns have at most 31 vertices, so scanning
     // the placed prefix keeps the scratch O(k) instead of an O(n) mark
     // array.
-    bool ok = true;
-    for (size_t l = 0; ok && l < level; ++l) ok = u != scratch.placed[l];
-    for (uint32_t m = lv.greater; ok && m != 0; m &= m - 1) {
-      ok = u > scratch.placed[std::countr_zero(m)];
+    for (size_t l = 0; l < level; ++l) {
+      if (u == scratch.placed[l]) return false;
     }
-    for (uint32_t m = lv.less; ok && m != 0; m &= m - 1) {
-      ok = u < scratch.placed[std::countr_zero(m)];
-    }
-    // toAdd: connectivity beyond the anchor.
-    for (uint32_t m = connected & ~(1u << anchor); ok && m != 0; m &= m - 1) {
-      ok = graph_.HasEdge(u, scratch.placed[std::countr_zero(m)]);
-    }
-    if (!ok) continue;
+    return true;
+  };
+  const bool terminal = level + 1 == plan.levels.size();
+  uint64_t terminal_hits = 0;
+  auto visit = [&](VertexId u) {
     if (terminal) {
       if constexpr (kMaterializes<Policy>) {
         scratch.placed[level] = u;
@@ -262,6 +275,50 @@ void PatternMatcher::Extend(const PatternPlan& plan, size_t level,
       scratch.image[lv.pattern_vertex] = u;
       Extend(plan, level + 1, alive, scratch, slice, num_slices, policy);
     }
+  };
+  const uint32_t others = connected & ~(1u << anchor);
+  if (others == 0) {
+    // One placed neighbor: the bounded range, filtered in place. Hub
+    // slicing applies to the root's own candidate loop only (level 1, whose
+    // one neighbor is the root): the stride is over positions in the full
+    // adjacency list, before any bound or filter, so the slices partition
+    // the loop regardless of alive mask, path checks, or policy filters.
+    size_t step = 1;
+    if (level == 1 && num_slices > 1) {
+      step = num_slices;
+      begin += (slice + num_slices - begin % num_slices) % num_slices;
+    }
+    for (size_t i = begin; i < end; i += step) {
+      if (admit(adjacency[i])) visit(adjacency[i]);
+    }
+  } else {
+    // toAdd by intersection: filter the bounded range into this level's
+    // first buffer, then intersect it with the adjacency of every other
+    // placed neighbor, alternating between the level's two buffers so no
+    // IntersectSorted call writes over its input. Filtering first keeps
+    // the lists short late in a peel, when most of an anchor's list is
+    // dead. Intersection keeps ascending order, so the candidates are the
+    // same ids in the same order as a per-candidate adjacency probe.
+    assert(level > 1);
+    std::vector<VertexId>& first = scratch.candidates[2 * level];
+    std::vector<VertexId>& second = scratch.candidates[2 * level + 1];
+    if (first.size() < end - begin) {
+      first.resize(end - begin);
+      second.resize(end - begin);
+    }
+    size_t size = 0;
+    for (size_t i = begin; i < end; ++i) {
+      if (admit(adjacency[i])) first[size++] = adjacency[i];
+    }
+    VertexId* candidates = first.data();
+    VertexId* spare = second.data();
+    for (uint32_t m = others; m != 0 && size != 0; m &= m - 1) {
+      size = IntersectSorted(
+          {candidates, size},
+          graph_.Neighbors(scratch.placed[std::countr_zero(m)]), spare);
+      std::swap(candidates, spare);
+    }
+    for (size_t i = 0; i < size; ++i) visit(candidates[i]);
   }
   if constexpr (!kMaterializes<Policy>) {
     if (terminal && terminal_hits > 0) {
@@ -309,7 +366,8 @@ PatternMatcher::PatternMatcher(const Graph& graph, const Pattern& pattern,
 
 PatternMatcher::Scratch PatternMatcher::MakeScratch() const {
   const size_t k = static_cast<size_t>(pattern().size());
-  return {std::vector<VertexId>(k), std::vector<VertexId>(k)};
+  return {std::vector<VertexId>(k), std::vector<VertexId>(k),
+          std::vector<std::vector<VertexId>>(2 * k)};
 }
 
 PatternMatcher::Scratch& PatternMatcher::ThreadScratch() const {
@@ -317,6 +375,7 @@ PatternMatcher::Scratch& PatternMatcher::ThreadScratch() const {
   const size_t k = static_cast<size_t>(pattern().size());
   scratch.image.resize(k);
   scratch.placed.resize(k);
+  if (scratch.candidates.size() < 2 * k) scratch.candidates.resize(2 * k);
   return scratch;
 }
 

@@ -2,6 +2,16 @@
 // (the libpangolin VertexMiner shape: per-level toExtend/toAdd hooks with
 // reductions folded into the last level instead of materialized embeddings).
 //
+// Each level's candidates come from sorted adjacency lists, never from
+// per-candidate edge probes. toExtend takes the placed neighbor with the
+// smallest degree as the anchor and cuts its ascending adjacency list to
+// the range the level's symmetry conditions allow (two binary searches).
+// When the level has further placed neighbors, toAdd filters that range
+// (alive, policy mask, not already placed) into a per-level buffer and
+// intersects it with each further neighbor's adjacency (IntersectSorted,
+// graph/intersect.h). The candidates stay ascending ids, so every search
+// visits the same matches in the same order as an edge-probing matcher.
+//
 // An *embedding* is an injective map f: V_Psi -> V_G preserving pattern edges
 // (Definition 7; non-induced). Two embeddings describe the same *instance*
 // (Definition 8) iff they have the same image edge set, which happens iff
@@ -125,11 +135,16 @@ class PatternPlanSet {
 /// worker thread searches with its own Scratch (ThreadScratch).
 class PatternMatcher {
  public:
-  /// Reusable search buffers, sized by MakeScratch(): O(k), independent of
-  /// the graph. One per worker.
+  /// Reusable search buffers, sized by MakeScratch(): O(k) vectors and no
+  /// graph-sized array. One per worker.
   struct Scratch {
     std::vector<VertexId> image;   // pattern vertex -> data vertex
     std::vector<VertexId> placed;  // level -> data vertex on the current path
+    // Two candidate buffers per level, used by the levels with two or more
+    // placed neighbors: the filtered anchor range and the intersections
+    // alternate between them. Each grows to the longest anchor range its
+    // level has filtered, so a reused Scratch stops allocating.
+    std::vector<std::vector<VertexId>> candidates;
   };
 
   /// Non-owning view over caller-owned plans (the oracle path: plans are

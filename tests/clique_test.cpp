@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <string>
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
 #include "dsd/motif_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/intersect.h"
 #include "graph/subgraph.h"
 #include "util/combinatorics.h"
 
@@ -307,6 +309,23 @@ TEST(EnumerateCliquesContaining, MatchesReferenceUnderMasks) {
   }
 }
 
+// a ∩ b both ways round, each into its own buffer, against
+// std::set_intersection.
+void ExpectIntersection(const std::vector<VertexId>& a,
+                        const std::vector<VertexId>& b,
+                        const std::string& label) {
+  std::vector<VertexId> expected;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(expected));
+  for (bool swap : {false, true}) {
+    std::vector<VertexId> out(std::min(a.size(), b.size()));
+    const size_t size = swap ? IntersectSorted(b, a, out.data())
+                             : IntersectSorted(a, b, out.data());
+    out.resize(size);
+    EXPECT_EQ(out, expected) << label << (swap ? " (swapped)" : "");
+  }
+}
+
 TEST(IntersectSorted, MatchesSetIntersectionBalancedAndSkewed) {
   std::mt19937_64 rng(5);
   for (size_t long_size : {0u, 1u, 7u, 40u, 600u, 5000u}) {
@@ -318,20 +337,60 @@ TEST(IntersectSorted, MatchesSetIntersectionBalancedAndSkewed) {
         return std::vector<VertexId>(ids.begin(), ids.end());
       };
       const std::vector<VertexId> a = draw(short_size);
-      const std::vector<VertexId> b = draw(long_size);
-      std::vector<VertexId> expected;
-      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                            std::back_inserter(expected));
-      for (bool swap : {false, true}) {
-        std::vector<VertexId> out(std::min(a.size(), b.size()));
-        const size_t size = swap ? IntersectSorted(b, a, out.data())
-                                 : IntersectSorted(a, b, out.data());
-        out.resize(size);
-        EXPECT_EQ(out, expected) << short_size << " x " << long_size;
-      }
+      ExpectIntersection(a, draw(long_size),
+                         std::to_string(short_size) + " x " +
+                             std::to_string(long_size));
     }
   }
 }
+
+TEST(IntersectSorted, SingleDisjointEqualAndGallopBoundaryCases) {
+  // Single elements: a hit, a miss, and one id against a long list: its
+  // first, middle and last ids, ids between two of its ids, and one past
+  // its end.
+  ExpectIntersection({4}, {4}, "single hit");
+  ExpectIntersection({4}, {5}, "single miss");
+  std::vector<VertexId> evens;
+  for (VertexId v = 0; v < 200; v += 2) evens.push_back(v);
+  for (VertexId x : {0u, 1u, 100u, 198u, 199u, 500u}) {
+    ExpectIntersection({x}, evens, "single " + std::to_string(x));
+  }
+  // Disjoint: interleaved, and one list wholly before the other.
+  std::vector<VertexId> odds;
+  for (VertexId v = 1; v < 200; v += 2) odds.push_back(v);
+  ExpectIntersection(evens, odds, "interleaved");
+  ExpectIntersection({0, 1, 2}, {3, 4, 5, 6}, "before");
+  ExpectIntersection({300, 301}, evens, "after");
+  // All equal: the same ids in two separate buffers.
+  ExpectIntersection(evens, std::vector<VertexId>(evens), "all equal");
+  // Around the gallop ratio (16): |b| = 16|a| - 1 and 16|a| merge, 16|a| + 1
+  // gallops. Matches sit at b's first and last ids and in between.
+  for (size_t short_size : {1u, 2u, 5u}) {
+    for (size_t long_size :
+         {16 * short_size - 1, 16 * short_size, 16 * short_size + 1}) {
+      std::vector<VertexId> b(long_size);
+      for (size_t i = 0; i < long_size; ++i) b[i] = static_cast<VertexId>(3 * i);
+      std::vector<VertexId> a = {b.front()};
+      for (size_t i = 1; i + 1 < short_size; ++i) {
+        a.push_back(b[i * long_size / short_size] + (i % 2));
+      }
+      if (short_size > 1) a.push_back(b.back());
+      ExpectIntersection(a, b,
+                         std::to_string(short_size) + " x " +
+                             std::to_string(long_size));
+    }
+  }
+}
+
+#ifndef NDEBUG
+TEST(IntersectSortedDeathTest, OutMustNotOverlapAnInput) {
+  // The merge walks the shorter list {1, 2} and writes speculatively, so an
+  // `out` inside the longer list would overwrite 2 before it is compared.
+  std::vector<VertexId> longer = {2, 5, 6};
+  const std::vector<VertexId> shorter = {1, 2};
+  EXPECT_DEATH(IntersectSorted(longer, shorter, longer.data()), "Disjoint");
+}
+#endif
 
 }  // namespace
 }  // namespace dsd

@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <random>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -318,19 +321,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpecialPeelTest, ::testing::Range(0, 8));
 // --- Automorphism breaking -------------------------------------------------
 
 // Brute force over every k-subset x permutation: an instance is a distinct
-// image edge set on a subset, and every member of the subset gains one unit
-// of pattern-degree per instance. Independent of the engine entirely.
-std::pair<uint64_t, std::vector<uint64_t>> BruteForceInstances(
+// image edge set on a subset. Returns each alive k-subset with its number
+// of instances (zero-instance subsets are left out). Independent of the
+// engine entirely.
+std::vector<std::pair<std::vector<VertexId>, uint64_t>> BruteForceGroups(
     const Graph& g, const Pattern& p, std::span<const char> alive) {
   const int k = p.size();
   const VertexId n = g.NumVertices();
-  uint64_t total = 0;
-  std::vector<uint64_t> degrees(n, 0);
+  std::vector<std::pair<std::vector<VertexId>, uint64_t>> groups;
   std::vector<VertexId> subset;
   std::vector<int> perm(k);
   std::set<std::vector<Edge>> edge_sets;
   std::vector<Edge> image_edges;
   auto count_subset = [&]() {
+    // A subset spanning fewer edges than the pattern has no instance.
+    size_t spanned = 0;
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) spanned += g.HasEdge(subset[i], subset[j]);
+    }
+    if (spanned < p.edges().size()) return;
     edge_sets.clear();
     for (int i = 0; i < k; ++i) perm[i] = i;
     do {
@@ -350,8 +359,7 @@ std::pair<uint64_t, std::vector<uint64_t>> BruteForceInstances(
       std::sort(image_edges.begin(), image_edges.end());
       edge_sets.insert(image_edges);
     } while (std::next_permutation(perm.begin(), perm.end()));
-    total += edge_sets.size();
-    for (VertexId u : subset) degrees[u] += edge_sets.size();
+    if (!edge_sets.empty()) groups.emplace_back(subset, edge_sets.size());
   };
   std::function<void(VertexId)> choose = [&](VertexId next) {
     if (static_cast<int>(subset.size()) == k) {
@@ -366,6 +374,19 @@ std::pair<uint64_t, std::vector<uint64_t>> BruteForceInstances(
     }
   };
   choose(0);
+  return groups;
+}
+
+// The instance count and per-vertex pattern-degrees of BruteForceGroups:
+// every member of a subset gains one unit per instance on it.
+std::pair<uint64_t, std::vector<uint64_t>> BruteForceInstances(
+    const Graph& g, const Pattern& p, std::span<const char> alive) {
+  uint64_t total = 0;
+  std::vector<uint64_t> degrees(g.NumVertices(), 0);
+  for (const auto& [subset, instances] : BruteForceGroups(g, p, alive)) {
+    total += instances;
+    for (VertexId u : subset) degrees[u] += instances;
+  }
   return {total, degrees};
 }
 
@@ -431,6 +452,90 @@ TEST_P(AutomorphismBreakingTest, SpecialKernelsMatchCanonicalEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AutomorphismBreakingTest,
                          ::testing::Range(0, 4));
+
+// --- Rank-masked peel --------------------------------------------------------
+
+class RankMaskedPeelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RankMaskedPeelTest, PartsSumToBruteForceOverEverySlicing) {
+  // PeelContainingPart over every (position, slice) of S slices must count
+  // the instances containing v whose other members are alive and have rank
+  // >= my_rank, and report +1 per such instance to each survivor member.
+  // The hub-heavy graph has adjacency lists over 16x longer than a
+  // filtered candidate list, so both of IntersectSorted's branches run.
+  const int seed = GetParam();
+  const Graph graphs[] = {gen::ErdosRenyi(26, 0.3, seed + 1500),
+                          gen::BarabasiAlbert(44, 3, seed + 1600)};
+  ASSERT_GT(graphs[1].MaxDegree(), 16u);
+  for (const Graph& g : graphs) {
+    const VertexId n = g.NumVertices();
+    std::mt19937_64 rng(seed + 77);
+    std::vector<char> alive(n, 1);
+    for (VertexId v = 0; v < n; ++v) alive[v] = rng() % 5 != 0;
+    // A bracket of about a third of the vertices, ranked in random order;
+    // everyone else is a survivor.
+    std::vector<VertexId> bracket;
+    for (VertexId v = 0; v < n; ++v) {
+      if (rng() % 3 == 0) bracket.push_back(v);
+    }
+    std::shuffle(bracket.begin(), bracket.end(), rng);
+    std::vector<uint32_t> rank(n, kNoPeelRank);
+    for (size_t i = 0; i < bracket.size(); ++i) {
+      rank[bracket[i]] = static_cast<uint32_t>(i);
+    }
+    for (const Pattern& p :
+         {Pattern::Basket(), Pattern::TwoTriangle(), Pattern::ThreeTriangle(),
+          Pattern::C3Star(), Pattern::Cycle(5), Pattern::Clique(4)}) {
+      const auto groups = BruteForceGroups(g, p, {});
+      PatternMatcher matcher(g, p);
+      PatternMatcher::Scratch scratch = matcher.MakeScratch();
+      for (bool masked : {false, true}) {
+        const std::span<const uint32_t> ranks =
+            masked ? std::span<const uint32_t>(rank) : std::span<const uint32_t>();
+        for (VertexId v = 0; v < n; ++v) {
+          if (masked && rank[v] == kNoPeelRank) continue;
+          const uint32_t my_rank = masked ? rank[v] : 0;
+          uint64_t want_destroyed = 0;
+          std::map<VertexId, uint64_t> want_reports;
+          for (const auto& [subset, instances] : groups) {
+            if (!std::binary_search(subset.begin(), subset.end(), v)) continue;
+            bool counted = true;
+            for (VertexId u : subset) {
+              counted = counted && (u == v || (alive[u] &&
+                                               (!masked || rank[u] >= my_rank)));
+            }
+            if (!counted) continue;
+            want_destroyed += instances;
+            for (VertexId u : subset) {
+              if (u != v && (!masked || rank[u] == kNoPeelRank)) {
+                want_reports[u] += instances;
+              }
+            }
+          }
+          for (unsigned slices = 1; slices <= 3; ++slices) {
+            uint64_t destroyed = 0;
+            std::map<VertexId, uint64_t> reports;
+            for (int position = 0; position < p.size(); ++position) {
+              for (unsigned slice = 0; slice < slices; ++slice) {
+                destroyed += matcher.PeelContainingPart(
+                    v, position, slice, slices, ranks, my_rank, alive, scratch,
+                    [&](VertexId u, uint64_t c) { reports[u] += c; });
+              }
+            }
+            EXPECT_EQ(destroyed, want_destroyed)
+                << p.name() << " n=" << n << " v=" << v << " masked=" << masked
+                << " slices=" << slices;
+            EXPECT_EQ(reports, want_reports)
+                << p.name() << " n=" << n << " v=" << v << " masked=" << masked
+                << " slices=" << slices;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RankMaskedPeelTest, ::testing::Range(0, 3));
 
 TEST(PatternPlanSet, SymmetryConditionOrbitProductEqualsAut) {
   // The conditions come from an orbit-stabilizer chain, so the product of
