@@ -18,7 +18,6 @@
 #include "flow/flow_network.h"
 #include "graph/generators.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_pattern.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
 
@@ -125,9 +124,10 @@ BENCHMARK_CAPTURE(BM_MotifCoreDecompose, basket, "basket",
 void BM_PatternDegrees(benchmark::State& state, Pattern (*make_pattern)()) {
   static const Graph g = PatternDecomposeGraph();
   const PatternPlanSet plans(make_pattern());
+  const PatternMatcher matcher(g, plans);
   const unsigned threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ParallelPatternDegrees(g, plans, {}, threads));
+    benchmark::DoNotOptimize(matcher.Degrees({}, threads));
   }
 }
 BENCHMARK_CAPTURE(BM_PatternDegrees, basket, &Pattern::Basket)

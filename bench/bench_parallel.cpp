@@ -1,37 +1,80 @@
 // Thread-scaling bench for the Section 6.3 parallel algorithms: clique
-// counting and clique-core decomposition at 1/2/4/8 workers.
+// counting, clique-degrees and clique-core decomposition at 1/2/4/8
+// workers. The core decomposition runs two ways: the synchronous h-index
+// iteration (ParallelCliqueCoreDecomposition) and the batch peel
+// (MotifCoreDecompose on the MakeOracle stack). Every row must reproduce
+// the 1-thread counts, degrees and core numbers, and the two
+// decompositions must agree, or the binary exits 1.
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "clique/clique_enumerator.h"
+#include "dsd/motif_core.h"
+#include "dsd/oracle_factory.h"
 #include "graph/generators.h"
 #include "harness/report.h"
-#include "parallel/parallel_clique.h"
 #include "parallel/parallel_nucleus.h"
 #include "util/timer.h"
 
 namespace dsd::bench {
 namespace {
 
-void Run() {
+constexpr int kH = 4;
+
+bool Run() {
   Graph g = gen::PowerLawWithCommunities(60000, 3, 30, 14, 0.9, 0x9A7);
   Banner("Parallel scaling (n=" + std::to_string(g.NumVertices()) + ", m=" +
          std::to_string(g.NumEdges()) + ", Psi = 4-clique)");
-  Table table({"threads", "clique count", "clique degrees", "core decomp"});
+  // The 1-thread row's answers, which every later row must reproduce.
+  uint64_t count = 0;
+  std::vector<uint64_t> degrees;
+  std::vector<uint64_t> core;
+  bool ok = true;
+  Table table({"threads", "clique count", "clique degrees", "core decomp",
+               "MotifCoreDecompose"});
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     Timer count_timer;
-    ParallelCliqueCount(g, 4, threads);
+    const uint64_t threaded_count = CliqueEnumerator(g, kH).Count(threads);
     double count_seconds = count_timer.Seconds();
     Timer degrees_timer;
-    ParallelCliqueDegrees(g, 4, threads);
+    const std::vector<uint64_t> threaded_degrees =
+        CliqueEnumerator(g, kH).Degrees(threads);
     double degrees_seconds = degrees_timer.Seconds();
     Timer core_timer;
-    ParallelCliqueCoreDecomposition(g, 4, threads);
+    const NucleusDecomposition h_index =
+        ParallelCliqueCoreDecomposition(g, kH, threads);
     double core_seconds = core_timer.Seconds();
+
+    OracleOptions options;
+    options.threads = threads;
+    const std::unique_ptr<MotifOracle> oracle =
+        MakeOracle("4-clique", options).value();
+    Timer peel_timer;
+    const MotifCoreDecomposition peeled = MotifCoreDecompose(
+        g, *oracle, ExecutionContext().WithThreads(threads));
+    double peel_seconds = peel_timer.Seconds();
+    if (threads == 1) {
+      count = threaded_count;
+      degrees = threaded_degrees;
+      core = peeled.core;
+    }
+
+    if (threaded_count != count || threaded_degrees != degrees) {
+      std::fprintf(stderr, "FAIL: %u-thread clique count/degrees differ\n",
+                   threads);
+      ok = false;
+    }
+    if (h_index.core != core || peeled.core != core) {
+      std::fprintf(stderr, "FAIL: %u-thread core numbers differ\n", threads);
+      ok = false;
+    }
     table.AddRow({std::to_string(threads), FormatSeconds(count_seconds),
-                  FormatSeconds(degrees_seconds),
-                  FormatSeconds(core_seconds)});
+                  FormatSeconds(degrees_seconds), FormatSeconds(core_seconds),
+                  FormatSeconds(peel_seconds)});
   }
   table.Print();
+  return ok;
 }
 
 }  // namespace
@@ -39,6 +82,5 @@ void Run() {
 
 int main() {
   std::printf("Parallel algorithms (Section 6.3) thread scaling\n");
-  dsd::bench::Run();
-  return 0;
+  return dsd::bench::Run() ? 0 : 1;
 }

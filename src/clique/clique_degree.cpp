@@ -81,7 +81,8 @@ void EnumerateCliquesContaining(
 }
 
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,
-                                          std::span<const char> alive) {
+                                          std::span<const char> alive,
+                                          unsigned threads) {
   if (h == 2) {
     // Edge degrees are alive-neighbour counts: O(n + m), no enumerator.
     std::vector<uint64_t> degrees(graph.NumVertices(), 0);
@@ -94,11 +95,14 @@ std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,
     }
     return degrees;
   }
+  // Other sizes run the kClist roots on the induced alive subgraph, which
+  // keeps the per-root partitioning intact.
   if (alive.empty()) {
-    return CliqueEnumerator(graph, h).Degrees();
+    return CliqueEnumerator(graph, h).Degrees(threads);
   }
   Subgraph sub = InducedAliveSubgraph(graph, alive);
-  std::vector<uint64_t> local = CliqueEnumerator(sub.graph, h).Degrees();
+  std::vector<uint64_t> local =
+      CliqueEnumerator(sub.graph, h).Degrees(threads);
   std::vector<uint64_t> degrees(graph.NumVertices(), 0);
   for (VertexId i = 0; i < local.size(); ++i) {
     degrees[sub.to_parent[i]] = local[i];

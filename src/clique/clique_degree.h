@@ -32,9 +32,13 @@ void EnumerateCliquesContaining(
 
 /// Clique-degrees of every vertex restricted to alive vertices.
 /// alive may be empty, meaning "all vertices alive". For h = 2 these are
-/// alive-neighbour counts, computed directly in O(n + m).
+/// alive-neighbour counts, computed directly in O(n + m) on the calling
+/// thread; larger h run CliqueEnumerator::Degrees(threads) on the induced
+/// alive subgraph (same thread contract: 1 is the sequential loop, 0 is
+/// "auto", and every count gives the same bits).
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,
-                                          std::span<const char> alive);
+                                          std::span<const char> alive,
+                                          unsigned threads = 1);
 
 }  // namespace dsd
 

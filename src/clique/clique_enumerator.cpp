@@ -5,6 +5,8 @@
 
 #include "core/kcore.h"
 #include "graph/intersect.h"
+#include "parallel/chunked_accumulator.h"
+#include "parallel/parallel_for.h"
 
 namespace dsd {
 
@@ -107,27 +109,60 @@ void CliqueEnumerator::Enumerate(const CliqueCallback& cb) const {
   }
 }
 
-uint64_t CliqueEnumerator::Count() const {
-  Scratch scratch = MakeScratch();
-  uint64_t count = 0;
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    count += CountFromRoot(v, scratch);
+uint64_t CliqueEnumerator::Count(unsigned threads) const {
+  // Clamp by hardware AND vertex count: per-root partitioning has at most
+  // NumVertices() units of work, so extra workers would only wake and idle.
+  const unsigned t = ResolveThreadCount(threads, graph_.NumVertices());
+  if (t == 1) {
+    Scratch scratch = MakeScratch();
+    uint64_t count = 0;
+    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+      count += CountFromRoot(v, scratch);
+    }
+    return count;
   }
-  return count;
+  std::vector<Scratch> scratch;
+  for (unsigned w = 0; w < t; ++w) scratch.push_back(MakeScratch());
+  std::vector<PaddedCounter> partial(t);
+  ParallelForStrided(graph_.NumVertices(), t,
+                     [&](unsigned worker, uint64_t root) {
+                       partial[worker].value += CountFromRoot(
+                           static_cast<VertexId>(root), scratch[worker]);
+                     });
+  uint64_t total = 0;
+  for (const PaddedCounter& p : partial) total += p.value;
+  return total;
 }
 
-std::vector<uint64_t> CliqueEnumerator::Degrees() const {
-  Scratch scratch = MakeScratch();
-  std::vector<uint64_t> degrees(graph_.NumVertices(), 0);
-  auto leaf = [&degrees](std::span<const VertexId> prefix,
-                         std::span<const VertexId> last) {
-    for (VertexId u : prefix) degrees[u] += last.size();
-    for (VertexId c : last) ++degrees[c];
-  };
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    Walk(v, scratch, leaf);
+std::vector<uint64_t> CliqueEnumerator::Degrees(unsigned threads) const {
+  const unsigned t = ResolveThreadCount(threads, graph_.NumVertices());
+  if (t == 1) {
+    Scratch scratch = MakeScratch();
+    std::vector<uint64_t> degrees(graph_.NumVertices(), 0);
+    auto leaf = [&degrees](std::span<const VertexId> prefix,
+                           std::span<const VertexId> last) {
+      for (VertexId u : prefix) degrees[u] += last.size();
+      for (VertexId c : last) ++degrees[c];
+    };
+    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+      Walk(v, scratch, leaf);
+    }
+    return degrees;
   }
-  return degrees;
+  std::vector<Scratch> scratch;
+  for (unsigned w = 0; w < t; ++w) scratch.push_back(MakeScratch());
+  // One shared chunk-locked totals array rather than t private n-sized
+  // ones; integer addition commutes, so every t gives the same bits.
+  ChunkedAccumulator accumulator(graph_.NumVertices(), t);
+  ParallelForStrided(graph_.NumVertices(), t,
+                     [&](unsigned worker, uint64_t root) {
+                       DegreesFromRoot(static_cast<VertexId>(root),
+                                       scratch[worker],
+                                       [&](VertexId v, uint64_t count) {
+                                         accumulator.Add(worker, v, count);
+                                       });
+                     });
+  return std::move(accumulator).Finish();
 }
 
 }  // namespace dsd

@@ -51,7 +51,7 @@ class CliqueEnumerator {
 
   /// Enumerates only the cliques whose degeneracy-minimal vertex is `root`.
   /// The root sets {EnumerateFromRoot(v)}_v partition all instances, which
-  /// is what the parallel counting layer exploits. Thread-safe given one
+  /// is what the threaded Count and Degrees exploit. Thread-safe given one
   /// Scratch per thread: `this` is never mutated.
   void EnumerateFromRoot(VertexId root, Scratch& scratch,
                          const CliqueCallback& cb) const;
@@ -67,11 +67,15 @@ class CliqueEnumerator {
       VertexId root, Scratch& scratch,
       const std::function<void(VertexId, uint64_t)>& add) const;
 
-  /// Number of h-clique instances: mu(G, Psi).
-  uint64_t Count() const;
+  /// Number of h-clique instances: mu(G, Psi), on `threads` workers
+  /// sharding the roots (Section 6.3). 0 means "auto" (hardware
+  /// concurrency); the count is clamped by the vertex count, and 1 is the
+  /// plain sequential loop. Bit-identical for every thread count.
+  uint64_t Count(unsigned threads = 1) const;
 
-  /// Per-vertex clique-degrees deg_G(v, Psi) (Definition 3).
-  std::vector<uint64_t> Degrees() const;
+  /// Per-vertex clique-degrees deg_G(v, Psi) (Definition 3), with the same
+  /// thread contract as Count.
+  std::vector<uint64_t> Degrees(unsigned threads = 1) const;
 
   int h() const { return h_; }
 

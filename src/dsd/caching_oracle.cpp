@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace dsd {
@@ -40,6 +41,17 @@ CachingOracle::Key CachingOracle::MakeKey(const Graph& graph,
     population = 0;
     uint64_t h = kFnvOffset;
     for (VertexId v = 0; v < n; ++v) {
+      // Skip dead vertices a word at a time: a measured candidate set of a
+      // large graph is a mask of mostly zero bytes, and a byte loop over it
+      // costs n iterations whose speed swings with code placement.
+      if (v % 8 == 0 && n - v >= 8) {
+        uint64_t word;
+        std::memcpy(&word, alive.data() + v, sizeof(word));
+        if (word == 0) {
+          v += 7;
+          continue;
+        }
+      }
       if (!alive[v]) continue;
       ++population;
       // Hash alive vertex ids rather than raw mask bytes, so any nonzero

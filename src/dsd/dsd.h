@@ -44,7 +44,6 @@
 #include "dsd/motif_core.h"          // IWYU pragma: export
 #include "dsd/motif_oracle.h"        // IWYU pragma: export
 #include "dsd/oracle_factory.h"      // IWYU pragma: export
-#include "dsd/parallel_oracle.h"     // IWYU pragma: export
 #include "dsd/peel_app.h"            // IWYU pragma: export
 #include "dsd/query_densest.h"       // IWYU pragma: export
 #include "dsd/result.h"              // IWYU pragma: export
@@ -56,7 +55,6 @@
 #include "graph/io.h"                // IWYU pragma: export
 #include "graph/stats.h"             // IWYU pragma: export
 #include "graph/subgraph.h"          // IWYU pragma: export
-#include "parallel/parallel_clique.h"   // IWYU pragma: export
 #include "parallel/parallel_nucleus.h"  // IWYU pragma: export
 #include "pattern/pattern.h"         // IWYU pragma: export
 

@@ -1,12 +1,12 @@
 // ExecutionContext: the execution policy of one solve, made explicit in the
 // API (threads, deadline, cooperative cancellation).
 //
-// The paper's Section 6.3 parallelizability claim lives in src/parallel/ as
-// standalone kernels; the context is how the public API reaches them. Every
-// hot oracle query (MotifOracle::Degrees / CountInstances) takes a context
-// and a parallel-capable oracle dispatches on ctx.threads, so one knob at
-// the SolveRequest level buys wall-clock speedup everywhere those queries
-// dominate. The deadline and cancel flag give long runs a cooperative stop:
+// The paper's Section 6.3 parallelizability claim lives in the threaded
+// counting functions and the src/parallel/ kernels; the context is how the
+// public API reaches them. Every hot oracle query (MotifOracle::Degrees /
+// CountInstances / PeelBatch) takes a context and the built-in oracles run
+// it on ctx.threads workers, so one knob at the SolveRequest level buys
+// wall-clock speedup everywhere those queries dominate. The deadline and cancel flag give long runs a cooperative stop:
 // algorithms poll ShouldStop() at loop granularity and bail out with their
 // best answer so far (dsd::Solve then reports DeadlineExceeded instead of
 // returning the truncated result).

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "clique/clique_enumerator.h"
-#include "dsd/parallel_oracle.h"
 #include "flow/flow_network.h"
 
 namespace dsd {
@@ -229,11 +228,10 @@ std::unique_ptr<DensestFlowSolver> MakeEdsFlowSolver(
 
 std::unique_ptr<DensestFlowSolver> MakeCliqueFlowSolver(
     const Graph& graph, int h, const ExecutionContext& ctx) {
-  // One dispatch path for the degree pass: the parallel oracle degrades to
-  // the sequential enumeration under a 1-thread context.
-  ParallelCliqueOracle oracle(h);
+  // One dispatch path for the degree pass: the clique oracle runs it on
+  // ctx.threads workers, and sequentially under a 1-thread context.
   return std::make_unique<CliqueFlowSolver>(
-      graph, h, oracle.Degrees(graph, {}, ctx), ctx);
+      graph, h, CliqueOracle(h).Degrees(graph, {}, ctx), ctx);
 }
 
 std::unique_ptr<DensestFlowSolver> MakePatternFlowSolver(

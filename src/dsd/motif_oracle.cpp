@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
 #include "core/kcore.h"
 #include "graph/subgraph.h"
+#include "parallel/parallel_peel.h"
 #include "pattern/special.h"
 #include "util/combinatorics.h"
 
@@ -35,6 +37,12 @@ std::vector<uint64_t> PeelInOrder(std::span<const VertexId> frontier,
   return destroyed;
 }
 
+// The worker count a query runs on: ctx.threads, with 0 read as 1 (the
+// kernels would read 0 as "auto").
+unsigned Workers(const ExecutionContext& ctx) {
+  return ctx.threads > 1 ? ctx.threads : 1;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -60,25 +68,41 @@ std::string CliqueOracle::Name() const {
   return std::to_string(h_) + "-clique";
 }
 
-std::vector<uint64_t> CliqueOracle::DegreesImpl(const Graph& graph,
-                                                std::span<const char> alive,
-                                                const ExecutionContext&) const {
-  return CliqueDegreesWithin(graph, h_, alive);
+unsigned CliqueOracle::MaxUsefulThreads() const {
+  return std::numeric_limits<unsigned>::max();
+}
+
+std::vector<uint64_t> CliqueOracle::DegreesImpl(
+    const Graph& graph, std::span<const char> alive,
+    const ExecutionContext& ctx) const {
+  return CliqueDegreesWithin(graph, h_, alive, Workers(ctx));
 }
 
 uint64_t CliqueOracle::CountInstancesImpl(const Graph& graph,
                                           std::span<const char> alive,
-                                          const ExecutionContext&) const {
+                                          const ExecutionContext& ctx) const {
   if (h_ == 2) {
-    // Edges among the alive vertices: half the alive-neighbour counts.
+    // Edges among the alive vertices: half the alive-neighbour counts, an
+    // O(n + m) pass that no worker wake-up would beat.
     if (alive.empty()) return graph.NumEdges();
     uint64_t twice = 0;
     for (uint64_t d : CliqueDegreesWithin(graph, 2, alive)) twice += d;
     return twice / 2;
   }
-  if (alive.empty()) return CliqueEnumerator(graph, h_).Count();
+  if (alive.empty()) return CliqueEnumerator(graph, h_).Count(Workers(ctx));
   Subgraph sub = InducedAliveSubgraph(graph, alive);
-  return CliqueEnumerator(sub.graph, h_).Count();
+  return CliqueEnumerator(sub.graph, h_).Count(Workers(ctx));
+}
+
+std::vector<uint64_t> CliqueOracle::PeelBatch(
+    const Graph& graph, std::span<const VertexId> frontier,
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) const {
+  if (Workers(ctx) > 1 &&
+      WorthParallelPeel(frontier.size(), graph.NumVertices())) {
+    return ParallelCliquePeelBatch(graph, h_, frontier, alive, cb, ctx);
+  }
+  return MotifOracle::PeelBatch(graph, frontier, alive, cb, ctx);
 }
 
 uint64_t CliqueOracle::PeelVertex(const Graph& graph, VertexId v,
@@ -138,20 +162,26 @@ PatternOracle::PatternOracle(Pattern pattern, bool use_special_kernels)
   assert(plans_.pattern().IsConnected());
 }
 
+unsigned PatternOracle::MaxUsefulThreads() const {
+  return std::numeric_limits<unsigned>::max();
+}
+
 std::vector<uint64_t> PatternOracle::DegreesImpl(
     const Graph& graph, std::span<const char> alive,
-    const ExecutionContext&) const {
-  if (star_tails_ >= 2) return StarDegrees(graph, star_tails_, alive);
-  if (is_four_cycle_) return FourCycleDegrees(graph, alive);
-  return PatternMatcher(graph, plans_).Degrees(alive);
+    const ExecutionContext& ctx) const {
+  const unsigned t = Workers(ctx);
+  if (star_tails_ >= 2) return StarDegrees(graph, star_tails_, alive, t);
+  if (is_four_cycle_) return FourCycleDegrees(graph, alive, t);
+  return PatternMatcher(graph, plans_).Degrees(alive, t);
 }
 
 uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
                                            std::span<const char> alive,
-                                           const ExecutionContext&) const {
-  if (star_tails_ >= 2) return StarCount(graph, star_tails_, alive);
-  if (is_four_cycle_) return FourCycleCount(graph, alive);
-  return PatternMatcher(graph, plans_).CountInstances(alive);
+                                           const ExecutionContext& ctx) const {
+  const unsigned t = Workers(ctx);
+  if (star_tails_ >= 2) return StarCount(graph, star_tails_, alive, t);
+  if (is_four_cycle_) return FourCycleCount(graph, alive, t);
+  return PatternMatcher(graph, plans_).CountInstances(alive, t);
 }
 
 // One member's sequential peel, with the scratch a bracket's members share:
@@ -202,6 +232,24 @@ std::vector<uint64_t> PatternOracle::PeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb,
     const ExecutionContext& ctx) const {
+  if (Workers(ctx) > 1) {
+    const bool closed_form = star_tails_ >= 2 || is_four_cycle_;
+    // Generic patterns always take the rank-masked plan kernel: it splits
+    // members into parts, so even a single member spreads, and a call
+    // costs a wake-up and O(bracket) beyond the members' peels.
+    if (!closed_form) {
+      return ParallelPatternPeelBatch(graph, plans_, frontier, alive, cb, ctx);
+    }
+    if (WorthParallelPeel(frontier.size(), graph.NumVertices())) {
+      if (star_tails_ >= 2) {
+        return ParallelStarPeelBatch(graph, star_tails_, frontier, alive, cb,
+                                     ctx);
+      }
+      return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx);
+    }
+  }
+  // Closed-form brackets too small to pay for waking the workers (or a
+  // sequential context) take the sequential loop.
   Peeler peeler(*this, graph);
   return PeelInOrder(frontier, alive, ctx, [&](VertexId v) {
     return peeler.Peel(v, alive, cb);

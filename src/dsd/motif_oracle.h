@@ -10,15 +10,17 @@
 // canonically with no automorphism division) with specialised star/4-cycle
 // kernels (appendix D).
 //
-// Execution policy is part of the interface: the hot queries (Degrees and
-// CountInstances — the calls the exact and core algorithms hammer on
-// shrinking subgraphs) take an ExecutionContext, and implementations may
-// dispatch on ctx.threads to the src/parallel/ kernels. The public methods
-// are non-virtual shells with a sequential default context, so call sites
-// that predate the context — and oracles that are inherently sequential —
-// are unaffected; implementations override the protected *Impl hooks.
-// Decorators (CachingOracle) and parallel implementations
-// (ParallelCliqueOracle) live in their own headers; MakeOracle in
+// Execution policy is part of the interface: the hot queries (Degrees,
+// CountInstances and PeelBatch — the calls the exact and core algorithms
+// hammer on shrinking subgraphs) take an ExecutionContext. Both built-in
+// oracles run them on ctx.threads workers (Section 6.3: per-root sharding
+// of the kClist DAG and of the pattern matcher, per-vertex closed forms,
+// frontier peel kernels), and ctx.threads = 1 runs the sequential code,
+// which stays the reference. The public Degrees/CountInstances are
+// non-virtual shells with a sequential default context, so call sites that
+// predate the context — and oracles that are inherently sequential — are
+// unaffected; implementations override the protected *Impl hooks. The
+// caching decorator (CachingOracle) lives in its own header; MakeOracle in
 // dsd/oracle_factory.h assembles the right stack for a request.
 #ifndef DSD_DSD_MOTIF_ORACLE_H_
 #define DSD_DSD_MOTIF_ORACLE_H_
@@ -100,7 +102,7 @@ class MotifOracle {
   ///     calling thread and never concurrently.
   /// The default implementation loops PeelVertex under a DeadlinePoller
   /// (cancel checked per removal, clock sampled at ~1ms granularity);
-  /// parallel oracles shard the frontier across ctx.threads workers —
+  /// the built-in oracles shard the frontier across ctx.threads workers —
   /// bit-identical by the fixed-order prefix-mask argument.
   virtual std::vector<uint64_t> PeelBatch(const Graph& graph,
                                           std::span<const VertexId> frontier,
@@ -145,8 +147,10 @@ class MotifOracle {
 /// Oracle for h-cliques (h >= 2). gamma(v) = C(core(v), h-1), which bounds
 /// the clique-core number: the (k, Psi)-core has min edge-degree f(k) with
 /// C(f(k), h-1) >= k, so every member sits in the f(k)-core.
-/// Sequential; ParallelCliqueOracle (dsd/parallel_oracle.h) derives from
-/// this and dispatches the hot queries to the Section 6.3 kernels.
+/// Degrees and CountInstances shard the kClist roots over ctx.threads
+/// workers (on the induced alive subgraph); edges (h = 2) keep their
+/// O(n + m) alive-neighbour count on the calling thread. Results are
+/// bit-identical for every thread count.
 class CliqueOracle : public MotifOracle {
  public:
   explicit CliqueOracle(int h);
@@ -156,10 +160,22 @@ class CliqueOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
+  /// Brackets that pass WorthParallelPeel (absolute floor +
+  /// graph-relative ratio: a clique member's peel is too cheap for a
+  /// handful of them to pay for waking the workers) go to the parallel
+  /// clique frontier kernel under a multi-thread ctx; smaller ones keep
+  /// the default PeelVertex loop. Either path returns the same bits.
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive, const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override;
   std::vector<InstanceGroup> Groups(const Graph& graph,
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(
       const Graph& graph) const override;
+  /// No intrinsic cap: the kernels clamp per call by hardware concurrency
+  /// and vertex count, so any budget the caller resolved is usable.
+  unsigned MaxUsefulThreads() const override;
 
   int h() const { return h_; }
 
@@ -177,10 +193,11 @@ class CliqueOracle : public MotifOracle {
 /// Oracle for arbitrary connected patterns. Uses the closed-form star /
 /// 4-cycle kernels of appendix D when the pattern allows, the generic
 /// plan-compiled matcher otherwise (plans are compiled once at
-/// construction and shared by every query). Sequential;
-/// ParallelPatternOracle (dsd/parallel_oracle.h) derives from this and
-/// dispatches the hot queries — including generic PeelBatch — to the
-/// src/parallel/ pattern kernels on ctx.threads workers.
+/// construction and shared by every query). Every query takes ctx.threads
+/// workers: the closed forms per vertex, the matcher per root (hub roots
+/// split into slices), and PeelBatch through the frontier kernels of
+/// parallel/parallel_peel.h. Results are bit-identical for every thread
+/// count.
 class PatternOracle : public MotifOracle {
  public:
   /// use_special_kernels = false forces the generic engine even for stars
@@ -192,9 +209,13 @@ class PatternOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
-  /// The PeelVertex loop with one peel scratch shared by the whole bracket
-  /// (the 4-cycle's O(n) 2-path counters are built once per call, not per
-  /// member).
+  /// Under a multi-thread ctx, stars and 4-cycles take the parallel
+  /// closed-form frontier kernels for brackets that pass WorthParallelPeel,
+  /// and every other pattern takes the generic rank-masked kernel for every
+  /// bracket, down to a single member: it splits members into (position,
+  /// slice) parts and costs O(bracket) beyond their peels. Everything else
+  /// runs the PeelVertex loop with one matcher scratch shared by the whole
+  /// bracket. Every path returns the same bits.
   std::vector<uint64_t> PeelBatch(const Graph& graph,
                                   std::span<const VertexId> frontier,
                                   std::span<char> alive,
@@ -204,6 +225,9 @@ class PatternOracle : public MotifOracle {
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(
       const Graph& graph) const override;
+  /// Same contract as CliqueOracle: the kernels clamp per call by hardware
+  /// concurrency and the vertex count.
+  unsigned MaxUsefulThreads() const override;
 
   const Pattern& pattern() const { return plans_.pattern(); }
 
@@ -213,17 +237,6 @@ class PatternOracle : public MotifOracle {
                                     const ExecutionContext& ctx) const override;
   uint64_t CountInstancesImpl(const Graph& graph, std::span<const char> alive,
                               const ExecutionContext& ctx) const override;
-
-  /// Kernel-dispatch state, shared with ParallelPatternOracle so the
-  /// parallel implementation takes exactly the same special-kernel branches
-  /// as this class (the bit-identical contract is per branch).
-  int star_tails() const { return star_tails_; }
-  bool four_cycle_kernel() const { return is_four_cycle_; }
-
-  /// The compiled plan set (instance semantics), shared with
-  /// ParallelPatternOracle so the sequential and parallel generic paths
-  /// drive the exact same plans.
-  const PatternPlanSet& plans() const { return plans_; }
 
  private:
   class Peeler;

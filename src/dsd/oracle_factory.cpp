@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "dsd/caching_oracle.h"
-#include "dsd/parallel_oracle.h"
 #include "pattern/pattern.h"
 
 namespace dsd {
@@ -31,49 +30,28 @@ constexpr NamedPattern kNamedPatterns[] = {
     {"basket", &Pattern::Basket},
 };
 
-std::unique_ptr<MotifOracle> BuildCliqueOracle(int h,
-                                               const OracleOptions& options) {
-  // The parallel oracle degrades gracefully to sequential under a 1-thread
-  // context, but picking the plain oracle for a sequential budget keeps the
-  // no-threads path byte-for-byte the pre-context code.
-  if (options.threads > 1) return std::make_unique<ParallelCliqueOracle>(h);
-  return std::make_unique<CliqueOracle>(h);
-}
-
-std::unique_ptr<MotifOracle> BuildPatternOracle(Pattern pattern,
-                                                const OracleOptions& options) {
-  // Same policy as the clique side: a thread budget > 1 selects the
-  // parallel pattern oracle (per-root sharding of the plan-compiled
-  // matcher, per-vertex parallel closed forms, and frontier peel kernels
-  // for every pattern family — generic motifs included, so the budget is
-  // honored end to end); a sequential budget keeps the plain oracle.
-  if (options.threads > 1) {
-    return std::make_unique<ParallelPatternOracle>(
-        std::move(pattern), options.use_special_kernels);
-  }
-  return std::make_unique<PatternOracle>(std::move(pattern),
-                                         options.use_special_kernels);
-}
-
 void RegisterBuiltins(OracleFactory& factory) {
   auto add = [&factory](std::string name, OracleFactory::Builder builder) {
     Status status = factory.Register(std::move(name), std::move(builder));
     (void)status;  // Built-in names are distinct by construction.
   };
-  add("edge", [](const OracleOptions& options) {
-    return BuildCliqueOracle(2, options);
+  // The built-in oracles take their thread count from each query's ctx, so
+  // one class serves every budget and the builders ignore options.threads.
+  add("edge", [](const OracleOptions&) {
+    return std::make_unique<CliqueOracle>(2);
   });
-  add("triangle", [](const OracleOptions& options) {
-    return BuildCliqueOracle(3, options);
+  add("triangle", [](const OracleOptions&) {
+    return std::make_unique<CliqueOracle>(3);
   });
   for (int h = kMinClique; h <= kMaxClique; ++h) {
-    add(std::to_string(h) + "-clique", [h](const OracleOptions& options) {
-      return BuildCliqueOracle(h, options);
+    add(std::to_string(h) + "-clique", [h](const OracleOptions&) {
+      return std::make_unique<CliqueOracle>(h);
     });
   }
   for (const NamedPattern& pattern : kNamedPatterns) {
     add(pattern.name, [make = pattern.make](const OracleOptions& options) {
-      return BuildPatternOracle(make(), options);
+      return std::make_unique<PatternOracle>(make(),
+                                             options.use_special_kernels);
     });
   }
 }

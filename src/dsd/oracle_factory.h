@@ -5,10 +5,11 @@
 // registry maps motif names to builders, pre-populated with the paper's
 // vocabulary (h-cliques 2..9 with the edge/triangle aliases, and the named
 // patterns), and embedders may register their own motifs under fresh names.
-// The factory — not the caller — decides which implementation serves a
-// request: a thread budget > 1 picks the parallel kernels (clique and
-// pattern oracles alike), and the caching decorator is layered on top for
-// motifs whose queries are expensive enough to memoize. dsd::Solve routes every request
+// The factory — not the caller — assembles the stack that serves a
+// request: the motif's oracle (the built-in clique and pattern oracles run
+// each query on its ctx.threads workers, so one class serves every thread
+// budget), with the caching decorator layered on top for motifs whose
+// queries are expensive enough to memoize. dsd::Solve routes every request
 // through here, so execution policy set on a SolveRequest reaches the
 // oracle without any call site knowing the concrete types.
 #ifndef DSD_DSD_ORACLE_FACTORY_H_
@@ -28,10 +29,9 @@ namespace dsd {
 
 /// How the oracle for one run should execute.
 struct OracleOptions {
-  /// Resolved worker-thread budget. > 1 selects implementations backed by
-  /// the src/parallel/ kernels: ParallelCliqueOracle for clique motifs and
-  /// ParallelPatternOracle for the named patterns; plugged-in motifs decide
-  /// for themselves in their builder.
+  /// Resolved worker-thread budget. The built-in oracles ignore it: they
+  /// read each query's ExecutionContext::threads instead. It is passed on
+  /// to plugged-in builders, which may pick an implementation by it.
   unsigned threads = 1;
 
   /// Wrap the oracle in a memoizing CachingOracle. Applied only to motifs
@@ -52,7 +52,7 @@ class OracleFactory {
  public:
   /// Builds the bare oracle for one registered name. The factory applies
   /// policy decorators (caching) on top, so builders only pick the concrete
-  /// implementation (e.g. sequential vs parallel) from the options.
+  /// implementation from the options.
   using Builder =
       std::function<std::unique_ptr<MotifOracle>(const OracleOptions&)>;
 

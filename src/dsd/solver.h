@@ -64,10 +64,10 @@ struct SolveRequest {
 
   /// Worker-thread budget; 0 means "auto" (hardware concurrency). The
   /// resolved value, clamped by what the algorithm and oracle can exploit,
-  /// becomes ExecutionContext::threads for the run: dsd::Solve builds the
-  /// oracle through MakeOracle, so a clique motif with a budget > 1 gets
-  /// the parallel kernels of src/parallel/ behind its hot queries. The
-  /// clamped (effective) count is reported in SolveStats::threads.
+  /// becomes ExecutionContext::threads for the run, so a budget > 1 puts
+  /// the built-in oracles' hot queries on that many workers (the Section
+  /// 6.3 kernels). The clamped (effective) count is reported in
+  /// SolveStats::threads.
   /// Explicit values above kMaxThreadBudget are rejected as
   /// InvalidArgument — the budget spawns real OS threads, and Solve's
   /// never-throws contract must hold for hostile requests too.
@@ -94,8 +94,8 @@ struct SolveStats {
   /// Effective worker-thread count of the run: the request's budget after
   /// the 0 = "auto" substitution, clamped by the algorithm's MaxThreads()
   /// and the oracle's MaxUsefulThreads(). A sequential algorithm (stream,
-  /// inc-app) or a motif with no parallel kernel reports 1 here no matter
-  /// what was requested.
+  /// inc-app) or an oracle that declares itself sequential reports 1 here
+  /// no matter what was requested.
   unsigned threads = 0;
   /// Wall-clock time of the whole solve, including oracle setup.
   double wall_seconds = 0.0;
@@ -191,8 +191,7 @@ StatusOr<std::unique_ptr<MotifOracle>> ParseMotif(const std::string& name);
 std::vector<std::string> KnownMotifNames();
 
 /// Validates `request`, resolves its algorithm and motif, runs it, and
-/// returns the answer. The oracle is built through MakeOracle from the
-/// request's thread budget (parallel clique kernels when > 1) with caching
+/// returns the answer. The oracle is built through MakeOracle with caching
 /// enabled, and the run executes under an ExecutionContext carrying the
 /// effective thread count and the time budget as a deadline. All failures
 /// surface as Status (NotFound for unknown algorithm/motif names,
@@ -204,9 +203,9 @@ StatusOr<SolveResponse> Solve(const Graph& graph, const SolveRequest& request);
 /// For motifs the name vocabulary cannot express (e.g. a PatternOracle with
 /// special kernels disabled), and for long-lived callers that hold one
 /// oracle stack per graph. The effective thread count is clamped by the
-/// supplied oracle's MaxUsefulThreads(), so a plain CliqueOracle runs
-/// sequentially — pass a ParallelCliqueOracle (or a MakeOracle product) to
-/// spend a thread budget. A non-null `decompositions` (bound to `graph`)
+/// supplied oracle's MaxUsefulThreads(): the built-in CliqueOracle and
+/// PatternOracle spend the whole budget, while an oracle that keeps the
+/// default MaxUsefulThreads() of 1 runs sequentially. A non-null `decompositions` (bound to `graph`)
 /// becomes ExecutionContext::decompositions: peel, at-least, query and
 /// core-exact then reuse its complete decompositions and fill it on a miss,
 /// with answers bit-identical to an index-free solve.

@@ -65,8 +65,8 @@ inline constexpr size_t kMinParallelPeelFrontier = 8;
 /// kernels that paid O(n) setup per call; they now pay O(bracket), so it is
 /// conservative, and it stays until it is recalibrated against the clique
 /// and star rows on >= 4 cores. Generic patterns have no such rule: their
-/// members' peels are plan-driven enumerations, and ParallelPatternOracle
-/// sends every bracket to ParallelPatternPeelBatch.
+/// members' peels are plan-driven enumerations, and PatternOracle sends
+/// every bracket to ParallelPatternPeelBatch under a multi-thread ctx.
 inline bool WorthParallelPeel(size_t frontier_size, uint64_t num_vertices) {
   return frontier_size >= kMinParallelPeelFrontier &&
          frontier_size * 256 >= num_vertices;

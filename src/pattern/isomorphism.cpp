@@ -8,6 +8,8 @@
 #include <set>
 
 #include "graph/intersect.h"
+#include "parallel/chunked_accumulator.h"
+#include "parallel/parallel_for.h"
 
 namespace dsd {
 
@@ -456,29 +458,100 @@ uint64_t PatternMatcher::PeelContainingPart(
   return policy.destroyed;
 }
 
-uint64_t PatternMatcher::CountInstances(std::span<const char> alive) const {
-  Scratch scratch = MakeScratch();
-  CountPolicy policy;
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    RunFromRoot(plans_->Default(), v, /*check_root=*/true, alive, scratch, 0, 1,
-                policy);
+namespace {
+
+// One unit of threaded root-loop work: a root, or one candidate-loop slice
+// of a hub root (MatchFromRoot's slice parameters).
+struct RootSlice {
+  VertexId root;
+  uint32_t slice;
+  uint32_t num_slices;
+};
+
+// Static per-root shards leave a hub root pinning one worker while the
+// others drain; splitting the hub's first-extension candidate loop into
+// strided slices evens the load without touching the reduction (slices
+// partition the root's matches exactly). The threshold is relative to the
+// average degree with an absolute floor, so regular graphs stay on the
+// cheap one-item-per-root path.
+std::vector<RootSlice> BuildRootSlices(const Graph& graph, unsigned t) {
+  const VertexId n = graph.NumVertices();
+  const uint64_t average =
+      n > 0 ? 2 * static_cast<uint64_t>(graph.NumEdges()) / n : 0;
+  const uint64_t threshold =
+      std::max<uint64_t>(32, 4 * std::max<uint64_t>(average, 1));
+  std::vector<RootSlice> items;
+  items.reserve(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const uint64_t degree = graph.Degree(v);
+    uint32_t slices = 1;
+    if (degree >= threshold) {
+      slices = static_cast<uint32_t>(
+          std::min<uint64_t>(t, (degree + threshold - 1) / threshold));
+    }
+    for (uint32_t s = 0; s < slices; ++s) items.push_back({v, s, slices});
+  }
+  return items;
+}
+
+}  // namespace
+
+uint64_t PatternMatcher::CountInstances(std::span<const char> alive,
+                                        unsigned threads) const {
+  const VertexId n = graph_.NumVertices();
+  const unsigned t = ResolveThreadCount(threads, n);
+  uint64_t count = 0;
+  if (t == 1) {
+    Scratch scratch = MakeScratch();
+    CountPolicy policy;
+    for (VertexId v = 0; v < n; ++v) {
+      RunFromRoot(plans_->Default(), v, /*check_root=*/true, alive, scratch,
+                  0, 1, policy);
+    }
+    count = policy.count;
+  } else {
+    const std::vector<RootSlice> items = BuildRootSlices(graph_, t);
+    std::vector<PaddedCounter> partial(t);
+    ParallelForStrided(items.size(), t, [&](unsigned worker, uint64_t i) {
+      const RootSlice& item = items[i];
+      partial[worker].value +=
+          CountFromRoot(item.root, alive, ThreadScratch(), item.slice,
+                        item.num_slices);
+    });
+    for (const PaddedCounter& p : partial) count += p.value;
   }
   if (plans_->semantics() == MatchSemantics::kEmbeddings) {
     const uint64_t aut = pattern().AutomorphismCount();
-    assert(policy.count % aut == 0);
-    return policy.count / aut;
+    assert(count % aut == 0);
+    return count / aut;
   }
-  return policy.count;
+  return count;
 }
 
-std::vector<uint64_t> PatternMatcher::Degrees(
-    std::span<const char> alive) const {
-  std::vector<uint64_t> hits(graph_.NumVertices(), 0);
-  Scratch scratch = MakeScratch();
-  DegreeVectorPolicy policy{hits};
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    RunFromRoot(plans_->Default(), v, /*check_root=*/true, alive, scratch, 0, 1,
-                policy);
+std::vector<uint64_t> PatternMatcher::Degrees(std::span<const char> alive,
+                                              unsigned threads) const {
+  const VertexId n = graph_.NumVertices();
+  const unsigned t = ResolveThreadCount(threads, n);
+  std::vector<uint64_t> hits;
+  if (t == 1) {
+    hits.assign(n, 0);
+    Scratch scratch = MakeScratch();
+    DegreeVectorPolicy policy{hits};
+    for (VertexId v = 0; v < n; ++v) {
+      RunFromRoot(plans_->Default(), v, /*check_root=*/true, alive, scratch,
+                  0, 1, policy);
+    }
+  } else {
+    const std::vector<RootSlice> items = BuildRootSlices(graph_, t);
+    ChunkedAccumulator accumulator(n, t);
+    ParallelForStrided(items.size(), t, [&](unsigned worker, uint64_t i) {
+      const RootSlice& item = items[i];
+      DegreesFromRoot(
+          item.root, alive, ThreadScratch(),
+          [&](VertexId u, uint64_t count) { accumulator.Add(worker, u, count); },
+          item.slice, item.num_slices);
+    });
+    hits = std::move(accumulator).Finish();
   }
   if (plans_->semantics() == MatchSemantics::kEmbeddings) {
     const uint64_t aut = pattern().AutomorphismCount();

@@ -174,9 +174,9 @@ class PatternMatcher {
   /// pattern vertex to `root` (skipped outright when root is not alive).
   /// Roots partition the match space — every match has exactly one such
   /// image — so MatchAll == union over all roots, which is what lets the
-  /// parallel kernels shard this loop per root. `scratch` must come from
-  /// MakeScratch() and not be shared between concurrent calls; no state
-  /// carries from one call to the next.
+  /// threaded CountInstances and Degrees shard this loop per root.
+  /// `scratch` must come from MakeScratch() and not be shared between
+  /// concurrent calls; no state carries from one call to the next.
   ///
   /// (slice, num_slices) sub-partitions one root's matches for hub
   /// load-balancing: slice s covers the candidates at positions s, s+S,
@@ -239,11 +239,19 @@ class PatternMatcher {
                               const DegreeSink& sink) const;
 
   /// mu(G, Psi) restricted to alive vertices: the canonical match count
-  /// under kInstances; embeddings / |Aut| under kEmbeddings.
-  uint64_t CountInstances(std::span<const char> alive) const;
+  /// under kInstances; embeddings / |Aut| under kEmbeddings. `threads`
+  /// workers shard the root loop (Section 6.3), hub roots split into
+  /// first-extension slices so one hub does not pin a worker; 0 means
+  /// "auto", the count is clamped by the vertex count, and 1 is the plain
+  /// sequential loop. Bit-identical for every thread count: workers only
+  /// add uint64 counts.
+  uint64_t CountInstances(std::span<const char> alive,
+                          unsigned threads = 1) const;
 
-  /// Pattern-degrees of all vertices restricted to alive vertices.
-  std::vector<uint64_t> Degrees(std::span<const char> alive) const;
+  /// Pattern-degrees of all vertices restricted to alive vertices, with
+  /// the same thread contract as CountInstances.
+  std::vector<uint64_t> Degrees(std::span<const char> alive,
+                                unsigned threads = 1) const;
 
   /// Distinct instances grouped by vertex set (for construct+). Restricted
   /// to alive vertices. Under kInstances the multiplicity is a plain match

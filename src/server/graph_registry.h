@@ -7,10 +7,9 @@
 // motif. Sharing is safe by the library's own contracts — oracles are
 // const-thread-safe, the CachingOracle's memo is sharded for concurrent
 // readers, and its identity keys (Graph::Generation()) make cross-request
-// hits exact, never stale. Oracles are built with the full hardware budget
-// so the parallel kernels are in the stack; the per-request
-// ExecutionContext decides how many workers any one call actually spends
-// (that is how the executor's budget partitioning reaches the hot loops).
+// hits exact, never stale. The per-request ExecutionContext decides how
+// many workers any one oracle call spends (that is how the executor's
+// budget partitioning reaches the hot loops).
 // Each resident graph also owns a DecompositionIndex: the first solve that
 // completes a whole-graph (k, Psi)-core decomposition of a motif stores it,
 // and every later peel / at-least / query / core-exact solve of that motif

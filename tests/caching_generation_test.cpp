@@ -163,6 +163,33 @@ TEST(CachingGenerationTest, AliveMaskMutationMissesAndRestoredMaskHits) {
   EXPECT_EQ(oracle.cache_stats().degree_hits, 1u);
 }
 
+TEST(CachingGenerationTest, EverySingleVertexMaskGetsItsOwnEntry) {
+  // The mask hash skips all-zero 8-byte words: a one-vertex mask must still
+  // key on its vertex wherever it sits in its word, the tail past the last
+  // full word included (61 vertices), and so must the complement masks.
+  CachingOracle oracle(std::make_unique<CliqueOracle>(3));
+  CliqueOracle reference(3);
+  Graph g = gen::PlantedClique(61, 0.1, 8, 11);
+  const uint64_t n = g.NumVertices();
+  ASSERT_NE(n % 8, 0u);
+  for (VertexId v = 0; v < n; ++v) {
+    std::vector<char> one(n, 0);
+    one[v] = 1;
+    EXPECT_EQ(oracle.CountInstances(g, one), 0u) << v;
+    std::vector<char> all_but_one(n, 1);
+    all_but_one[v] = 0;
+    EXPECT_EQ(oracle.CountInstances(g, all_but_one),
+              reference.CountInstances(g, all_but_one))
+        << v;
+  }
+  EXPECT_EQ(oracle.cache_stats().count_hits, 0u);
+  EXPECT_EQ(oracle.cache_stats().count_misses, 2 * n);
+  std::vector<char> last(n, 0);
+  last[n - 1] = 3;  // any nonzero char spells "alive"
+  EXPECT_EQ(oracle.CountInstances(g, last), 0u);
+  EXPECT_EQ(oracle.cache_stats().count_hits, 1u);
+}
+
 TEST(CachingGenerationTest, MovedFromGraphCannotAliasItsOldEntries) {
   CachingOracle oracle(std::make_unique<CliqueOracle>(3));
   Graph g = TriangleChain();

@@ -163,10 +163,10 @@ TEST(DifferentialDecomposeTest, AllStacksMatchSequentialDecomposition) {
 TEST(DifferentialDecomposeTest, GenericPeelBatchDecompositionMatchesSequential) {
   // Focused companion to AllStacksMatchSequentialDecomposition for the
   // generic rank-masked peel kernel: a community graph whose lowest-degree
-  // brackets are large. A multi-threaded ParallelPatternOracle sends every
-  // generic bracket, whatever its size, through ParallelPatternPeelBatch,
-  // so the large brackets shard by member and the small ones by
-  // (position, slice) parts.
+  // brackets are large. Under a multi-thread context PatternOracle sends
+  // every generic bracket, whatever its size, through
+  // ParallelPatternPeelBatch, so the large brackets shard by member and the
+  // small ones by (position, slice) parts.
   const Graph graph =
       gen::PowerLawWithCommunities(240, 3, 10, 10, 0.85, 0x9E1D);
   for (const char* motif : {"c3-star", "basket"}) {

@@ -14,7 +14,6 @@
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
-#include "dsd/parallel_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
@@ -349,10 +348,10 @@ class RestrictToCoreReferenceTest
 TEST_P(RestrictToCoreReferenceTest, MatchesNaiveFixpoint) {
   const auto& [motif, threads] = GetParam();
   std::unique_ptr<MotifOracle> oracle;
-  if (motif == "edge") oracle = std::make_unique<ParallelCliqueOracle>(2);
-  if (motif == "triangle") oracle = std::make_unique<ParallelCliqueOracle>(3);
+  if (motif == "edge") oracle = std::make_unique<CliqueOracle>(2);
+  if (motif == "triangle") oracle = std::make_unique<CliqueOracle>(3);
   if (motif == "2-star") {
-    oracle = std::make_unique<ParallelPatternOracle>(Pattern::TwoStar());
+    oracle = std::make_unique<PatternOracle>(Pattern::TwoStar());
   }
   const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
   for (uint64_t seed = 0; seed < 6; ++seed) {

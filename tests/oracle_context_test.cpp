@@ -1,6 +1,6 @@
-// Tests for the ExecutionContext-aware oracle API: the parallel clique
-// oracle must match the sequential oracle bit-for-bit for every motif size
-// and thread count, the caching decorator must memoize without ever serving
+// Tests for the ExecutionContext-aware oracle API: CliqueOracle under a
+// multi-thread context must match its ctx.threads = 1 run bit-for-bit for
+// every motif size and thread count, the caching decorator must memoize without ever serving
 // stale answers (the alive mask is part of the key), and the oracle factory
 // must assemble the right stack and report honest effective thread counts
 // through dsd::Solve.
@@ -8,16 +8,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <thread>
+#include <typeinfo>
 
+#include "clique/clique_enumerator.h"
 #include "dsd/caching_oracle.h"
 #include "dsd/core_exact.h"
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/oracle_factory.h"
-#include "dsd/parallel_oracle.h"
 #include "dsd/solver.h"
 #include "graph/generators.h"
 
@@ -70,9 +70,9 @@ TEST(ExecutionContextTest, CancelFlagStops) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelCliqueOracle parity: Degrees/CountInstances must match the
-// sequential CliqueOracle for every known clique size and thread count,
-// with and without an alive mask.
+// CliqueOracle thread parity: Degrees/CountInstances under ctx.threads = t
+// must match the ctx.threads = 1 run for every known clique size and
+// thread count, with and without an alive mask.
 
 class ParallelOracleParityTest
     : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
@@ -80,20 +80,18 @@ class ParallelOracleParityTest
 TEST_P(ParallelOracleParityTest, DegreesAndCountsMatchSequential) {
   auto [h, threads] = GetParam();
   Graph g = ParityGraph();
-  CliqueOracle sequential(h);
-  ParallelCliqueOracle parallel(h);
+  CliqueOracle oracle(h);
   ExecutionContext ctx;
   ctx.threads = threads == 0 ? std::max(2u, std::thread::hardware_concurrency())
                              : threads;
 
-  EXPECT_EQ(parallel.Degrees(g, {}, ctx), sequential.Degrees(g, {}));
-  EXPECT_EQ(parallel.CountInstances(g, {}, ctx),
-            sequential.CountInstances(g, {}));
+  EXPECT_EQ(oracle.Degrees(g, {}, ctx), oracle.Degrees(g, {}));
+  EXPECT_EQ(oracle.CountInstances(g, {}, ctx), oracle.CountInstances(g, {}));
 
   std::vector<char> alive = ThinnedMask(g);
-  EXPECT_EQ(parallel.Degrees(g, alive, ctx), sequential.Degrees(g, alive));
-  EXPECT_EQ(parallel.CountInstances(g, alive, ctx),
-            sequential.CountInstances(g, alive));
+  EXPECT_EQ(oracle.Degrees(g, alive, ctx), oracle.Degrees(g, alive));
+  EXPECT_EQ(oracle.CountInstances(g, alive, ctx),
+            oracle.CountInstances(g, alive));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -107,22 +105,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ParallelOracleTest, SequentialContextFallsBackToBaseOracle) {
+  // The default (sequential) context runs the plain kClist loop.
   Graph g = ParityGraph();
-  ParallelCliqueOracle oracle(3);
-  CliqueOracle base(3);
-  EXPECT_EQ(oracle.Degrees(g, {}), base.Degrees(g, {}));
-  EXPECT_EQ(oracle.MaxUsefulThreads(), std::numeric_limits<unsigned>::max());
-  EXPECT_EQ(base.MaxUsefulThreads(), 1u);
+  EXPECT_EQ(CliqueOracle(3).Degrees(g, {}), CliqueEnumerator(g, 3).Degrees());
 }
 
 TEST(ParallelOracleTest, SolverParityUnderThreads) {
-  // End-to-end: CoreExact on a parallel oracle with a 4-thread context must
-  // produce the same subgraph as the sequential oracle.
+  // End-to-end: CoreExact with a 4-thread context must produce the same
+  // subgraph as with the default sequential one.
   Graph g = ParityGraph();
-  CliqueOracle sequential(4);
-  ParallelCliqueOracle parallel(4);
-  DensestResult serial = CoreExact(g, sequential);
-  DensestResult threaded = CoreExact(g, parallel, CoreExactOptions(),
+  CliqueOracle oracle(4);
+  DensestResult serial = CoreExact(g, oracle);
+  DensestResult threaded = CoreExact(g, oracle, CoreExactOptions(),
                                      ExecutionContext().WithThreads(4));
   EXPECT_EQ(serial.vertices, threaded.vertices);
   EXPECT_EQ(serial.instances, threaded.instances);
@@ -203,6 +197,24 @@ TEST(CachingOracleTest, CoreExactMatchesUncachedOracle) {
 // ---------------------------------------------------------------------------
 // OracleFactory / MakeOracle
 
+// Builds `motif` under a 1-thread and an 8-thread budget and expects the
+// same oracle class with the same Name() from both: the built-in oracles
+// take their thread count from each query's context, not from the build.
+void ExpectOneOracleForEveryBudget(const std::string& motif) {
+  OracleOptions options;
+  options.threads = 1;
+  StatusOr<std::unique_ptr<MotifOracle>> sequential =
+      MakeOracle(motif, options);
+  options.threads = 8;
+  StatusOr<std::unique_ptr<MotifOracle>> threaded = MakeOracle(motif, options);
+  ASSERT_TRUE(sequential.ok() && threaded.ok()) << motif;
+  const MotifOracle& a = *sequential.value();
+  const MotifOracle& b = *threaded.value();
+  EXPECT_EQ(typeid(a), typeid(b)) << motif;
+  EXPECT_EQ(a.Name(), b.Name()) << motif;
+  EXPECT_GT(a.MaxUsefulThreads(), 1u) << motif;
+}
+
 TEST(OracleFactoryTest, SequentialBudgetBuildsPlainCliqueOracle) {
   OracleOptions options;
   options.threads = 1;
@@ -210,17 +222,12 @@ TEST(OracleFactoryTest, SequentialBudgetBuildsPlainCliqueOracle) {
       MakeOracle("triangle", options);
   ASSERT_TRUE(oracle.ok());
   EXPECT_NE(dynamic_cast<CliqueOracle*>(oracle.value().get()), nullptr);
-  EXPECT_EQ(dynamic_cast<ParallelCliqueOracle*>(oracle.value().get()), nullptr);
+  ExpectOneOracleForEveryBudget("triangle");
 }
 
-TEST(OracleFactoryTest, ThreadBudgetBuildsParallelCliqueOracle) {
-  OracleOptions options;
-  options.threads = 4;
-  StatusOr<std::unique_ptr<MotifOracle>> oracle =
-      MakeOracle("4-clique", options);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_NE(dynamic_cast<ParallelCliqueOracle*>(oracle.value().get()), nullptr);
-  EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
+TEST(OracleFactoryTest, ThreadBudgetBuildsTheSameCliqueOracle) {
+  ExpectOneOracleForEveryBudget("4-clique");
+  ExpectOneOracleForEveryBudget("edge");
 }
 
 TEST(OracleFactoryTest, CacheOptionWrapsExpensiveMotifsOnly) {
@@ -251,24 +258,16 @@ TEST(OracleFactoryTest, CachedParallelStackKeepsCliqueIdentity) {
   EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
 }
 
-TEST(OracleFactoryTest, ThreadBudgetBuildsParallelPatternOracle) {
+TEST(OracleFactoryTest, ThreadBudgetBuildsTheSamePatternOracle) {
+  for (const char* motif : {"diamond", "3-star", "basket"}) {
+    ExpectOneOracleForEveryBudget(motif);
+  }
   OracleOptions options;
   options.threads = 8;
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle("diamond", options);
   ASSERT_TRUE(oracle.ok());
-  EXPECT_NE(dynamic_cast<ParallelPatternOracle*>(oracle.value().get()),
-            nullptr);
-  EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
-  // A sequential budget still builds the plain pattern oracle, keeping the
-  // no-threads path byte-for-byte the pre-context code.
-  options.threads = 1;
-  StatusOr<std::unique_ptr<MotifOracle>> sequential =
-      MakeOracle("diamond", options);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(dynamic_cast<ParallelPatternOracle*>(sequential.value().get()),
-            nullptr);
-  EXPECT_EQ(sequential.value()->MaxUsefulThreads(), 1u);
+  EXPECT_NE(dynamic_cast<PatternOracle*>(oracle.value().get()), nullptr);
 }
 
 TEST(OracleFactoryTest, NamesMatchKnownMotifNames) {
@@ -338,6 +337,42 @@ TEST(SolveThreadsTest, PatternMotifsSpendTheBudget) {
   }
 }
 
+// A plugged-in triangle oracle that keeps MotifOracle's default
+// MaxUsefulThreads() of 1: it forwards every query to a CliqueOracle on
+// the default (sequential) context.
+class SequentialTriangleOracle : public MotifOracle {
+ public:
+  int MotifSize() const override { return 3; }
+  std::string Name() const override { return "sequential-triangle"; }
+  uint64_t PeelVertex(const Graph& graph, VertexId v,
+                      std::span<const char> alive,
+                      const PeelCallback& cb) const override {
+    return inner_.PeelVertex(graph, v, alive, cb);
+  }
+  std::vector<InstanceGroup> Groups(
+      const Graph& graph, std::span<const char> alive) const override {
+    return inner_.Groups(graph, alive);
+  }
+  std::vector<uint64_t> CoreNumberUpperBounds(
+      const Graph& graph) const override {
+    return inner_.CoreNumberUpperBounds(graph);
+  }
+
+ protected:
+  std::vector<uint64_t> DegreesImpl(const Graph& graph,
+                                    std::span<const char> alive,
+                                    const ExecutionContext&) const override {
+    return inner_.Degrees(graph, alive);
+  }
+  uint64_t CountInstancesImpl(const Graph& graph, std::span<const char> alive,
+                              const ExecutionContext&) const override {
+    return inner_.CountInstances(graph, alive);
+  }
+
+ private:
+  CliqueOracle inner_{3};
+};
+
 TEST(SolveThreadsTest, SequentialOracleClampsToOne) {
   // A caller-supplied sequential oracle clamps the effective count: the
   // budget is only reported where it can actually be spent.
@@ -345,11 +380,32 @@ TEST(SolveThreadsTest, SequentialOracleClampsToOne) {
   SolveRequest request;
   request.algorithm = "peel";
   request.threads = 4;
-  CliqueOracle oracle(3);
+  SequentialTriangleOracle oracle;
   request.motif = "ignored";
   StatusOr<SolveResponse> solved = Solve(g, oracle, request);
   ASSERT_TRUE(solved.ok());
   EXPECT_EQ(solved.value().stats.threads, 1u);
+}
+
+TEST(SolveThreadsTest, CallerSuppliedCliqueOracleSpendsTheBudget) {
+  // The built-in oracles have no sequential twin any more: a plain
+  // CliqueOracle handed to Solve reports (and spends) the whole budget,
+  // with the same answer as a sequential solve.
+  Graph g = ParityGraph();
+  SolveRequest request;
+  request.algorithm = "peel";
+  request.motif = "ignored";
+  request.threads = 4;
+  CliqueOracle oracle(3);
+  StatusOr<SolveResponse> threaded = Solve(g, oracle, request);
+  request.threads = 1;
+  StatusOr<SolveResponse> serial = Solve(g, oracle, request);
+  ASSERT_TRUE(threaded.ok() && serial.ok());
+  EXPECT_EQ(threaded.value().stats.threads, 4u);
+  EXPECT_EQ(serial.value().stats.threads, 1u);
+  EXPECT_EQ(threaded.value().result.vertices, serial.value().result.vertices);
+  EXPECT_DOUBLE_EQ(threaded.value().result.density,
+                   serial.value().result.density);
 }
 
 TEST(SolveThreadsTest, ThreadedSolveMatchesSequentialSolve) {

@@ -1,6 +1,7 @@
-// Tests for parallel/: parallel clique counting, parallel pattern kernels,
-// frontier peel kernels and parallel core decomposition must agree
-// bit-for-bit with their serial counterparts for every thread count.
+// Tests for the Section 6.3 parallel paths: threaded clique and pattern
+// counting (CliqueEnumerator / PatternMatcher at threads > 1), the frontier
+// peel kernels and parallel core decomposition must agree bit-for-bit with
+// the sequential (threads = 1) code for every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,13 +15,10 @@
 #include "core/nucleus.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
-#include "dsd/parallel_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "parallel/parallel_clique.h"
 #include "parallel/parallel_for.h"
 #include "parallel/parallel_nucleus.h"
-#include "parallel/parallel_pattern.h"
 #include "parallel/parallel_peel.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
@@ -177,14 +175,14 @@ class ParallelCliqueTest
 TEST_P(ParallelCliqueTest, CountMatchesSerial) {
   auto [h, threads] = GetParam();
   Graph g = gen::ErdosRenyi(80, 0.15, 42);
-  EXPECT_EQ(ParallelCliqueCount(g, h, threads),
+  EXPECT_EQ(CliqueEnumerator(g, h).Count(threads),
             CliqueEnumerator(g, h).Count());
 }
 
 TEST_P(ParallelCliqueTest, DegreesMatchSerial) {
   auto [h, threads] = GetParam();
   Graph g = gen::PlantedClique(120, 0.06, 9, 7);
-  EXPECT_EQ(ParallelCliqueDegrees(g, h, threads),
+  EXPECT_EQ(CliqueEnumerator(g, h).Degrees(threads),
             CliqueEnumerator(g, h).Degrees());
 }
 
@@ -202,9 +200,9 @@ TEST_P(ParallelCliqueHubTest, DegreesAndCountMatchSerial) {
   auto [h, threads] = GetParam();
   static const Graph g =
       gen::PowerLawWithCommunities(3000, 3, 20, 12, 0.9, 2024);
-  const CliqueEnumerator serial(g, h);
-  EXPECT_EQ(ParallelCliqueDegrees(g, h, threads), serial.Degrees());
-  EXPECT_EQ(ParallelCliqueCount(g, h, threads), serial.Count());
+  const CliqueEnumerator enumerator(g, h);
+  EXPECT_EQ(enumerator.Degrees(threads), enumerator.Degrees());
+  EXPECT_EQ(enumerator.Count(threads), enumerator.Count());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCliqueHubTest,
@@ -218,8 +216,8 @@ TEST(ParallelCliqueEdgeCases, EmptyIsolatedSingletonAndTooDeep) {
     for (int h : {1, 3}) {
       EXPECT_EQ(CliqueEnumerator(empty, h).Count(), 0u);
       EXPECT_TRUE(CliqueEnumerator(empty, h).Degrees().empty());
-      EXPECT_EQ(ParallelCliqueCount(empty, h, threads), 0u);
-      EXPECT_TRUE(ParallelCliqueDegrees(empty, h, threads).empty());
+      EXPECT_EQ(CliqueEnumerator(empty, h).Count(threads), 0u);
+      EXPECT_TRUE(CliqueEnumerator(empty, h).Degrees(threads).empty());
     }
 
     // A triangle plus isolated vertices 3..5.
@@ -232,16 +230,16 @@ TEST(ParallelCliqueEdgeCases, EmptyIsolatedSingletonAndTooDeep) {
     ASSERT_EQ(g.NumVertices(), 6u);
     // h = 1 lists every vertex once, isolated ones included.
     EXPECT_EQ(CliqueEnumerator(g, 1).Count(), 6u);
-    EXPECT_EQ(ParallelCliqueCount(g, 1, threads), 6u);
-    EXPECT_EQ(ParallelCliqueDegrees(g, 1, threads),
+    EXPECT_EQ(CliqueEnumerator(g, 1).Count(threads), 6u);
+    EXPECT_EQ(CliqueEnumerator(g, 1).Degrees(threads),
               std::vector<uint64_t>(6, 1));
-    EXPECT_EQ(ParallelCliqueDegrees(g, 3, threads),
+    EXPECT_EQ(CliqueEnumerator(g, 3).Degrees(threads),
               (std::vector<uint64_t>{1, 1, 1, 0, 0, 0}));
     // The degeneracy is 2, so no clique has more than 3 vertices.
     for (int h : {4, 5}) {
       EXPECT_EQ(CliqueEnumerator(g, h).Count(), 0u) << h;
-      EXPECT_EQ(ParallelCliqueCount(g, h, threads), 0u) << h;
-      EXPECT_EQ(ParallelCliqueDegrees(g, h, threads),
+      EXPECT_EQ(CliqueEnumerator(g, h).Count(threads), 0u) << h;
+      EXPECT_EQ(CliqueEnumerator(g, h).Degrees(threads),
                 std::vector<uint64_t>(6, 0))
           << h;
     }
@@ -263,13 +261,11 @@ TEST_P(ParallelPatternTest, GenericDegreesAndCountMatchSequential) {
   for (const Pattern& pattern :
        {Pattern::C3Star(), Pattern::TwoTriangle(), Pattern::Cycle(5)}) {
     PatternMatcher enumerator(g, pattern);
-    EXPECT_EQ(ParallelPatternDegrees(g, pattern, {}, threads),
-              enumerator.Degrees({}))
+    EXPECT_EQ(enumerator.Degrees({}, threads), enumerator.Degrees({}))
         << pattern.name();
-    EXPECT_EQ(ParallelPatternDegrees(g, pattern, alive, threads),
-              enumerator.Degrees(alive))
+    EXPECT_EQ(enumerator.Degrees(alive, threads), enumerator.Degrees(alive))
         << pattern.name();
-    EXPECT_EQ(ParallelPatternCount(g, pattern, alive, threads),
+    EXPECT_EQ(enumerator.CountInstances(alive, threads),
               enumerator.CountInstances(alive))
         << pattern.name();
   }
@@ -309,12 +305,10 @@ TEST(ParallelPatternStress, ManySmallShardsUnderOversubscription) {
   const std::vector<uint64_t> expected_degrees = enumerator.Degrees({});
   const uint64_t expected_count = enumerator.CountInstances({});
   for (unsigned threads : {16u, 32u}) {
-    EXPECT_EQ(ParallelPatternDegrees(g, pattern, {}, threads),
-              expected_degrees)
+    EXPECT_EQ(enumerator.Degrees({}, threads), expected_degrees) << threads;
+    EXPECT_EQ(enumerator.CountInstances({}, threads), expected_count)
         << threads;
-    EXPECT_EQ(ParallelPatternCount(g, pattern, {}, threads), expected_count)
-        << threads;
-    EXPECT_EQ(ParallelCliqueDegrees(g, 3, threads),
+    EXPECT_EQ(CliqueEnumerator(g, 3).Degrees(threads),
               CliqueEnumerator(g, 3).Degrees())
         << threads;
   }
@@ -372,7 +366,7 @@ TEST(WorthParallelPeelTest, FloorAndRatio) {
 TEST(WorthParallelPeelTest, GenericBracketsTakeTheKernelAtAnySize) {
   // The generic kernel costs a bracket only O(bracket) and wakes the other
   // workers only for brackets with the work for it, so a multi-threaded
-  // ParallelPatternOracle sends every generic bracket to it: no floor and
+  // PatternOracle sends every generic bracket to it: no floor and
   // no bracket-to-graph ratio. Here one member of a 200k-vertex graph. The
   // kernel is visible in how the callback fires: once per survivor with
   // the summed delta, where the sequential loop reports per instance.
@@ -399,7 +393,7 @@ TEST(WorthParallelPeelTest, GenericBracketsTakeTheKernelAtAnySize) {
   const auto [sequential, seq_reports] =
       peel(PatternOracle(Pattern::C3Star()), 1);
   const auto [parallel, par_reports] =
-      peel(ParallelPatternOracle(Pattern::C3Star()), 4);
+      peel(PatternOracle(Pattern::C3Star()), 4);
   EXPECT_EQ(parallel, sequential);
   ASSERT_EQ(par_reports.size(), seq_reports.size());
   bool sequential_repeats = false;
@@ -667,7 +661,7 @@ TEST(ParallelPeelStress, DecompositionUnderOversubscribedBrackets) {
   const MotifCoreDecomposition baseline =
       MotifCoreDecompose(g, CliqueOracle(3));
   for (unsigned threads : {16u, 32u}) {
-    ParallelCliqueOracle oracle(3);
+    CliqueOracle oracle(3);
     ExecutionContext ctx;
     ctx.threads = threads;
     const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
@@ -678,7 +672,7 @@ TEST(ParallelPeelStress, DecompositionUnderOversubscribedBrackets) {
   // Star brackets drive the weighted (binomial-count) accumulator adds.
   const MotifCoreDecomposition star_baseline =
       MotifCoreDecompose(g, PatternOracle(Pattern::TwoStar()));
-  ParallelPatternOracle star(Pattern::TwoStar());
+  PatternOracle star(Pattern::TwoStar());
   ExecutionContext ctx;
   ctx.threads = 16;
   const MotifCoreDecomposition d = MotifCoreDecompose(g, star, ctx);
@@ -695,7 +689,7 @@ TEST(ParallelPeelStress, GenericPeelUnderOversubscribedBrackets) {
   const MotifCoreDecomposition baseline =
       MotifCoreDecompose(g, PatternOracle(Pattern::C3Star()));
   for (unsigned threads : {16u, 32u}) {
-    ParallelPatternOracle oracle(Pattern::C3Star());
+    PatternOracle oracle(Pattern::C3Star());
     ExecutionContext ctx;
     ctx.threads = threads;
     const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
@@ -727,10 +721,9 @@ TEST(ParallelPatternHubSplit, SkewGraphParity) {
     const std::vector<uint64_t> expected = enumerator.Degrees(alive);
     const uint64_t expected_count = enumerator.CountInstances(alive);
     for (unsigned threads : {2u, 4u, 16u}) {
-      EXPECT_EQ(ParallelPatternDegrees(g, pattern, alive, threads), expected)
+      EXPECT_EQ(enumerator.Degrees(alive, threads), expected)
           << pattern.name() << " t=" << threads;
-      EXPECT_EQ(ParallelPatternCount(g, pattern, alive, threads),
-                expected_count)
+      EXPECT_EQ(enumerator.CountInstances(alive, threads), expected_count)
           << pattern.name() << " t=" << threads;
     }
   }
