@@ -17,7 +17,7 @@
 //      rate is a measured number, not a structural zero.
 //
 // Output: BENCH_server.json — per-level p50/p99 latency, throughput, and
-// shed rate, plus the end-of-run oracle cache hit rate.
+// shed rate, plus the end-of-run decomposition-index hit rate.
 //
 // Usage: bench_server [output.json]   (stdout when no path is given)
 #include <netinet/in.h>
@@ -291,7 +291,7 @@ int Run(std::FILE* out) {
       {1, false, 64}, {4, false, 64}, {4, true, 2}};
 
   std::vector<LevelResult> results;
-  uint64_t cache_hits = 0, cache_lookups = 0;
+  uint64_t index_hits = 0, index_lookups = 0;
   for (const Phase& phase : phases) {
     ServerOptions options;
     options.max_queue = phase.max_queue;
@@ -312,13 +312,12 @@ int Run(std::FILE* out) {
     serving.join();
     if (!ok) return 1;
     if (!phase.overload) {
-      // Cache effectiveness of the steady-state phases: each phase's
-      // server is fresh, so hits here are purely cross-request reuse.
+      // Decomposition-index effectiveness of the steady-state phases:
+      // each phase's server is fresh, so hits here are purely cross-request
+      // reuse.
       const DsdServer::Stats stats = server.stats();
-      cache_hits += stats.cache.degree_hits + stats.cache.count_hits;
-      cache_lookups += stats.cache.degree_hits + stats.cache.count_hits +
-                       stats.cache.degree_misses +
-                       stats.cache.count_misses;
+      index_hits += stats.index.hits;
+      index_lookups += stats.index.hits + stats.index.misses;
     }
     results.push_back(result);
     std::fprintf(stderr,
@@ -329,10 +328,10 @@ int Run(std::FILE* out) {
                  result.p50_ms, result.p99_ms, result.throughput_rps);
   }
 
-  const double cache_hit_rate =
-      cache_lookups > 0
-          ? static_cast<double>(cache_hits) /
-                static_cast<double>(cache_lookups)
+  const double index_hit_rate =
+      index_lookups > 0
+          ? static_cast<double>(index_hits) /
+                static_cast<double>(index_lookups)
           : 0.0;
 
   std::fprintf(out,
@@ -342,12 +341,12 @@ int Run(std::FILE* out) {
                "  \"trace\": {\"seed\": %llu, \"length\": %d, "
                "\"specs\": %zu},\n"
                "  \"parity\": \"bit-identical vs direct dsd::Solve\",\n"
-               "  \"cache_hit_rate\": %.4f,\n"
+               "  \"index_hit_rate\": %.4f,\n"
                "  \"results\": [\n",
                static_cast<unsigned>(graph.NumVertices()),
                static_cast<size_t>(graph.NumEdges()),
                static_cast<unsigned long long>(kTraceSeed), kTraceLength,
-               SpecPool().size(), cache_hit_rate);
+               SpecPool().size(), index_hit_rate);
   for (size_t i = 0; i < results.size(); ++i) {
     const LevelResult& r = results[i];
     std::fprintf(out,

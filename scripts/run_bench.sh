@@ -40,10 +40,10 @@ for target in "${targets[@]}"; do
   echo "==> $target"
   if [[ $target == bench_server ]]; then
     # Server trace-replay bench: machine-readable JSON (p50/p99 latency,
-    # throughput, shed rate, cache hit rate per concurrency level). Every
-    # ok response is parity-checked in-bench BIT-IDENTICAL against a
-    # direct dsd::Solve on the same graph; a divergence means the serving
-    # path corrupted an answer — fail the whole run.
+    # throughput and shed rate per concurrency level, plus the index hit
+    # rate). Every ok response is parity-checked in-bench BIT-IDENTICAL
+    # against a direct dsd::Solve on the same graph; a divergence means the
+    # serving path corrupted an answer — fail the whole run.
     json="$OUT_DIR/BENCH_${target#bench_}.json"
     if ! "$bin" "$json"; then
       echo "FAIL: $target reported a parity violation (a served response" >&2

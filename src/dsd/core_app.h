@@ -22,7 +22,7 @@ struct CoreAppOptions {
 };
 
 /// Returns the (kmax, Psi)-core computed top-down (Algorithm 6).
-/// Guaranteed identical to IncApp's answer. `ctx` parallelises/memoizes the
+/// Guaranteed identical to IncApp's answer. `ctx` parallelises the
 /// batch degree passes of the window restrictions (RestrictToCore), which
 /// dominate CoreApp's cost.
 DensestResult CoreApp(const Graph& graph, const MotifOracle& oracle,

@@ -49,7 +49,7 @@ struct CoreExactOptions {
 
 /// Exact CDS via (k, Psi)-cores (Algorithm 4). Works for any oracle; with a
 /// PatternOracle this is CorePExact (Section 7.2), using the construct+
-/// grouped flow network. `ctx` parallelises/memoizes the oracle's degree
+/// grouped flow network. `ctx` parallelises the oracle's degree
 /// and count passes (decomposition, core restriction, component measuring,
 /// network construction) and is polled between flow solves for cooperative
 /// early exit (best-effort result; see dsd::Solve).

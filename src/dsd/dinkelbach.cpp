@@ -18,21 +18,30 @@ DensitySearch DinkelbachSearch(const Graph& graph, const MotifOracle& oracle,
     // vertices keep S non-empty even when nothing beats alpha, and a
     // truncated solve returns the cut of an incomplete flow.
     std::vector<VertexId> witness = sub.ToParent(side);
-    const double density = MeasureDensity(graph, oracle, witness, ctx);
+    // The converging solve usually returns the witness it was started
+    // from, whose count is already known.
+    const uint64_t instances =
+        witness == result.vertices
+            ? result.instances
+            : MeasureInstances(graph, oracle, witness, ctx);
+    const double density = Density(instances, witness.size());
     if (density <= result.density) {
       converged = true;
       break;
     }
     result.vertices = std::move(witness);
     result.density = density;
+    result.instances = instances;
   }
   if (converged && !ctx.ShouldStop()) {
     std::vector<VertexId> tie = sub.ToParent(solver.MaximalSide());
     if (tie.size() > result.vertices.size()) {
-      const double density = MeasureDensity(graph, oracle, tie, ctx);
+      const uint64_t instances = MeasureInstances(graph, oracle, tie, ctx);
+      const double density = Density(instances, tie.size());
       if (density >= result.density) {
         result.vertices = std::move(tie);
         result.density = density;
+        result.instances = instances;
       }
     }
   }

@@ -31,6 +31,9 @@ struct DensitySearch {
   std::vector<VertexId> vertices;
   /// rho(vertices); the start density when `vertices` is empty.
   double density = 0.0;
+  /// mu(vertices), so the caller need not recount its answer; 0 when
+  /// `vertices` is empty.
+  uint64_t instances = 0;
 };
 
 /// Searches the network `solver` was built on (sub.graph, an induced

@@ -33,7 +33,6 @@
 #include "core/kcore.h"              // IWYU pragma: export
 #include "core/nucleus.h"            // IWYU pragma: export
 #include "dsd/brute_force.h"         // IWYU pragma: export
-#include "dsd/caching_oracle.h"      // IWYU pragma: export
 #include "dsd/core_app.h"            // IWYU pragma: export
 #include "dsd/core_exact.h"          // IWYU pragma: export
 #include "dsd/exact.h"               // IWYU pragma: export

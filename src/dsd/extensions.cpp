@@ -32,17 +32,14 @@ DensestResult DensestAtLeast(const Graph& graph, const MotifOracle& oracle,
       best_start = start;
     }
   }
+  // Either way the answer's count is read from the decomposition.
   if (best_density < 0) {
     // Graph smaller than min_size: best effort is the whole vertex set.
     std::vector<VertexId> all(graph.NumVertices());
     for (VertexId v = 0; v < graph.NumVertices(); ++v) all[v] = v;
-    FillResult(graph, oracle, std::move(all), result, ctx);
+    FillResult(std::move(all), decomposition->total_instances, result);
   } else {
-    std::vector<VertexId> vertices(
-        decomposition->removal_order.begin() +
-            static_cast<ptrdiff_t>(best_start),
-        decomposition->removal_order.end());
-    FillResult(graph, oracle, std::move(vertices), result, ctx);
+    decomposition->FillSuffix(best_start, result);
   }
   result.stats.total_seconds = timer.Seconds();
   return result;
@@ -61,8 +58,7 @@ DensestResult StreamApp(const Graph& graph, const MotifOracle& oracle,
   double best_density = -1.0;
 
   // Passes query the parent graph under an alive mask (the modelled stream
-  // filter), so the decorated oracle can key them by the graph's stable
-  // generation tag instead of one dead fresh-subgraph entry per pass.
+  // filter) rather than materialising each pass's residual subgraph.
   std::vector<char> alive(graph.NumVertices(), 1);
   while (!current.empty() && !ctx.ShouldStop()) {
     const uint64_t instances = oracle.CountInstances(graph, alive, ctx);

@@ -110,8 +110,8 @@ class CliqueFlowSolver : public FlowSolverBase {
     assert(h >= 3);
     assert(degrees.size() == graph.NumVertices());
     // Collect Lambda = (h-1)-cliques; `degrees` are the h-clique degrees,
-    // supplied by the caller so the pass can run on a parallel or caching
-    // oracle instead of a fresh sequential enumeration.
+    // supplied by the caller so the pass can run on the caller's oracle and
+    // thread budget instead of a fresh sequential enumeration.
     std::vector<std::vector<VertexId>> lambda;
     CliqueEnumerator sub_cliques(graph, h - 1);
     sub_cliques.Enumerate([&lambda](std::span<const VertexId> c) {
@@ -243,11 +243,9 @@ std::unique_ptr<DensestFlowSolver> MakePatternFlowSolver(
 std::unique_ptr<DensestFlowSolver> MakeDefaultFlowSolver(
     const Graph& graph, const MotifOracle& oracle,
     const ExecutionContext& ctx) {
-  // Dispatch on the undecorated oracle so a CachingOracle around a clique
-  // oracle still gets the clique network; the degree pass itself goes
-  // through the decorated `oracle`, keeping memoization and parallelism.
-  if (const auto* clique =
-          dynamic_cast<const CliqueOracle*>(&oracle.Underlying())) {
+  // Clique oracles get the clique networks; the degree pass goes through
+  // `oracle`, so it runs on ctx.threads workers.
+  if (const auto* clique = dynamic_cast<const CliqueOracle*>(&oracle)) {
     if (clique->h() == 2) return MakeEdsFlowSolver(graph, ctx);
     return std::make_unique<CliqueFlowSolver>(
         graph, clique->h(), oracle.Degrees(graph, {}, ctx), ctx);

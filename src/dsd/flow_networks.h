@@ -109,10 +109,9 @@ std::unique_ptr<DensestFlowSolver> MakePatternFlowSolver(
 
 /// The construction each oracle's exact algorithms use by default:
 /// EDS network for 2-cliques, Algorithm 1 for larger cliques, construct+
-/// for general patterns. Dispatches on the oracle's Underlying() type, so
-/// decorators (CachingOracle) keep the clique fast path; the degree pass
-/// goes through `oracle` itself, which is how a parallel or caching oracle
-/// accelerates network construction.
+/// for general patterns, picked by the oracle's type (CliqueOracle or not).
+/// The degree pass goes through `oracle` on ctx.threads workers, which is
+/// how the thread budget accelerates network construction.
 std::unique_ptr<DensestFlowSolver> MakeDefaultFlowSolver(
     const Graph& graph, const MotifOracle& oracle,
     const ExecutionContext& ctx = ExecutionContext());

@@ -1,5 +1,7 @@
 #include "dsd/inc_app.h"
 
+#include <optional>
+
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
 #include "util/timer.h"
@@ -16,11 +18,16 @@ DensestResult IncApp(const Graph& graph, const MotifOracle& oracle,
   peel_ctx.decompositions = nullptr;
   const std::shared_ptr<const MotifCoreDecomposition> decomposition =
       DecomposeForSolve(graph, oracle, peel_ctx, result.stats);
-  if (decomposition->kmax > 0) {
+  // The kmax-core is a removal suffix of a complete decomposition, so its
+  // count is read from the decomposition; a truncated one is measured.
+  if (decomposition->kmax == 0) {
+    FillResult({}, 0, result);
+  } else if (const std::optional<size_t> start =
+                 decomposition->CoreStart(decomposition->kmax)) {
+    decomposition->FillSuffix(*start, result);
+  } else {
     FillResult(graph, oracle, decomposition->CoreVertices(decomposition->kmax),
                result, ctx);
-  } else {
-    FillResult(graph, oracle, {}, result, ctx);
   }
   result.stats.total_seconds = timer.Seconds();
   return result;

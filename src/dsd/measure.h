@@ -17,6 +17,10 @@ uint64_t MeasureInstances(const Graph& graph, const MotifOracle& oracle,
                           std::span<const VertexId> vertices,
                           const ExecutionContext& ctx = ExecutionContext());
 
+/// instances / size, the one density division every answer uses; 0 for
+/// the empty set.
+double Density(uint64_t instances, size_t size);
+
 /// rho(G[vertices], Psi); 0 for the empty set.
 double MeasureDensity(const Graph& graph, const MotifOracle& oracle,
                       std::span<const VertexId> vertices,
@@ -26,6 +30,10 @@ double MeasureDensity(const Graph& graph, const MotifOracle& oracle,
 void FillResult(const Graph& graph, const MotifOracle& oracle,
                 std::vector<VertexId> vertices, DensestResult& result,
                 const ExecutionContext& ctx = ExecutionContext());
+
+/// The same for a set whose instance count the caller already holds.
+void FillResult(std::vector<VertexId> vertices, uint64_t instances,
+                DensestResult& result);
 
 }  // namespace dsd
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 
+#include "dsd/measure.h"
 #include "util/bucket_queue.h"
 #include "util/timer.h"
 
@@ -31,21 +32,36 @@ std::vector<VertexId> MotifCoreDecomposition::CoreVertices(uint64_t k) const {
   return vertices;
 }
 
-std::vector<VertexId> MotifCoreDecomposition::BestResidualVertices() const {
-  std::vector<VertexId> vertices(removal_order.begin() +
-                                     static_cast<ptrdiff_t>(best_residual_start),
-                                 removal_order.end());
+std::vector<VertexId> MotifCoreDecomposition::SuffixVertices(
+    size_t start) const {
+  std::vector<VertexId> vertices(
+      removal_order.begin() + static_cast<ptrdiff_t>(start),
+      removal_order.end());
   std::sort(vertices.begin(), vertices.end());
   return vertices;
 }
 
-std::optional<double> MotifCoreDecomposition::CoreDensity(uint64_t k) const {
+std::vector<VertexId> MotifCoreDecomposition::BestResidualVertices() const {
+  return SuffixVertices(best_residual_start);
+}
+
+std::optional<size_t> MotifCoreDecomposition::CoreStart(uint64_t k) const {
   if (!complete) return std::nullopt;
-  const auto start = std::partition_point(
-      removal_order.begin(), removal_order.end(),
-      [this, k](VertexId v) { return core[v] < k; });
-  if (start == removal_order.end()) return 0.0;
-  return residual_density[static_cast<size_t>(start - removal_order.begin())];
+  return static_cast<size_t>(
+      std::partition_point(removal_order.begin(), removal_order.end(),
+                           [this, k](VertexId v) { return core[v] < k; }) -
+      removal_order.begin());
+}
+
+std::optional<double> MotifCoreDecomposition::CoreDensity(uint64_t k) const {
+  const std::optional<size_t> start = CoreStart(k);
+  if (!start) return std::nullopt;
+  return *start < residual_density.size() ? residual_density[*start] : 0.0;
+}
+
+void MotifCoreDecomposition::FillSuffix(size_t start,
+                                        DensestResult& result) const {
+  FillResult(SuffixVertices(start), residual_instances[start], result);
 }
 
 MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
@@ -56,9 +72,11 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
   result.core.assign(n, 0);
   result.removal_order.reserve(n);
   result.residual_density.reserve(n);
+  result.residual_instances.reserve(n);
   if (n == 0) return result;
 
-  std::vector<uint64_t> degree = oracle.Degrees(graph, {}, ctx);
+  result.degree = oracle.Degrees(graph, {}, ctx);
+  std::vector<uint64_t> degree = result.degree;
   uint64_t remaining_instances = 0;
   uint64_t max_degree = 0;
   for (uint64_t d : degree) {
@@ -142,6 +160,7 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
     for (size_t i = 0; i < destroyed.size(); ++i) {
       const VertexId v = frontier[i];
       assert(!alive[v]);
+      result.residual_instances.push_back(remaining_instances);
       result.residual_density.push_back(
           static_cast<double>(remaining_instances) / remaining_vertices);
       if (result.residual_density.back() > result.best_residual_density) {
@@ -207,8 +226,10 @@ void DecompositionIndex::Insert(
   assert(decomposition->complete);
   const uint64_t bytes =
       decomposition->core.size() * sizeof(uint64_t) +
+      decomposition->degree.size() * sizeof(uint64_t) +
       decomposition->removal_order.size() * sizeof(VertexId) +
-      decomposition->residual_density.size() * sizeof(double);
+      decomposition->residual_density.size() * sizeof(double) +
+      decomposition->residual_instances.size() * sizeof(uint64_t);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.emplace(motif, std::move(decomposition)).second) {
     stats_.bytes += bytes;
@@ -248,7 +269,8 @@ std::vector<VertexId> RestrictToCore(const Graph& graph,
                                      const MotifOracle& oracle,
                                      const std::vector<VertexId>& vertices,
                                      uint64_t k, const ExecutionContext& ctx,
-                                     std::span<const VertexId> keep) {
+                                     std::span<const VertexId> keep,
+                                     std::span<const uint64_t> input_degree) {
   std::vector<VertexId> survivors(vertices);
   std::sort(survivors.begin(), survivors.end());
   if (k == 0 || survivors.empty()) return survivors;
@@ -261,16 +283,22 @@ std::vector<VertexId> RestrictToCore(const Graph& graph,
     std::erase_if(survivors, [&alive](VertexId v) { return !alive[v]; });
   };
 
-  // Bulk pass: one degree query over the input drops every vertex that is
-  // under-supported even before any removal. Most of a window or of all of
-  // V usually goes here, at no per-vertex peel cost. All of V is queried
-  // through the empty all-alive mask, which no oracle has to copy.
-  const bool whole = std::find(alive.begin(), alive.end(), 0) == alive.end();
-  std::vector<uint64_t> degree = oracle.Degrees(
-      graph, whole ? std::span<const char>() : std::span<const char>(alive),
-      ctx);
+  // Bulk pass: one degree query over the input (or the caller's degrees)
+  // drops every vertex that is under-supported even before any removal.
+  // Most of a window or of all of V usually goes here, at no per-vertex
+  // peel cost. All of V is queried through the empty all-alive mask, which
+  // no oracle has to copy.
+  std::vector<uint64_t> degree;
+  if (input_degree.empty()) {
+    const bool whole =
+        std::find(alive.begin(), alive.end(), 0) == alive.end();
+    degree = oracle.Degrees(
+        graph, whole ? std::span<const char>() : std::span<const char>(alive),
+        ctx);
+    input_degree = degree;
+  }
   for (VertexId v : survivors) {
-    if (degree[v] < k && !kept[v]) alive[v] = 0;
+    if (input_degree[v] < k && !kept[v]) alive[v] = 0;
   }
   const size_t before = survivors.size();
   prune();

@@ -28,6 +28,9 @@ namespace dsd {
 struct MotifCoreDecomposition {
   /// core[v] = motif-core number of v (Definition 6's order).
   std::vector<uint64_t> core;
+  /// degree[v] = motif-degree of v in the whole graph: the peel's first
+  /// Degrees pass, kept so later whole-graph restrictions need not recount.
+  std::vector<uint64_t> degree;
   /// Maximum motif-core number.
   uint64_t kmax = 0;
   /// Vertices in peeling order; the suffix starting at i induces the
@@ -36,6 +39,10 @@ struct MotifCoreDecomposition {
   /// residual_density[i] = rho of the residual graph induced by
   /// removal_order[i..n) (so residual_density[0] = rho(G, Psi)).
   std::vector<double> residual_density;
+  /// residual_instances[i] = mu of that same residual graph, so
+  /// residual_density[i] = residual_instances[i] / (n - i). Both cover only
+  /// the peeled prefix of a truncated decomposition.
+  std::vector<uint64_t> residual_instances;
   /// mu(G, Psi) of the full graph.
   uint64_t total_instances = 0;
   /// Highest residual density rho' (Pruning1) and the suffix attaining it.
@@ -49,12 +56,22 @@ struct MotifCoreDecomposition {
 
   /// Vertices with core number >= k, sorted (the (k, Psi)-core).
   std::vector<VertexId> CoreVertices(uint64_t k) const;
+  /// Vertices of the residual graph removal_order[start..n), sorted.
+  std::vector<VertexId> SuffixVertices(size_t start) const;
   /// Vertices of the best residual subgraph (PeelApp's answer), sorted.
   std::vector<VertexId> BestResidualVertices() const;
-  /// rho of the (k, Psi)-core, read from residual_density: core numbers
-  /// never fall along removal_order, so the k-core is a removal suffix.
-  /// nullopt for a truncated decomposition, whose suffixes are not cores.
+  /// Where the (k, Psi)-core starts in removal_order (n when it is empty):
+  /// core numbers never fall along removal_order, so the k-core is a
+  /// removal suffix. nullopt for a truncated decomposition, whose suffixes
+  /// are not cores.
+  std::optional<size_t> CoreStart(uint64_t k) const;
+  /// rho of the (k, Psi)-core, read from residual_density; nullopt when
+  /// CoreStart(k) is.
   std::optional<double> CoreDensity(uint64_t k) const;
+  /// Fills result.vertices, .instances and .density with the residual
+  /// graph removal_order[start..n), start < residual_instances.size():
+  /// read from the decomposition, with no oracle call.
+  void FillSuffix(size_t start, DensestResult& result) const;
 };
 
 /// Full decomposition of `graph` w.r.t. the oracle's motif, by batch-bracket
@@ -85,7 +102,7 @@ MotifCoreDecomposition MotifCoreDecompose(
 /// canonical Name() (so "triangle" and "3-clique" share an entry). A
 /// decomposition depends only on (graph, motif) and is bit-identical across
 /// thread counts and oracle stacks, so one entry answers every later solve.
-/// Entries are immutable and never evicted (~20 bytes per vertex each).
+/// Entries are immutable and never evicted (~36 bytes per vertex each).
 /// Thread-safe without single-flight: concurrent misses may both peel, and
 /// the first complete insert wins.
 class DecompositionIndex {
@@ -139,11 +156,15 @@ std::shared_ptr<const MotifCoreDecomposition> DecomposeForSolve(
 /// and CoreApp restrict with `keep` empty; QueryDensest keeps Q. Costs at
 /// most two degree passes (one over the input, one over its bulk
 /// survivors) plus a PeelBatch cascade over the survivors that fall.
+/// `input_degree`, when non-empty, holds the motif-degrees within
+/// G[vertices] (indexed by vertex id) and replaces the first pass:
+/// QueryDensest restricts all of V with its decomposition's degrees.
 std::vector<VertexId> RestrictToCore(
     const Graph& graph, const MotifOracle& oracle,
     const std::vector<VertexId>& vertices, uint64_t k,
     const ExecutionContext& ctx = ExecutionContext(),
-    std::span<const VertexId> keep = {});
+    std::span<const VertexId> keep = {},
+    std::span<const uint64_t> input_degree = {});
 
 }  // namespace dsd
 

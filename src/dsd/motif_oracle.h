@@ -19,9 +19,8 @@
 // which stays the reference. The public Degrees/CountInstances are
 // non-virtual shells with a sequential default context, so call sites that
 // predate the context — and oracles that are inherently sequential — are
-// unaffected; implementations override the protected *Impl hooks. The
-// caching decorator (CachingOracle) lives in its own header; MakeOracle in
-// dsd/oracle_factory.h assembles the right stack for a request.
+// unaffected; implementations override the protected *Impl hooks. MakeOracle
+// in dsd/oracle_factory.h builds the right oracle for a motif name.
 #ifndef DSD_DSD_MOTIF_ORACLE_H_
 #define DSD_DSD_MOTIF_ORACLE_H_
 
@@ -125,12 +124,6 @@ class MotifOracle {
   /// work; 1 means sequential. dsd::Solve clamps the request's thread budget
   /// by this when reporting the effective thread count.
   virtual unsigned MaxUsefulThreads() const { return 1; }
-
-  /// The oracle whose algorithmic identity this one carries: decorators
-  /// (e.g. CachingOracle) return the wrapped oracle so dispatch-by-type —
-  /// MakeDefaultFlowSolver picking the clique network for CliqueOracles —
-  /// sees through them. Concrete oracles return *this.
-  virtual const MotifOracle& Underlying() const { return *this; }
 
  protected:
   /// Implementation hooks behind Degrees/CountInstances. `ctx` is advisory:

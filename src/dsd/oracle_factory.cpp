@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "dsd/caching_oracle.h"
 #include "pattern/pattern.h"
 
 namespace dsd {
@@ -124,13 +123,6 @@ StatusOr<std::unique_ptr<MotifOracle>> OracleFactory::Make(
   if (oracle == nullptr) {
     return Status::InvalidArgument("oracle builder for '" + name +
                                    "' returned null");
-  }
-  // Policy decorators are the factory's job, applied uniformly to built-in
-  // and plugged-in motifs. Caching pays only when one query out-costs the
-  // cache bookkeeping (generation-tag keying, mask scan, hit-path copy);
-  // edge degrees are already linear.
-  if (options.cache && oracle->MotifSize() >= 3) {
-    oracle = std::make_unique<CachingOracle>(std::move(oracle));
   }
   return oracle;
 }

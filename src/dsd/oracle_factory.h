@@ -1,17 +1,16 @@
 // OracleFactory / MakeOracle: the one place that turns a motif name and an
-// execution policy into a ready-to-run MotifOracle stack.
+// execution policy into a ready-to-run MotifOracle.
 //
 // Mirrors the SolverRegistry design on the oracle side: a process-wide
 // registry maps motif names to builders, pre-populated with the paper's
 // vocabulary (h-cliques 2..9 with the edge/triangle aliases, and the named
 // patterns), and embedders may register their own motifs under fresh names.
-// The factory — not the caller — assembles the stack that serves a
-// request: the motif's oracle (the built-in clique and pattern oracles run
-// each query on its ctx.threads workers, so one class serves every thread
-// budget), with the caching decorator layered on top for motifs whose
-// queries are expensive enough to memoize. dsd::Solve routes every request
-// through here, so execution policy set on a SolveRequest reaches the
-// oracle without any call site knowing the concrete types.
+// The factory — not the caller — builds the oracle that serves a request
+// (the built-in clique and pattern oracles run each query on its
+// ctx.threads workers, so one class serves every thread budget). dsd::Solve
+// routes every request through here, so execution policy set on a
+// SolveRequest reaches the oracle without any call site knowing the
+// concrete types.
 #ifndef DSD_DSD_ORACLE_FACTORY_H_
 #define DSD_DSD_ORACLE_FACTORY_H_
 
@@ -34,11 +33,10 @@ struct OracleOptions {
   /// to plugged-in builders, which may pick an implementation by it.
   unsigned threads = 1;
 
-  /// Wrap the oracle in a memoizing CachingOracle. Applied only to motifs
-  /// of size >= 3, whose queries out-cost the cache bookkeeping (keying is
-  /// the graph's O(1) generation tag plus an O(n) mask scan, and a hit
-  /// still copies the memoized vector); an edge-degree scan is itself
-  /// linear, so the edge motif skips the decorator.
+  /// Ignored: the memoizing decorator it once enabled is gone, because
+  /// solves read instance counts and whole-graph degrees from the
+  /// decomposition index. Kept only because the benchmark harness still
+  /// sets it; it goes with the next benchmark change.
   bool cache = false;
 
   /// PatternOracle toggle: false forces the generic embedding engine even
@@ -50,8 +48,7 @@ struct OracleOptions {
 /// paper's motif vocabulary; registration and lookup are mutex-guarded.
 class OracleFactory {
  public:
-  /// Builds the bare oracle for one registered name. The factory applies
-  /// policy decorators (caching) on top, so builders only pick the concrete
+  /// Builds the oracle for one registered name; builders pick the concrete
   /// implementation from the options.
   using Builder =
       std::function<std::unique_ptr<MotifOracle>(const OracleOptions&)>;
@@ -63,10 +60,10 @@ class OracleFactory {
   /// empty or already taken.
   Status Register(std::string name, Builder builder);
 
-  /// Builds the oracle stack for `name`: the registered builder's oracle,
-  /// wrapped per `options`. NotFound for unknown names; InvalidArgument for
-  /// recognisable-but-malformed clique spellings ("03-clique", "12-clique")
-  /// so diagnostics distinguish typos from unsupported sizes.
+  /// Builds the oracle for `name` with the registered builder. NotFound for
+  /// unknown names; InvalidArgument for recognisable-but-malformed clique
+  /// spellings ("03-clique", "12-clique") so diagnostics distinguish typos
+  /// from unsupported sizes.
   StatusOr<std::unique_ptr<MotifOracle>> Make(
       const std::string& name, const OracleOptions& options = {}) const;
 

@@ -12,14 +12,13 @@ DensestResult PeelApp(const Graph& graph, const MotifOracle& oracle,
   DensestResult result;
   // The peeling loop of Algorithm 2 is exactly the decomposition loop of
   // Algorithm 3 with residual-density tracking; the answer is the residual
-  // subgraph of maximum density.
+  // subgraph of maximum density, read from the decomposition.
   const std::shared_ptr<const MotifCoreDecomposition> decomposition =
       DecomposeForSolve(graph, oracle, ctx, result.stats);
   if (decomposition->best_residual_density > 0.0) {
-    FillResult(graph, oracle, decomposition->BestResidualVertices(), result,
-               ctx);
+    decomposition->FillSuffix(decomposition->best_residual_start, result);
   } else {
-    FillResult(graph, oracle, {}, result, ctx);
+    FillResult({}, 0, result);
   }
   result.stats.total_seconds = timer.Seconds();
   return result;

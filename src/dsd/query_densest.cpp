@@ -31,39 +31,48 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
   // Any superset of Q is feasible, so the start density is the denser of
   // two supersets the decomposition already holds: the x-core (x = min core
   // number over Q; the paper's anchor) and the best residual suffix plus Q.
+  // Every candidate carries its instance count, read from the decomposition
+  // where it is a removal suffix, so the answer is never recounted.
   const std::shared_ptr<const MotifCoreDecomposition> decomposition =
       DecomposeForSolve(graph, oracle, ctx, result.stats);
   uint64_t x = UINT64_MAX;
   for (VertexId q : query) x = std::min(x, decomposition->core[q]);
   std::vector<VertexId> best = decomposition->CoreVertices(x);
-  const std::optional<double> core_density = decomposition->CoreDensity(x);
-  double best_density = core_density
-                            ? *core_density
-                            : MeasureDensity(graph, oracle, best, ctx);
+  const std::optional<size_t> core_start = decomposition->CoreStart(x);
+  uint64_t best_instances =
+      core_start ? decomposition->residual_instances[*core_start]
+                 : MeasureInstances(graph, oracle, best, ctx);
+  double best_density = Density(best_instances, best.size());
 
-  std::vector<VertexId> anchored = decomposition->BestResidualVertices();
+  const size_t suffix_start = decomposition->best_residual_start;
+  std::vector<VertexId> anchored = decomposition->SuffixVertices(suffix_start);
   const size_t suffix_size = anchored.size();
   anchored.insert(anchored.end(), query.begin(), query.end());
   std::sort(anchored.begin(), anchored.end());
   anchored.erase(std::unique(anchored.begin(), anchored.end()),
                  anchored.end());
+  const uint64_t anchored_instances =
+      anchored.size() == suffix_size &&
+              suffix_start < decomposition->residual_instances.size()
+          ? decomposition->residual_instances[suffix_start]
+          : MeasureInstances(graph, oracle, anchored, ctx);
   const double anchored_density =
-      anchored.size() == suffix_size
-          ? decomposition->best_residual_density
-          : MeasureDensity(graph, oracle, anchored, ctx);
+      Density(anchored_instances, anchored.size());
   if (anchored_density > best_density) {
     best_density = anchored_density;
     best = std::move(anchored);
+    best_instances = anchored_instances;
   }
 
   // Every non-Q vertex of an optimal answer D has motif-degree >= rho(D)
   // inside D (else dropping it would raise the density), so the optimum
-  // lies in the Q-protected ceil(best_density)-core.
+  // lies in the Q-protected ceil(best_density)-core. Its bulk pass over all
+  // of V reads the decomposition's whole-graph degrees.
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
   std::vector<VertexId> located = RestrictToCore(
       graph, oracle, all, static_cast<uint64_t>(std::ceil(best_density)),
-      ctx, query);
+      ctx, query, decomposition->degree);
   result.stats.located_vertices = located.size();
 
   if (located.size() >= 2 && !ctx.ShouldStop()) {
@@ -87,10 +96,11 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
         (found.density == best_density &&
          found.vertices.size() > best.size())) {
       best = std::move(found.vertices);
+      best_instances = found.instances;
     }
   }
 
-  FillResult(graph, oracle, std::move(best), result, ctx);
+  FillResult(std::move(best), best_instances, result);
   result.stats.total_seconds = timer.Seconds();
   return result;
 }

@@ -290,12 +290,11 @@ StatusOr<SolveResponse> Solve(const Graph& graph,
   if (solver == nullptr) {
     return Status::NotFound("unknown algorithm '" + request.algorithm + "'");
   }
-  // Build the oracle for the budget the algorithm can actually spend, with
-  // memoization for the repeated core sub-queries. RunSolve derives the
-  // context from the same ClampedThreadBudget, so oracle and stats agree.
+  // Build the oracle for the budget the algorithm can actually spend.
+  // RunSolve derives the context from the same ClampedThreadBudget, so
+  // oracle and stats agree.
   OracleOptions options;
   options.threads = ClampedThreadBudget(request.threads, *solver);
-  options.cache = true;
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle(request.motif, options);
   if (!oracle.ok()) return oracle.status();

@@ -184,16 +184,16 @@ class SolverRegistry {
 /// "triangle" / "<h>-clique" (h in 2..9), PatternOracle for the named
 /// patterns. NotFound for names outside the vocabulary. Equivalent to
 /// MakeOracle(name) with default options — use MakeOracle (dsd/
-/// oracle_factory.h) when a thread budget or caching should apply.
+/// oracle_factory.h) when a thread budget should reach a plugged-in builder.
 StatusOr<std::unique_ptr<MotifOracle>> ParseMotif(const std::string& name);
 
 /// Every name ParseMotif/MakeOracle accepts, in listing order.
 std::vector<std::string> KnownMotifNames();
 
 /// Validates `request`, resolves its algorithm and motif, runs it, and
-/// returns the answer. The oracle is built through MakeOracle with caching
-/// enabled, and the run executes under an ExecutionContext carrying the
-/// effective thread count and the time budget as a deadline. All failures
+/// returns the answer. The oracle is built through MakeOracle, and the run
+/// executes under an ExecutionContext carrying the effective thread count
+/// and the time budget as a deadline. All failures
 /// surface as Status (NotFound for unknown algorithm/motif names,
 /// InvalidArgument for bad parameters, DeadlineExceeded for a blown time
 /// budget) — this function never exits or throws on bad input.
@@ -202,7 +202,7 @@ StatusOr<SolveResponse> Solve(const Graph& graph, const SolveRequest& request);
 /// Same, but with a caller-supplied oracle — `request.motif` is ignored.
 /// For motifs the name vocabulary cannot express (e.g. a PatternOracle with
 /// special kernels disabled), and for long-lived callers that hold one
-/// oracle stack per graph. The effective thread count is clamped by the
+/// oracle per graph. The effective thread count is clamped by the
 /// supplied oracle's MaxUsefulThreads(): the built-in CliqueOracle and
 /// PatternOracle spend the whole budget, while an oracle that keeps the
 /// default MaxUsefulThreads() of 1 runs sequentially. A non-null `decompositions` (bound to `graph`)

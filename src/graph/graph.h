@@ -23,11 +23,12 @@
 // subgraph extractors, the mmap reader), the default constructor, and the
 // restamping of a moved-from object. Because content is immutable after
 // construction, equal tags imply equal content, which makes the tag a cheap
-// identity key: CachingOracle keys its memo on (generation, alive-mask hash)
-// instead of hashing the whole CSR per query. Copies share the tag
-// (identical content, so shared cache entries are correct by construction);
-// moves transfer it and restamp the emptied source so a moved-from graph can
-// never alias a cache entry recorded for the content that left it.
+// identity key: DecompositionIndex (dsd/motif_core.h) serves a graph only
+// when its generation matches the one it was built for, instead of hashing
+// the whole CSR. Copies share the tag (identical content, so a shared index
+// entry is correct by construction); moves transfer it and restamp the
+// emptied source so a moved-from graph can never alias an entry recorded
+// for the content that left it.
 #ifndef DSD_GRAPH_GRAPH_H_
 #define DSD_GRAPH_GRAPH_H_
 

@@ -29,7 +29,6 @@ StatusOr<std::shared_ptr<const MotifOracle>> ResidentGraph::OracleFor(
   // plugged-in builders.
   OracleOptions options;
   options.threads = hardware_threads_;
-  options.cache = true;
   StatusOr<std::unique_ptr<MotifOracle>> built = MakeOracle(motif, options);
   if (!built.ok()) return built.status();
 
@@ -45,21 +44,6 @@ StatusOr<std::shared_ptr<const MotifOracle>> ResidentGraph::OracleFor(
   }
   aliases_.emplace(motif, canonical);
   return it->second;
-}
-
-CachingOracle::CacheStats ResidentGraph::AggregateCacheStats() const {
-  CachingOracle::CacheStats total;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, oracle] : oracles_) {
-    const auto* caching = dynamic_cast<const CachingOracle*>(oracle.get());
-    if (caching == nullptr) continue;
-    const CachingOracle::CacheStats stats = caching->cache_stats();
-    total.degree_hits += stats.degree_hits;
-    total.degree_misses += stats.degree_misses;
-    total.count_hits += stats.count_hits;
-    total.count_misses += stats.count_misses;
-  }
-  return total;
 }
 
 GraphRegistry::GraphRegistry(unsigned hardware_threads)

@@ -2,18 +2,18 @@
 //
 // The point of a long-lived service is paying graph load and oracle
 // construction once: a ResidentGraph holds the immutable Graph plus one
-// shared, generation-keyed CachingOracle stack per motif, built lazily on
-// first use and handed (by shared_ptr) to every request that names the
-// motif. Sharing is safe by the library's own contracts — oracles are
-// const-thread-safe, the CachingOracle's memo is sharded for concurrent
-// readers, and its identity keys (Graph::Generation()) make cross-request
-// hits exact, never stale. The per-request ExecutionContext decides how
-// many workers any one oracle call spends (that is how the executor's
-// budget partitioning reaches the hot loops).
+// shared oracle per motif, built lazily on first use and handed (by
+// shared_ptr) to every request that names the motif. Sharing is safe
+// because oracles are const-thread-safe. The per-request ExecutionContext
+// decides how many workers any one oracle call spends (that is how the
+// executor's budget partitioning reaches the hot loops).
 // Each resident graph also owns a DecompositionIndex: the first solve that
 // completes a whole-graph (k, Psi)-core decomposition of a motif stores it,
 // and every later peel / at-least / query / core-exact solve of that motif
-// on the graph starts from the stored entry instead of peeling again.
+// on the graph starts from the stored entry instead of peeling again. Peel
+// and at-least answers, and query's whole-graph degrees, are read from the
+// entry with no motif count; Graph::Generation() keys the index to the
+// graph's content.
 #ifndef DSD_SERVER_GRAPH_REGISTRY_H_
 #define DSD_SERVER_GRAPH_REGISTRY_H_
 
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "dsd/caching_oracle.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
 #include "graph/graph.h"
@@ -31,7 +30,7 @@
 
 namespace dsd::server {
 
-/// One graph held resident by the server, with its shared oracle stacks.
+/// One graph held resident by the server, with its shared oracles.
 class ResidentGraph {
  public:
   ResidentGraph(std::string name, Graph graph, unsigned hardware_threads);
@@ -39,17 +38,12 @@ class ResidentGraph {
   const std::string& name() const { return name_; }
   const Graph& graph() const { return graph_; }
 
-  /// The shared oracle stack for `motif` (a MakeOracle name), built on
-  /// first use with caching enabled and the resident hardware budget.
-  /// Aliases share one stack: the memo is keyed by the oracle's canonical
-  /// Name(), so "triangle" and "3-clique" hit the same cache entries.
+  /// The shared oracle for `motif` (a MakeOracle name), built on first use
+  /// with the resident hardware budget. Aliases share one oracle, keyed by
+  /// its canonical Name(), so "triangle" and "3-clique" get the same one.
   /// NotFound/InvalidArgument for names the factory rejects.
   StatusOr<std::shared_ptr<const MotifOracle>> OracleFor(
       const std::string& motif);
-
-  /// Summed hit/miss counters over every cached oracle stack of this graph
-  /// (motifs without a caching layer — "edge" — contribute zeros).
-  CachingOracle::CacheStats AggregateCacheStats() const;
 
   /// The graph's decomposition index, passed to every solve on it.
   DecompositionIndex& decompositions() { return decompositions_; }

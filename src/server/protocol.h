@@ -23,7 +23,7 @@
 //   ok id=N wall=S threads=T density=D instances=I vertices=V
 //      members_hash=H [members=a,b,...]        (solve)
 //   ok id=N received=... completed=... failed=... shed=... coalesced=...
-//      queue=... running=... resident_bytes=... degree_hits=... ...  (stats)
+//      queue=... running=... resident_bytes=... index_hits=... ...  (stats)
 //   err id=N code=<Status::CodeName()> msg=<rest of line, may have spaces>
 //
 // `coalesced` counts solves answered by attaching to an identical solve

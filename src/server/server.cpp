@@ -337,11 +337,6 @@ DsdServer::Stats DsdServer::stats() const {
   for (const std::string& name : registry_.Names()) {
     std::shared_ptr<ResidentGraph> resident = registry_.Find(name);
     if (resident == nullptr) continue;
-    const CachingOracle::CacheStats cache = resident->AggregateCacheStats();
-    stats.cache.degree_hits += cache.degree_hits;
-    stats.cache.degree_misses += cache.degree_misses;
-    stats.cache.count_hits += cache.count_hits;
-    stats.cache.count_misses += cache.count_misses;
     const DecompositionIndex::Stats index = resident->decompositions().stats();
     stats.index.hits += index.hits;
     stats.index.misses += index.misses;
@@ -363,10 +358,6 @@ std::string DsdServer::FormatStats(uint64_t id) const {
          " queue=" + std::to_string(executor_.QueueDepth()) +
          " running=" + std::to_string(executor_.Running()) +
          " resident_bytes=" + std::to_string(stats.resident_bytes) +
-         " degree_hits=" + std::to_string(stats.cache.degree_hits) +
-         " degree_misses=" + std::to_string(stats.cache.degree_misses) +
-         " count_hits=" + std::to_string(stats.cache.count_hits) +
-         " count_misses=" + std::to_string(stats.cache.count_misses) +
          " index_hits=" + std::to_string(stats.index.hits) +
          " index_misses=" + std::to_string(stats.index.misses) +
          " index_bytes=" + std::to_string(stats.index.bytes);

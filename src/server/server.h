@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "dsd/caching_oracle.h"
 #include "server/executor.h"
 #include "server/graph_registry.h"
 #include "util/status.h"
@@ -108,7 +107,6 @@ class DsdServer {
     uint64_t coalesced = 0;   ///< solves answered by riding a queued twin
     /// CSR footprint plus decomposition-index bytes over resident graphs
     uint64_t resident_bytes = 0;
-    CachingOracle::CacheStats cache;  ///< summed over resident graphs
     DecompositionIndex::Stats index;  ///< summed over resident graphs
   };
   Stats stats() const;

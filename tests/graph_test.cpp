@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/connectivity.h"
@@ -248,6 +250,75 @@ TEST(Stats, EmptyGraph) {
   EXPECT_EQ(stats.num_vertices, 0u);
   EXPECT_EQ(stats.num_components, 0u);
   EXPECT_EQ(stats.diameter, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Generation tags: the identity DecompositionIndex::Serves keys on. Every
+// path that makes new content (building, extracting a subgraph, moving a
+// graph out) gets a fresh tag; copies share it.
+
+Graph TriangleChain() {
+  GraphBuilder builder;
+  // Two triangles sharing vertex 2, plus a pendant.
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(0, 2);
+  builder.AddEdge(2, 3);
+  builder.AddEdge(3, 4);
+  builder.AddEdge(2, 4);
+  builder.AddEdge(4, 5);
+  return builder.Build();
+}
+
+TEST(GraphGenerationTest, EveryConstructionGetsAFreshTag) {
+  Graph a = TriangleChain();
+  Graph b = TriangleChain();  // identical content, independent build
+  Graph c;                    // empty
+  EXPECT_NE(a.Generation(), 0u);
+  EXPECT_NE(a.Generation(), b.Generation());
+  EXPECT_NE(a.Generation(), c.Generation());
+  EXPECT_NE(b.Generation(), c.Generation());
+}
+
+TEST(GraphGenerationTest, TagsAreMonotonic) {
+  Graph a = TriangleChain();
+  Graph b = TriangleChain();
+  EXPECT_LT(a.Generation(), b.Generation());
+}
+
+TEST(GraphGenerationTest, CopiesShareTheTag) {
+  Graph a = TriangleChain();
+  Graph b = a;
+  EXPECT_EQ(a.Generation(), b.Generation());
+  Graph c;
+  c = a;
+  EXPECT_EQ(a.Generation(), c.Generation());
+}
+
+TEST(GraphGenerationTest, MoveTransfersTheTagAndRestampsTheSource) {
+  Graph a = TriangleChain();
+  const uint64_t tag = a.Generation();
+  Graph b = std::move(a);
+  EXPECT_EQ(b.Generation(), tag);
+  // The moved-from graph is a valid empty graph under a fresh tag, so it
+  // can never alias index entries recorded for the content that left it.
+  EXPECT_EQ(a.NumVertices(), 0u);
+  EXPECT_NE(a.Generation(), tag);
+  Graph c = TriangleChain();
+  const uint64_t c_tag = c.Generation();
+  a = std::move(c);
+  EXPECT_EQ(a.Generation(), c_tag);
+  EXPECT_NE(c.Generation(), c_tag);
+  EXPECT_EQ(c.NumVertices(), 0u);
+}
+
+TEST(GraphGenerationTest, SubgraphExtractionGetsItsOwnTag) {
+  Graph g = TriangleChain();
+  std::vector<VertexId> vertices = {0, 1, 2};
+  Subgraph first = InducedSubgraph(g, vertices);
+  Subgraph second = InducedSubgraph(g, vertices);
+  EXPECT_NE(first.graph.Generation(), g.Generation());
+  EXPECT_NE(first.graph.Generation(), second.graph.Generation());
 }
 
 }  // namespace

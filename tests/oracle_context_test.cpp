@@ -1,9 +1,8 @@
 // Tests for the ExecutionContext-aware oracle API: CliqueOracle under a
 // multi-thread context must match its ctx.threads = 1 run bit-for-bit for
-// every motif size and thread count, the caching decorator must memoize without ever serving
-// stale answers (the alive mask is part of the key), and the oracle factory
-// must assemble the right stack and report honest effective thread counts
-// through dsd::Solve.
+// every motif size and thread count, and the oracle factory must build the
+// right oracle and report honest effective thread counts through
+// dsd::Solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <typeinfo>
 
 #include "clique/clique_enumerator.h"
-#include "dsd/caching_oracle.h"
 #include "dsd/core_exact.h"
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
@@ -124,77 +122,6 @@ TEST(ParallelOracleTest, SolverParityUnderThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// CachingOracle
-
-TEST(CachingOracleTest, MemoizesRepeatedQueries) {
-  Graph g = ParityGraph();
-  CachingOracle oracle(std::make_unique<CliqueOracle>(3));
-  std::vector<uint64_t> first = oracle.Degrees(g, {});
-  std::vector<uint64_t> second = oracle.Degrees(g, {});
-  EXPECT_EQ(first, second);
-  CachingOracle::CacheStats stats = oracle.cache_stats();
-  EXPECT_EQ(stats.degree_misses, 1u);
-  EXPECT_EQ(stats.degree_hits, 1u);
-
-  EXPECT_EQ(oracle.CountInstances(g, {}), oracle.CountInstances(g, {}));
-  stats = oracle.cache_stats();
-  EXPECT_EQ(stats.count_misses, 1u);
-  EXPECT_EQ(stats.count_hits, 1u);
-}
-
-TEST(CachingOracleTest, AliveMaskChangeInvalidates) {
-  // The satellite case: the alive mask is part of the cache key, so peeling
-  // a vertex between queries must yield fresh (correct) answers, never the
-  // memoized ones for the previous mask.
-  Graph g = ParityGraph();
-  CliqueOracle reference(3);
-  CachingOracle oracle(std::make_unique<CliqueOracle>(3));
-
-  std::vector<char> alive(g.NumVertices(), 1);
-  EXPECT_EQ(oracle.Degrees(g, alive), reference.Degrees(g, alive));
-  EXPECT_EQ(oracle.CountInstances(g, alive), reference.CountInstances(g, alive));
-
-  alive[5] = 0;  // "peel" one vertex
-  EXPECT_EQ(oracle.Degrees(g, alive), reference.Degrees(g, alive));
-  EXPECT_EQ(oracle.CountInstances(g, alive), reference.CountInstances(g, alive));
-
-  CachingOracle::CacheStats stats = oracle.cache_stats();
-  EXPECT_EQ(stats.degree_hits, 0u);
-  EXPECT_EQ(stats.degree_misses, 2u);
-  EXPECT_EQ(stats.count_hits, 0u);
-  EXPECT_EQ(stats.count_misses, 2u);
-
-  // Re-asking with the changed mask now hits.
-  EXPECT_EQ(oracle.Degrees(g, alive), reference.Degrees(g, alive));
-  EXPECT_EQ(oracle.cache_stats().degree_hits, 1u);
-}
-
-TEST(CachingOracleTest, ForwardsEverythingElse) {
-  Graph g = ParityGraph();
-  CliqueOracle reference(3);
-  CachingOracle oracle(std::make_unique<CliqueOracle>(3));
-  EXPECT_EQ(oracle.MotifSize(), 3);
-  EXPECT_EQ(oracle.Name(), "triangle");
-  EXPECT_EQ(oracle.CoreNumberUpperBounds(g), reference.CoreNumberUpperBounds(g));
-  EXPECT_EQ(oracle.Groups(g, {}).size(), reference.Groups(g, {}).size());
-  EXPECT_EQ(&oracle.Underlying(), &oracle.inner());
-}
-
-TEST(CachingOracleTest, CoreExactMatchesUncachedOracle) {
-  Graph g = ParityGraph();
-  CliqueOracle reference(3);
-  CachingOracle cached(std::make_unique<CliqueOracle>(3));
-  DensestResult plain = CoreExact(g, reference);
-  DensestResult memoized = CoreExact(g, cached);
-  EXPECT_EQ(plain.vertices, memoized.vertices);
-  EXPECT_DOUBLE_EQ(plain.density, memoized.density);
-  // The shrinking-core sub-queries repeat; the cache must actually serve.
-  CachingOracle::CacheStats stats = cached.cache_stats();
-  EXPECT_GT(stats.degree_hits + stats.count_hits, 0u)
-      << "CoreExact issued no repeated oracle sub-query";
-}
-
-// ---------------------------------------------------------------------------
 // OracleFactory / MakeOracle
 
 // Builds `motif` under a 1-thread and an 8-thread budget and expects the
@@ -231,31 +158,37 @@ TEST(OracleFactoryTest, ThreadBudgetBuildsTheSameCliqueOracle) {
 }
 
 TEST(OracleFactoryTest, CacheOptionWrapsExpensiveMotifsOnly) {
+  // OracleOptions::cache is ignored: the factory wraps no motif, cheap or
+  // expensive, so each gets its own oracle class and flow-network dispatch
+  // sees it.
   OracleOptions options;
   options.cache = true;
-  StatusOr<std::unique_ptr<MotifOracle>> triangle =
-      MakeOracle("triangle", options);
-  ASSERT_TRUE(triangle.ok());
-  EXPECT_NE(dynamic_cast<CachingOracle*>(triangle.value().get()), nullptr);
-  // Edge degrees are already linear; the decorator would only add overhead.
-  StatusOr<std::unique_ptr<MotifOracle>> edge = MakeOracle("edge", options);
-  ASSERT_TRUE(edge.ok());
-  EXPECT_EQ(dynamic_cast<CachingOracle*>(edge.value().get()), nullptr);
+  for (const char* motif : {"edge", "triangle"}) {
+    StatusOr<std::unique_ptr<MotifOracle>> oracle = MakeOracle(motif, options);
+    ASSERT_TRUE(oracle.ok()) << motif;
+    const MotifOracle& built = *oracle.value();
+    EXPECT_EQ(typeid(built), typeid(CliqueOracle)) << motif;
+  }
+  StatusOr<std::unique_ptr<MotifOracle>> diamond =
+      MakeOracle("diamond", options);
+  ASSERT_TRUE(diamond.ok());
+  const MotifOracle& pattern = *diamond.value();
+  EXPECT_EQ(typeid(pattern), typeid(PatternOracle));
 }
 
 TEST(OracleFactoryTest, CachedParallelStackKeepsCliqueIdentity) {
+  // A threaded request with cache = true still yields the CliqueOracle
+  // itself, so flow-network dispatch picks the clique construction.
   OracleOptions options;
   options.threads = 4;
   options.cache = true;
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle("4-clique", options);
   ASSERT_TRUE(oracle.ok());
-  // The decorator forwards identity: Underlying() sees through the cache so
-  // flow-network dispatch still picks the clique construction.
-  EXPECT_NE(dynamic_cast<const CliqueOracle*>(&oracle.value()->Underlying()),
-            nullptr);
-  EXPECT_EQ(oracle.value()->Name(), "4-clique");
-  EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
+  const MotifOracle& built = *oracle.value();
+  EXPECT_EQ(typeid(built), typeid(CliqueOracle));
+  EXPECT_EQ(built.Name(), "4-clique");
+  EXPECT_GT(built.MaxUsefulThreads(), 1u);
 }
 
 TEST(OracleFactoryTest, ThreadBudgetBuildsTheSamePatternOracle) {

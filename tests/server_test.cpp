@@ -379,7 +379,7 @@ TEST(GraphRegistryTest, SharesOneOracleStackAcrossAliases) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().get(), b.value().get())
-      << "aliases must share one cache";
+      << "aliases must share one oracle";
   EXPECT_FALSE(resident->OracleFor("99-clique").ok());
 }
 
@@ -699,11 +699,12 @@ TEST(DecompositionIndexServerTest, StatsCountHitsMissesAndBytes) {
 
   EXPECT_EQ(StatsField(server, "index_hits"), 4u);
   EXPECT_EQ(StatsField(server, "index_misses"), 2u);
-  // Two entries of ~20 bytes per vertex: core (8), removal order (4) and
-  // residual density (8).
+  // Two entries of ~36 bytes per vertex: core (8), whole-graph degree (8),
+  // removal order (4), residual density (8) and residual instances (8).
   const uint64_t bytes = StatsField(server, "index_bytes");
   EXPECT_EQ(bytes, 2u * graph.NumVertices() *
-                       (sizeof(uint64_t) + sizeof(VertexId) + sizeof(double)));
+                       (sizeof(uint64_t) + sizeof(uint64_t) + sizeof(VertexId) +
+                        sizeof(double) + sizeof(uint64_t)));
   EXPECT_EQ(StatsField(server, "resident_bytes"),
             graph.MemoryFootprintBytes() + bytes);
   const DsdServer::Stats stats = server.stats();

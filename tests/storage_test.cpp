@@ -6,8 +6,8 @@
 // The contract under test everywhere: a graph that travels through the
 // storage layer comes back BITWISE identical (same CSR arrays), damaged
 // files are rejected with a typed Status rather than misread, and every
-// load path hands out a fresh generation tag so CachingOracle keys can
-// never alias across file opens.
+// load path hands out a fresh generation tag so a DecompositionIndex can
+// never serve one file open's entries for another.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -248,7 +248,7 @@ TEST(DsdgFormatTest, MissingFileIsIoError) {
 }
 
 // ---------------------------------------------------------------------------
-// Generation tags: CachingOracle soundness across opens
+// Generation tags: DecompositionIndex soundness across opens
 
 TEST(DsdgFormatTest, EveryOpenGetsAFreshGenerationTag) {
   const Graph original = SampleGraph();
@@ -258,8 +258,8 @@ TEST(DsdgFormatTest, EveryOpenGetsAFreshGenerationTag) {
   StatusOr<Graph> second = OpenDsdgFile(path);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  // Same bytes, three distinct identities: oracle caches keyed by
-  // generation can never serve one graph's entries for another.
+  // Same bytes, three distinct identities: an index keyed by generation
+  // can never serve one graph's entries for another.
   EXPECT_NE(first.value().Generation(), original.Generation());
   EXPECT_NE(first.value().Generation(), second.value().Generation());
 }
