@@ -93,6 +93,34 @@ void BM_MotifCoreDecompose(benchmark::State& state, const char* motif,
 
 Graph CliqueDecomposeGraph() { return BenchGraph(5000); }
 
+// One whole-graph clique Count or Degrees pass (args: h, threads) on the
+// clique peel graph, with the enumerator (k-core order and DAG) built once
+// outside the timed loop. Each worker searches with its own thread's
+// scratch, so the 4-thread rows should scale off the 1-thread ones.
+void BM_CliqueCount(benchmark::State& state) {
+  static const Graph g = CliqueDecomposeGraph();
+  const CliqueEnumerator enumerator(g, static_cast<int>(state.range(0)));
+  const unsigned threads = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enumerator.Count(threads));
+  }
+}
+BENCHMARK(BM_CliqueCount)
+    ->Args({3, 1})->Args({3, 4})->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+void BM_CliqueDegrees(benchmark::State& state) {
+  static const Graph g = CliqueDecomposeGraph();
+  const CliqueEnumerator enumerator(g, static_cast<int>(state.range(0)));
+  const unsigned threads = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enumerator.Degrees(threads));
+  }
+}
+BENCHMARK(BM_CliqueDegrees)
+    ->Args({3, 1})->Args({3, 4})->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // The shape of perfbench's batch-peel pattern graph: 30k vertices, a
 // Barabasi-Albert backbone (m = 3) and 16 planted 16-vertex communities.
 // Its 3-star degrees reach far past the queue's near band.

@@ -1,5 +1,7 @@
 #include "clique/clique_degree.h"
 
+#include <cassert>
+
 #include "clique/clique_enumerator.h"
 #include "graph/intersect.h"
 #include "graph/subgraph.h"
@@ -43,6 +45,14 @@ struct CompanionLister {
   }
 };
 
+// The calling thread's candidate and companion ids, grown to the largest
+// neighbourhood it has listed. `in_use` marks a listing in progress: a call
+// from inside that listing's callback would overwrite its candidates.
+struct CompanionBuffer {
+  std::vector<VertexId> ids;
+  bool in_use = false;
+};
+
 }  // namespace
 
 void EnumerateCliquesContaining(
@@ -63,21 +73,31 @@ void EnumerateCliquesContaining(
     return;
   }
   // The h-cliques through v are {v} ∪ C for (h-1)-cliques C of G[N], N
-  // being v's alive neighbourhood (ascending, like the adjacency list). One
-  // buffer holds h-1 candidate slots of deg(v) ids (slot 0 is N), then the
-  // h-1 companions.
+  // being v's alive neighbourhood (ascending, like the adjacency list). The
+  // thread's buffer holds h-1 candidate slots of deg(v) ids (slot 0 is N),
+  // then the h-1 companions.
   const std::span<const VertexId> neighbors = graph.Neighbors(v);
   if (neighbors.size() < static_cast<size_t>(h - 1)) return;
   const size_t slot = neighbors.size();
-  std::vector<VertexId> buffer((slot + 1) * static_cast<size_t>(h - 1));
+  thread_local CompanionBuffer buffer;
+  assert(!buffer.in_use &&
+         "EnumerateCliquesContaining called from its own callback");
+  const size_t need = (slot + 1) * static_cast<size_t>(h - 1);
+  if (buffer.ids.size() < need) buffer.ids.resize(need);
+  VertexId* ids = buffer.ids.data();
   size_t size = 0;
   for (VertexId u : neighbors) {
-    if (is_alive(u)) buffer[size++] = u;
+    if (is_alive(u)) ids[size++] = u;
   }
   if (size < static_cast<size_t>(h - 1)) return;
-  const CompanionLister lister{graph, h - 2, slot, buffer.data(),
-                               buffer.data() + slot * (h - 1), cb};
-  lister.Extend(0, {buffer.data(), size});
+  buffer.in_use = true;
+  struct Release {
+    bool& in_use;
+    ~Release() { in_use = false; }
+  } release{buffer.in_use};
+  const CompanionLister lister{graph, h - 2, slot, ids,
+                               ids + slot * (h - 1), cb};
+  lister.Extend(0, {ids, size});
 }
 
 std::vector<uint64_t> CliqueDegreesWithin(const Graph& graph, int h,

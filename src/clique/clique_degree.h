@@ -24,8 +24,11 @@ namespace dsd {
 ///
 /// Cost: O(local), with no O(n) term per call. The (h-1)-cliques of v's
 /// alive neighbourhood N are listed by intersecting suffixes of N with
-/// sorted adjacency lists (galloping through a hub's long list), in one
-/// buffer of h-1 deg(v)-sized slots; no subgraph or enumerator is built.
+/// sorted adjacency lists (galloping through a hub's long list), in h-1
+/// deg(v)-sized slots of a buffer the calling thread owns and reuses; no
+/// subgraph or enumerator is built, and a warm thread allocates nothing.
+/// `cb` must not call EnumerateCliquesContaining on the same thread (the
+/// inner call would overwrite the outer one's buffer; debug builds assert).
 void EnumerateCliquesContaining(
     const Graph& graph, int h, VertexId v, std::span<const char> alive,
     const std::function<void(std::span<const VertexId>)>& cb);

@@ -26,11 +26,21 @@ CliqueEnumerator::CliqueEnumerator(const Graph& graph, int h)
   }
 }
 
-CliqueEnumerator::Scratch CliqueEnumerator::MakeScratch() const {
+void CliqueEnumerator::Fit(Scratch& scratch) const {
   // Depths 1..h-2 each write one intersection no longer than an out-list.
   const size_t slots = h_ > 2 ? static_cast<size_t>(h_ - 2) : 0;
-  return {std::vector<VertexId>(h_),
-          std::vector<VertexId>(slots * max_out_degree_)};
+  if (scratch.prefix.size() < static_cast<size_t>(h_)) {
+    scratch.prefix.resize(h_);
+  }
+  if (scratch.candidates.size() < slots * max_out_degree_) {
+    scratch.candidates.resize(slots * max_out_degree_);
+  }
+}
+
+CliqueEnumerator::Scratch& CliqueEnumerator::ThreadScratch() const {
+  thread_local Scratch scratch;
+  Fit(scratch);
+  return scratch;
 }
 
 template <typename Leaf>
@@ -67,101 +77,73 @@ void CliqueEnumerator::Walk(VertexId root, Scratch& scratch,
   Extend(1, Out(root), scratch, leaf);
 }
 
-void CliqueEnumerator::EnumerateFromRoot(VertexId root, Scratch& scratch,
-                                         const CliqueCallback& cb) const {
+template <typename Leaf>
+void CliqueEnumerator::WalkStrided(unsigned worker, unsigned t,
+                                   Leaf& leaf) const {
+  Scratch& scratch = ThreadScratch();
+  for (uint64_t root = worker; root < graph_.NumVertices(); root += t) {
+    Walk(static_cast<VertexId>(root), scratch, leaf);
+  }
+}
+
+void CliqueEnumerator::Enumerate(const CliqueCallback& cb) const {
+  // Its own Scratch, not the thread's: cb may count cliques itself.
+  Scratch scratch;
+  Fit(scratch);
   auto leaf = [&](std::span<const VertexId>,
                   std::span<const VertexId> last) {
     for (VertexId c : last) {
       scratch.prefix[h_ - 1] = c;
-      cb(scratch.prefix);
+      cb({scratch.prefix.data(), static_cast<size_t>(h_)});
     }
   };
-  Walk(root, scratch, leaf);
-}
-
-uint64_t CliqueEnumerator::CountFromRoot(VertexId root,
-                                         Scratch& scratch) const {
-  uint64_t count = 0;
-  auto leaf = [&count](std::span<const VertexId>,
-                       std::span<const VertexId> last) {
-    count += last.size();
-  };
-  Walk(root, scratch, leaf);
-  return count;
-}
-
-void CliqueEnumerator::DegreesFromRoot(
-    VertexId root, Scratch& scratch,
-    const std::function<void(VertexId, uint64_t)>& add) const {
-  auto leaf = [&add](std::span<const VertexId> prefix,
-                     std::span<const VertexId> last) {
-    if (last.empty()) return;
-    for (VertexId u : prefix) add(u, last.size());
-    for (VertexId c : last) add(c, 1);
-  };
-  Walk(root, scratch, leaf);
-}
-
-void CliqueEnumerator::Enumerate(const CliqueCallback& cb) const {
-  Scratch scratch = MakeScratch();
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    EnumerateFromRoot(v, scratch, cb);
-  }
+  for (VertexId v = 0; v < graph_.NumVertices(); ++v) Walk(v, scratch, leaf);
 }
 
 uint64_t CliqueEnumerator::Count(unsigned threads) const {
   // Clamp by hardware AND vertex count: per-root partitioning has at most
   // NumVertices() units of work, so extra workers would only wake and idle.
   const unsigned t = ResolveThreadCount(threads, graph_.NumVertices());
-  if (t == 1) {
-    Scratch scratch = MakeScratch();
+  // Each worker counts in a local and writes its slot once.
+  std::vector<uint64_t> partial(t, 0);
+  ParallelForStrided(t, t, [&](unsigned worker, uint64_t) {
     uint64_t count = 0;
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      count += CountFromRoot(v, scratch);
-    }
-    return count;
-  }
-  std::vector<Scratch> scratch;
-  for (unsigned w = 0; w < t; ++w) scratch.push_back(MakeScratch());
-  std::vector<PaddedCounter> partial(t);
-  ParallelForStrided(graph_.NumVertices(), t,
-                     [&](unsigned worker, uint64_t root) {
-                       partial[worker].value += CountFromRoot(
-                           static_cast<VertexId>(root), scratch[worker]);
-                     });
+    auto leaf = [&count](std::span<const VertexId>,
+                         std::span<const VertexId> last) {
+      count += last.size();
+    };
+    WalkStrided(worker, t, leaf);
+    partial[worker] = count;
+  });
   uint64_t total = 0;
-  for (const PaddedCounter& p : partial) total += p.value;
+  for (uint64_t p : partial) total += p;
   return total;
 }
 
 std::vector<uint64_t> CliqueEnumerator::Degrees(unsigned threads) const {
   const unsigned t = ResolveThreadCount(threads, graph_.NumVertices());
   if (t == 1) {
-    Scratch scratch = MakeScratch();
     std::vector<uint64_t> degrees(graph_.NumVertices(), 0);
     auto leaf = [&degrees](std::span<const VertexId> prefix,
                            std::span<const VertexId> last) {
       for (VertexId u : prefix) degrees[u] += last.size();
       for (VertexId c : last) ++degrees[c];
     };
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      Walk(v, scratch, leaf);
-    }
+    WalkStrided(0, 1, leaf);
     return degrees;
   }
-  std::vector<Scratch> scratch;
-  for (unsigned w = 0; w < t; ++w) scratch.push_back(MakeScratch());
   // One shared chunk-locked totals array rather than t private n-sized
   // ones; integer addition commutes, so every t gives the same bits.
   ChunkedAccumulator accumulator(graph_.NumVertices(), t);
-  ParallelForStrided(graph_.NumVertices(), t,
-                     [&](unsigned worker, uint64_t root) {
-                       DegreesFromRoot(static_cast<VertexId>(root),
-                                       scratch[worker],
-                                       [&](VertexId v, uint64_t count) {
-                                         accumulator.Add(worker, v, count);
-                                       });
-                     });
+  ParallelForStrided(t, t, [&](unsigned worker, uint64_t) {
+    auto leaf = [&](std::span<const VertexId> prefix,
+                    std::span<const VertexId> last) {
+      if (last.empty()) return;
+      for (VertexId u : prefix) accumulator.Add(worker, u, last.size());
+      for (VertexId c : last) accumulator.Add(worker, c);
+    };
+    WalkStrided(worker, t, leaf);
+  });
   return std::move(accumulator).Finish();
 }
 

@@ -8,8 +8,8 @@
 //
 // Cost model: the constructor is O(n + m) (one k-core decomposition plus a
 // flat CSR DAG). Listing from a root is O(local): sorted intersections of
-// out-lists no longer than the degeneracy, written into the per-depth
-// buffers of a caller-owned Scratch, so a root neither allocates nor
+// out-lists no longer than the degeneracy, written into per-depth buffers
+// that each thread owns and reuses, so a root neither allocates nor
 // touches an O(n) array.
 #ifndef DSD_CLIQUE_CLIQUE_ENUMERATOR_H_
 #define DSD_CLIQUE_CLIQUE_ENUMERATOR_H_
@@ -30,18 +30,8 @@ using CliqueCallback = std::function<void(std::span<const VertexId>)>;
 /// ordering; Enumerate/Count/Degrees then run the kClist recursion.
 class CliqueEnumerator {
  public:
-  /// Reusable per-depth buffers, sized by MakeScratch(). One per worker:
-  /// a scratch must not be shared between concurrent calls.
-  struct Scratch {
-    std::vector<VertexId> prefix;      // the clique being extended
-    std::vector<VertexId> candidates;  // one degeneracy-sized slot per depth
-  };
-
   /// h >= 1. h = 1 lists vertices, h = 2 lists edges.
   CliqueEnumerator(const Graph& graph, int h);
-
-  /// Scratch buffers sized for this (graph, h) pair.
-  Scratch MakeScratch() const;
 
   /// Invokes `cb` once per h-clique instance (each instance exactly once;
   /// vertex permutations are not distinguished, matching Definition 2).
@@ -49,28 +39,12 @@ class CliqueEnumerator {
   /// recursion picked them (ascending id within each depth's candidates).
   void Enumerate(const CliqueCallback& cb) const;
 
-  /// Enumerates only the cliques whose degeneracy-minimal vertex is `root`.
-  /// The root sets {EnumerateFromRoot(v)}_v partition all instances, which
-  /// is what the threaded Count and Degrees exploit. Thread-safe given one
-  /// Scratch per thread: `this` is never mutated.
-  void EnumerateFromRoot(VertexId root, Scratch& scratch,
-                         const CliqueCallback& cb) const;
-
-  /// Number of cliques EnumerateFromRoot(root) would list, without listing
-  /// the last vertex of each.
-  uint64_t CountFromRoot(VertexId root, Scratch& scratch) const;
-
-  /// Per-vertex clique-degree contributions of root's cliques: calls
-  /// add(u, k) so that, summed over the calls, u gains the number of those
-  /// cliques containing it. Calls with k = 0 are skipped.
-  void DegreesFromRoot(
-      VertexId root, Scratch& scratch,
-      const std::function<void(VertexId, uint64_t)>& add) const;
-
   /// Number of h-clique instances: mu(G, Psi), on `threads` workers
-  /// sharding the roots (Section 6.3). 0 means "auto" (hardware
-  /// concurrency); the count is clamped by the vertex count, and 1 is the
-  /// plain sequential loop. Bit-identical for every thread count.
+  /// sharding the roots (Section 6.3): every clique is listed from its
+  /// degeneracy-minimal vertex, so the roots partition the instances. 0
+  /// means "auto" (hardware concurrency); the count is clamped by the
+  /// vertex count, and 1 is the plain sequential loop. Bit-identical for
+  /// every thread count.
   uint64_t Count(unsigned threads = 1) const;
 
   /// Per-vertex clique-degrees deg_G(v, Psi) (Definition 3), with the same
@@ -80,6 +54,24 @@ class CliqueEnumerator {
   int h() const { return h_; }
 
  private:
+  // Per-depth buffers of the recursion.
+  struct Scratch {
+    std::vector<VertexId> prefix;      // the clique being extended
+    std::vector<VertexId> candidates;  // one degeneracy-sized slot per depth
+  };
+
+  // Grows `scratch` to at least this (graph, h) pair's needs; it may stay
+  // larger, since depths are addressed by this enumerator's slot size.
+  void Fit(Scratch& scratch) const;
+
+  // The calling thread's Scratch, fitted. Count and Degrees use it rather
+  // than a vector of per-worker Scratch: buffers allocated side by side by
+  // one thread share cache lines, and workers writing their prefix and
+  // candidates on every extension step would ping-pong those lines between
+  // cores. Their loops run no caller code, so no call can nest inside
+  // another on one thread's Scratch.
+  Scratch& ThreadScratch() const;
+
   // Sorted-by-id out-neighbours of v: its neighbours of higher degeneracy
   // rank.
   std::span<const VertexId> Out(VertexId v) const {
@@ -94,6 +86,9 @@ class CliqueEnumerator {
   template <typename Leaf>
   void Extend(int depth, std::span<const VertexId> candidates,
               Scratch& scratch, Leaf& leaf) const;
+  // Walks roots worker, worker + t, ... with the thread's Scratch.
+  template <typename Leaf>
+  void WalkStrided(unsigned worker, unsigned t, Leaf& leaf) const;
 
   const Graph& graph_;
   int h_;

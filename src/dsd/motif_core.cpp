@@ -89,12 +89,14 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
 
   // Batch-bracket peeling: a monotone bucket queue (lazy entries, dense
   // near band sized O(n) so astronomically large motif-degrees spill to its
-  // far heap) yields whole lowest-degree brackets; each bracket is
-  // removed through one PeelBatch call (which matches one-vertex-at-a-time
-  // removal in ascending-id order exactly, so the decomposition is
-  // deterministic and thread-count independent while a parallel oracle
-  // shards large brackets across workers), then the survivors' summed
-  // losses are subtracted and refiled.
+  // far heap) yields whole lowest-degree brackets; each bracket of positive
+  // degree is removed through one PeelBatch call (which matches
+  // one-vertex-at-a-time removal in ascending-id order exactly, so the
+  // decomposition is deterministic and thread-count independent while a
+  // parallel oracle shards large brackets across workers), then the
+  // survivors' summed losses are subtracted and refiled. A degree-0
+  // bracket, at the start or once survivors' degrees fall to 0 (the
+  // queue's cursor moves back to them), is removed with no oracle call.
   BucketQueue queue(std::min<uint64_t>(
       max_degree + 1, std::max<uint64_t>(64, 2 * static_cast<uint64_t>(n))));
   for (VertexId v = 0; v < n; ++v) queue.Push(v, degree[v]);
@@ -105,6 +107,7 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
   // One bracket buffer for the whole run: each pop trades its storage with
   // the popped bucket's, so neither side reallocates once warm.
   std::vector<VertexId> frontier;
+  std::vector<uint64_t> destroyed;
   PeelEngineStats& stats = result.peel_stats;
   uint64_t k = 0;
   VertexId remaining_vertices = n;
@@ -135,18 +138,25 @@ MotifCoreDecomposition MotifCoreDecompose(const Graph& graph,
     }
     std::sort(frontier.begin(), frontier.end());
 
-    const auto count_start = SteadyClock::now();
     touched.clear();
-    const std::vector<uint64_t> destroyed = oracle.PeelBatch(
-        graph, frontier, {alive.data(), alive.size()},
-        [&](VertexId u, uint64_t count) {
-          if (delta[u] == 0 && count > 0) touched.push_back(u);
-          delta[u] += count;
-        },
-        ctx);
-    const uint64_t count_ns = ElapsedNs(count_start);
-    stats.refill_ns += count_ns;
-    stats.apply_stall_ns += count_ns;
+    if (bracket_degree == 0) {
+      // A vertex in no alive instance destroys nothing and lowers no
+      // survivor's degree, so the bracket leaves without an oracle call.
+      for (VertexId v : frontier) alive[v] = 0;
+      destroyed.assign(frontier.size(), 0);
+    } else {
+      const auto count_start = SteadyClock::now();
+      destroyed = oracle.PeelBatch(
+          graph, frontier, {alive.data(), alive.size()},
+          [&](VertexId u, uint64_t count) {
+            if (delta[u] == 0 && count > 0) touched.push_back(u);
+            delta[u] += count;
+          },
+          ctx);
+      const uint64_t count_ns = ElapsedNs(count_start);
+      stats.refill_ns += count_ns;
+      stats.apply_stall_ns += count_ns;
+    }
     ++stats.brackets;
     assert(destroyed.size() <= frontier.size());
 

@@ -77,8 +77,10 @@ struct MotifCoreDecomposition {
 /// Full decomposition of `graph` w.r.t. the oracle's motif, by batch-bracket
 /// peeling: a monotone bucket queue (util/bucket_queue.h) indexed by
 /// motif-degree yields the entire lowest-degree bracket at a time — O(1)
-/// amortised per degree update, no stale-heap churn — and each bracket is
-/// removed through one MotifOracle::PeelBatch call in ascending-id order.
+/// amortised per degree update, no stale-heap churn — and each bracket of
+/// positive degree is removed through one MotifOracle::PeelBatch call in
+/// ascending-id order. A bracket of degree 0 (its members lie in no alive
+/// instance, so removing them destroys nothing) leaves with no oracle call.
 /// PeelBatch is defined to equal one-at-a-time peeling in that order, so
 /// the decomposition (core numbers, removal_order, per-removal residual
 /// densities, best residual suffix) is bit-identical whether the oracle
@@ -92,8 +94,8 @@ struct MotifCoreDecomposition {
 /// residual_density covers only the peeled prefix and unpeeled vertices
 /// keep their last core value — suitable only for best-effort answers whose
 /// caller discards over-deadline results, as dsd::Solve does.
-/// peel_stats records the bracket count and the time spent inside
-/// PeelBatch (the motif count, which dominates the decomposition).
+/// peel_stats records the bracket count (degree-0 brackets included) and
+/// the time spent inside PeelBatch calls.
 MotifCoreDecomposition MotifCoreDecompose(
     const Graph& graph, const MotifOracle& oracle,
     const ExecutionContext& ctx = ExecutionContext());

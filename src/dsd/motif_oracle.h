@@ -84,7 +84,8 @@ class MotifOracle {
   /// Batch peel: removes every vertex of `frontier` from `alive` one at a
   /// time in span order. This is the virtual seam every oracle stack
   /// implements (the peel engine in dsd/motif_core.cpp issues one call per
-  /// bracket). Contract:
+  /// bracket of positive motif-degree; it removes a degree-0 bracket itself,
+  /// with no call). Contract:
   ///   - on entry alive[frontier[i]] != 0 for every member (the caller does
   ///     NOT pre-clear, unlike PeelVertex); on return the first
   ///     result.size() members are cleared and no other bit has changed;

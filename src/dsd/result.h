@@ -10,19 +10,20 @@
 namespace dsd {
 
 /// Instrumentation of the batch-bracket peel engine (MotifCoreDecompose).
-/// The engine counts each bracket (one MotifOracle::PeelBatch call) and then
+/// The engine counts each bracket of positive degree (one
+/// MotifOracle::PeelBatch call; a degree-0 bracket makes none) and then
 /// applies it on the same thread, so apply_stall_ns == refill_ns and
 /// speculation_hits == 0 always. Both fields stay for the struct's existing
 /// readers until a per-solve phase trace replaces it.
 struct PeelEngineStats {
-  /// Brackets processed.
+  /// Brackets processed, degree-0 brackets included.
   uint64_t brackets = 0;
   /// Always 0: no bracket is counted ahead of its pop.
   uint64_t speculation_hits = 0;
   /// Nanoseconds the solve thread spent blocked on counting; equals
   /// refill_ns.
   uint64_t apply_stall_ns = 0;
-  /// Total nanoseconds spent counting brackets (inside PeelBatch).
+  /// Total nanoseconds spent counting brackets (inside PeelBatch calls).
   uint64_t refill_ns = 0;
 
   /// Accumulates another decomposition's counters (one solve may run many

@@ -6,6 +6,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
@@ -382,6 +383,42 @@ TEST(IntersectSorted, SingleDisjointEqualAndGallopBoundaryCases) {
   }
 }
 
+TEST(EnumerateCliquesContaining, HubListingLeavesNoStaleCandidates) {
+  // The calling thread's buffer grows to the largest neighbourhood it has
+  // listed and is reused without clearing. Listing a hub first must leave
+  // a later, smaller listing equal to a fresh thread's (and the
+  // reference's).
+  const Graph hubby = gen::PowerLawWithCommunities(600, 3, 8, 10, 0.9, 17);
+  const Graph small = gen::ErdosRenyi(40, 0.3, 3);
+  VertexId hub = 0;
+  for (VertexId v = 0; v < hubby.NumVertices(); ++v) {
+    if (hubby.Degree(v) > hubby.Degree(hub)) hub = v;
+  }
+  ASSERT_GT(hubby.Degree(hub), 4 * small.MaxDegree());
+  auto list_all = [&small](int h) {
+    std::vector<std::vector<std::vector<VertexId>>> lists(small.NumVertices());
+    for (VertexId v = 0; v < small.NumVertices(); ++v) {
+      EnumerateCliquesContaining(small, h, v, {},
+                                 [&](std::span<const VertexId> rest) {
+                                   lists[v].emplace_back(rest.begin(),
+                                                         rest.end());
+                                 });
+    }
+    return lists;
+  };
+  for (int h : {3, 4, 5}) {
+    SCOPED_TRACE("h=" + std::to_string(h));
+    std::vector<std::vector<std::vector<VertexId>>> fresh;
+    std::thread([&] { fresh = list_all(h); }).join();
+    // Grows this thread's buffer to h-1 slots of the hub's degree, whether
+    // or not the hub lies in an h-clique.
+    EnumerateCliquesContaining(hubby, h, hub, {},
+                               [](std::span<const VertexId>) {});
+    EXPECT_EQ(list_all(h), fresh);
+    ExpectCompanionsMatchReference(small, h, {}, "after the hub");
+  }
+}
+
 #ifndef NDEBUG
 TEST(IntersectSortedDeathTest, OutMustNotOverlapAnInput) {
   // The merge walks the shorter list {1, 2} and writes speculatively, so an
@@ -389,6 +426,22 @@ TEST(IntersectSortedDeathTest, OutMustNotOverlapAnInput) {
   std::vector<VertexId> longer = {2, 5, 6};
   const std::vector<VertexId> shorter = {1, 2};
   EXPECT_DEATH(IntersectSorted(longer, shorter, longer.data()), "Disjoint");
+}
+
+TEST(EnumerateCliquesContainingDeathTest, NestedCallOnOneThreadFailsLoudly) {
+  // The inner call would reuse the outer listing's thread-owned buffer.
+  GraphBuilder b;
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = u + 1; v < 4; ++v) b.AddEdge(u, v);
+  }
+  const Graph g = b.Build();
+  auto nested = [&g] {
+    EnumerateCliquesContaining(g, 3, 0, {}, [&g](std::span<const VertexId>) {
+      EnumerateCliquesContaining(g, 3, 1, {},
+                                 [](std::span<const VertexId>) {});
+    });
+  };
+  EXPECT_DEATH(nested(), "its own callback");
 }
 #endif
 

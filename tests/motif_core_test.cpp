@@ -416,5 +416,227 @@ TEST(MotifCoreDecomposition, CoreDensityReadsTheSuffix) {
   EXPECT_FALSE(truncated.CoreDensity(1).has_value());
 }
 
+// Oracle that records every PeelBatch frontier and checks, against a
+// one-thread Degrees pass over the entry mask, that each member lies in at
+// least one alive instance: a bracket of degree 0 must never reach it.
+// An optional cancel flag rises after the Nth call has returned.
+template <typename Base>
+class RecordingOracle : public Base {
+ public:
+  using Base::Base;
+
+  void CancelAfter(uint64_t calls, std::atomic<bool>* cancel) {
+    cancel_after_ = calls;
+    cancel_ = cancel;
+  }
+  const std::vector<std::vector<VertexId>>& frontiers() const {
+    return frontiers_;
+  }
+  uint64_t zero_degree_members() const { return zero_degree_members_; }
+
+  std::vector<uint64_t> PeelBatch(const Graph& graph,
+                                  std::span<const VertexId> frontier,
+                                  std::span<char> alive, const PeelCallback& cb,
+                                  const ExecutionContext& ctx) const override {
+    const std::vector<uint64_t> degree = this->Degrees(graph, alive);
+    for (VertexId v : frontier) zero_degree_members_ += degree[v] == 0;
+    frontiers_.emplace_back(frontier.begin(), frontier.end());
+    std::vector<uint64_t> destroyed =
+        Base::PeelBatch(graph, frontier, alive, cb, ctx);
+    if (cancel_ != nullptr && frontiers_.size() == cancel_after_) {
+      cancel_->store(true);
+    }
+    return destroyed;
+  }
+
+ private:
+  mutable std::vector<std::vector<VertexId>> frontiers_;
+  mutable uint64_t zero_degree_members_ = 0;
+  uint64_t cancel_after_ = 0;
+  std::atomic<bool>* cancel_ = nullptr;
+};
+
+// The one-vertex-at-a-time reference for MotifCoreDecompose: pops every
+// alive vertex of the least motif-degree, removes them in ascending id
+// order through PeelVertex (members of degree 0 too), and lowers the
+// survivors' degrees after the bracket, as PeelBatch's contract defines.
+MotifCoreDecomposition PeelVertexReference(const Graph& g,
+                                           const MotifOracle& oracle) {
+  const VertexId n = g.NumVertices();
+  MotifCoreDecomposition r;
+  r.core.assign(n, 0);
+  std::vector<uint64_t> degree = oracle.Degrees(g, {});
+  uint64_t remaining = 0;
+  for (uint64_t d : degree) remaining += d;
+  remaining /= oracle.MotifSize();
+  std::vector<char> alive(n, 1);
+  uint64_t k = 0;
+  for (VertexId left = n; left > 0;) {
+    uint64_t d = UINT64_MAX;
+    for (VertexId v = 0; v < n; ++v) {
+      if (alive[v]) d = std::min(d, degree[v]);
+    }
+    k = std::max(k, d);
+    std::vector<VertexId> bracket;
+    for (VertexId v = 0; v < n; ++v) {
+      if (alive[v] && degree[v] == d) bracket.push_back(v);
+    }
+    std::vector<uint64_t> loss(n, 0);
+    for (VertexId v : bracket) {
+      alive[v] = 0;
+      const uint64_t destroyed = oracle.PeelVertex(
+          g, v, alive, [&](VertexId u, uint64_t c) { loss[u] += c; });
+      r.residual_instances.push_back(remaining);
+      r.residual_density.push_back(static_cast<double>(remaining) / left);
+      r.core[v] = k;
+      r.removal_order.push_back(v);
+      --left;
+      remaining -= destroyed;
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (alive[v]) degree[v] -= loss[v];
+    }
+  }
+  r.kmax = k;
+  return r;
+}
+
+// A bowtie (two triangles through vertex 2), two houses (the basket
+// pattern) sharing their roof apex 9, and a K5 on 14..18. For triangles the
+// houses' floors start at degree 0; the bowtie's and roofs' degree-1
+// vertices go next and leave 2 and 9 in no triangle. For baskets the bowtie
+// starts at degree 0 and the houses' degree-1 vertices leave 9 in none. So
+// each motif peels: zero bracket, degree-1 bracket, a later zero bracket,
+// then the K5.
+Graph ZeroBracketGraph() {
+  GraphBuilder b;
+  for (auto [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}}) {
+    b.AddEdge(u, v);
+  }
+  // House i: floor f0-f1, walls f0-w0 and f1-w1, eave w0-w1, roof w0-9-w1.
+  for (VertexId base : {5, 10}) {
+    const VertexId f0 = base, f1 = base + 1, w0 = base + 2, w1 = base + 3;
+    for (auto [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+             {f0, f1}, {f0, w0}, {f1, w1}, {w0, w1}, {w0, 9}, {w1, 9}}) {
+      b.AddEdge(u, v);
+    }
+  }
+  for (VertexId u = 14; u < 19; ++u) {
+    for (VertexId v = u + 1; v < 19; ++v) b.AddEdge(u, v);
+  }
+  return b.Build();
+}
+
+// Runs MotifCoreDecompose at threads 1 and 4 with a fresh make() oracle (a
+// RecordingOracle) and checks it against PeelVertexReference: bit-identical
+// answers, no degree-0 member in any PeelBatch frontier and, when
+// expect_later_zero, a zero bracket after the initial one.
+template <typename Make>
+void ExpectMatchesReferenceWithoutZeroPeels(const Graph& g,
+                                            const MotifOracle& reference_oracle,
+                                            Make make, bool expect_later_zero) {
+  const MotifCoreDecomposition reference =
+      PeelVertexReference(g, reference_oracle);
+  bool initial_zero = false;
+  for (uint64_t d : reference_oracle.Degrees(g, {})) initial_zero |= d == 0;
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto oracle = make();
+    ExecutionContext ctx;
+    ctx.threads = threads;
+    const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
+    EXPECT_EQ(d.core, reference.core);
+    EXPECT_EQ(d.removal_order, reference.removal_order);
+    EXPECT_EQ(d.residual_density, reference.residual_density);
+    EXPECT_EQ(d.residual_instances, reference.residual_instances);
+    EXPECT_EQ(d.kmax, reference.kmax);
+    EXPECT_EQ(oracle.zero_degree_members(), 0u);
+    // Brackets the oracle never saw are the zero brackets; past the
+    // initial one, each is a later one.
+    const uint64_t zero_brackets =
+        d.peel_stats.brackets - oracle.frontiers().size();
+    if (expect_later_zero) {
+      EXPECT_GE(zero_brackets, initial_zero ? 2u : 1u);
+    }
+  }
+}
+
+TEST(MotifCoreZeroBrackets, NoDegreeZeroMemberReachesTheOracle) {
+  const Graph g = ZeroBracketGraph();
+  {
+    SCOPED_TRACE("triangle");
+    const auto make = [] { return RecordingOracle<CliqueOracle>(3); };
+    ExpectMatchesReferenceWithoutZeroPeels(
+        g, CliqueOracle(3), make, true);
+    // Zero, degree-1, zero, K5: the oracle sees the two positive ones.
+    const RecordingOracle<CliqueOracle> oracle = make();
+    const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle);
+    EXPECT_EQ(d.peel_stats.brackets, 4u);
+    ASSERT_EQ(oracle.frontiers().size(), 2u);
+    EXPECT_EQ(oracle.frontiers()[0],
+              (std::vector<VertexId>{0, 1, 3, 4, 7, 8, 12, 13}));
+    EXPECT_EQ(d.removal_order[12], 2u);
+    EXPECT_EQ(d.removal_order[13], 9u);
+  }
+  {
+    SCOPED_TRACE("basket");
+    const auto make = [] {
+      return RecordingOracle<PatternOracle>(Pattern::Basket());
+    };
+    ExpectMatchesReferenceWithoutZeroPeels(
+        g, PatternOracle(Pattern::Basket()), make, true);
+    const RecordingOracle<PatternOracle> oracle = make();
+    const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle);
+    EXPECT_EQ(d.peel_stats.brackets, 4u);
+    ASSERT_EQ(oracle.frontiers().size(), 2u);
+    EXPECT_EQ(oracle.frontiers()[0],
+              (std::vector<VertexId>{5, 6, 7, 8, 10, 11, 12, 13}));
+    EXPECT_EQ(d.removal_order[13], 9u);
+  }
+}
+
+TEST(MotifCoreZeroBrackets, RandomGraphsMatchThePeelVertexReference) {
+  for (const Graph& g : {gen::ErdosRenyi(60, 0.06, 11),
+                         gen::BarabasiAlbert(80, 2, 12),
+                         gen::PowerLawWithCommunities(120, 2, 4, 8, 0.8, 13)}) {
+    SCOPED_TRACE("n=" + std::to_string(g.NumVertices()));
+    ExpectMatchesReferenceWithoutZeroPeels(
+        g, CliqueOracle(3), [] { return RecordingOracle<CliqueOracle>(3); },
+        false);
+    ExpectMatchesReferenceWithoutZeroPeels(
+        g, PatternOracle(Pattern::Basket()),
+        [] { return RecordingOracle<PatternOracle>(Pattern::Basket()); },
+        false);
+  }
+}
+
+TEST(MotifCoreZeroBrackets, CancelAfterAZeroBracketKeepsAPermutation) {
+  // Triangles on ZeroBracketGraph: the four floor vertices leave with no
+  // oracle call, the degree-1 bracket's PeelBatch raises the cancel flag,
+  // and the engine stops at its next bracket poll with 12 vertices peeled.
+  const Graph g = ZeroBracketGraph();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<bool> cancel{false};
+    RecordingOracle<CliqueOracle> oracle(3);
+    oracle.CancelAfter(1, &cancel);
+    ExecutionContext ctx = ExecutionContext().WithCancelFlag(&cancel);
+    ctx.threads = threads;
+    const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
+    EXPECT_FALSE(d.complete);
+    EXPECT_EQ(d.peel_stats.brackets, 2u);
+    EXPECT_EQ(d.residual_density.size(), 12u);
+    EXPECT_EQ(d.kmax, 1u);
+    ASSERT_EQ(d.removal_order.size(), g.NumVertices());
+    std::vector<VertexId> sorted = d.removal_order;
+    std::sort(sorted.begin(), sorted.end());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) ASSERT_EQ(sorted[v], v);
+    EXPECT_EQ(std::vector<VertexId>(d.removal_order.begin(),
+                                    d.removal_order.begin() + 4),
+              (std::vector<VertexId>{5, 6, 10, 11}));
+  }
+}
+
 }  // namespace
 }  // namespace dsd

@@ -210,6 +210,50 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCliqueHubTest,
                                             ::testing::Values(1u, 2u, 4u,
                                                               8u)));
 
+// Count and Degrees search with each thread's own scratch (the caller's
+// and the pool helpers'), which grows to the largest enumerator the thread
+// has run and is then reused. Graphs of small, large and again small
+// degeneracy (the per-depth slot size) run back to back on the same
+// threads; each answer must equal what a fresh thread's Enumerate lists.
+class ParallelCliqueScratchTest
+    : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
+
+TEST_P(ParallelCliqueScratchTest, BackToBackGraphsMatchAFreshThread) {
+  auto [h, threads] = GetParam();
+  static const Graph small = gen::ErdosRenyi(80, 0.08, 5);
+  static const Graph large =
+      gen::PowerLawWithCommunities(3000, 3, 20, 12, 0.9, 2024);
+  struct Expected {
+    uint64_t count = 0;
+    std::vector<uint64_t> degrees;
+  };
+  auto fresh = [h](const Graph& g) {
+    Expected e;
+    e.degrees.assign(g.NumVertices(), 0);
+    std::thread([&] {
+      CliqueEnumerator(g, h).Enumerate([&](std::span<const VertexId> clique) {
+        ++e.count;
+        for (VertexId v : clique) ++e.degrees[v];
+      });
+    }).join();
+    return e;
+  };
+  const Expected small_expected = fresh(small);
+  const Expected large_expected = fresh(large);
+  ASSERT_GT(large_expected.count, small_expected.count);
+  for (const Graph* g : {&small, &large, &small}) {
+    const Expected& expected = g == &small ? small_expected : large_expected;
+    const CliqueEnumerator enumerator(*g, h);
+    EXPECT_EQ(enumerator.Count(threads), expected.count);
+    EXPECT_EQ(enumerator.Degrees(threads), expected.degrees);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCliqueScratchTest,
+                         ::testing::Combine(::testing::Values(3, 4, 5),
+                                            ::testing::Values(1u, 2u, 4u,
+                                                              0u)));
+
 TEST(ParallelCliqueEdgeCases, EmptyIsolatedSingletonAndTooDeep) {
   for (unsigned threads : {1u, 4u}) {
     const Graph empty;
