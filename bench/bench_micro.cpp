@@ -38,14 +38,38 @@ void BM_KCoreDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_KCoreDecomposition)->Arg(10000)->Arg(50000);
 
+// One sequential h-clique Count (arg: h), listing only: the graph's
+// orientation is built before the timed loop, and every enumerator reads
+// it. BM_CliqueOrientation times that build.
 void BM_CliqueEnumeration(benchmark::State& state) {
   Graph g = BenchGraph(10000);
   const int h = static_cast<int>(state.range(0));
+  GraphOrientation(g);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CliqueEnumerator(g, h).Count());
   }
 }
 BENCHMARK(BM_CliqueEnumeration)->Arg(3)->Arg(4)->Arg(5);
+
+// Builds the clique orientation (k-core order plus CSR DAG) of a fresh
+// n-vertex graph (arg: n) per iteration; making the graph is untimed.
+void BM_CliqueOrientation(benchmark::State& state) {
+  const Graph g = BenchGraph(state.range(0));
+  const std::vector<EdgeId> offsets(g.RawOffsets().begin(),
+                                    g.RawOffsets().end());
+  const std::vector<VertexId> neighbors(g.RawNeighbors().begin(),
+                                        g.RawNeighbors().end());
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Graph fresh(offsets, neighbors);  // a new slot, so a new build
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&GraphOrientation(fresh));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.NumEdges()));
+}
+BENCHMARK(BM_CliqueOrientation)->Arg(10000)->Arg(50000)
+    ->Unit(benchmark::kMicrosecond);
 
 // Peels a 100k-vertex graph in id order, one CliqueOracle::PeelVertex call
 // per vertex. Each call should cost O(its alive neighbourhood); an O(n)
@@ -94,8 +118,8 @@ void BM_MotifCoreDecompose(benchmark::State& state, const char* motif,
 Graph CliqueDecomposeGraph() { return BenchGraph(5000); }
 
 // One whole-graph clique Count or Degrees pass (args: h, threads) on the
-// clique peel graph, with the enumerator (k-core order and DAG) built once
-// outside the timed loop. Each worker searches with its own thread's
+// clique peel graph, with the enumerator (and so the graph's orientation)
+// built once outside the timed loop. Each worker searches with its own thread's
 // scratch, so the 4-thread rows should scale off the 1-thread ones.
 void BM_CliqueCount(benchmark::State& state) {
   static const Graph g = CliqueDecomposeGraph();

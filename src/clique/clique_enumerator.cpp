@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <mutex>
 
 #include "core/kcore.h"
 #include "graph/intersect.h"
@@ -10,20 +12,47 @@
 
 namespace dsd {
 
-CliqueEnumerator::CliqueEnumerator(const Graph& graph, int h)
-    : graph_(graph), h_(h), dag_offsets_(graph.NumVertices() + 1, 0) {
-  assert(h >= 1);
-  CoreDecomposition decomposition = KCoreDecomposition(graph);
-  std::vector<VertexId> rank = DegeneracyRank(decomposition);
-  dag_targets_.reserve(graph.NumEdges());
+namespace {
+
+std::shared_ptr<const CliqueOrientation> BuildOrientation(const Graph& graph) {
+  auto dag = std::make_shared<CliqueOrientation>();
+  std::vector<VertexId> rank = DegeneracyRank(KCoreDecomposition(graph));
+  dag->offsets.assign(graph.NumVertices() + 1, 0);
+  dag->targets.reserve(graph.NumEdges());
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
     // Graph adjacency is sorted by id, so each DAG list is too.
     for (VertexId w : graph.Neighbors(v)) {
-      if (rank[w] > rank[v]) dag_targets_.push_back(w);
+      if (rank[w] > rank[v]) dag->targets.push_back(w);
     }
-    dag_offsets_[v + 1] = dag_targets_.size();
-    max_out_degree_ = std::max<size_t>(max_out_degree_, Out(v).size());
+    dag->offsets[v + 1] = dag->targets.size();
+    dag->max_out_degree = std::max<size_t>(
+        dag->max_out_degree, dag->offsets[v + 1] - dag->offsets[v]);
   }
+  return dag;
+}
+
+}  // namespace
+
+const CliqueOrientation& GraphOrientation(const Graph& graph) {
+  OrientationSlot* slot = graph.Orientation();
+  if (slot == nullptr) {
+    // Only empty graphs have no slot, and they all share one orientation.
+    assert(graph.NumVertices() == 0);
+    static const CliqueOrientation kEmpty{{0}, {}, 0};
+    return kEmpty;
+  }
+  std::call_once(slot->built,
+                 [&] { slot->orientation = BuildOrientation(graph); });
+  return *slot->orientation;
+}
+
+CliqueEnumerator::CliqueEnumerator(const Graph& graph, int h)
+    : graph_(graph),
+      h_(h),
+      dag_(GraphOrientation(graph)),
+      offsets_(dag_.offsets.data()),
+      targets_(dag_.targets.data()) {
+  assert(h >= 1);
 }
 
 void CliqueEnumerator::Fit(Scratch& scratch) const {
@@ -32,8 +61,8 @@ void CliqueEnumerator::Fit(Scratch& scratch) const {
   if (scratch.prefix.size() < static_cast<size_t>(h_)) {
     scratch.prefix.resize(h_);
   }
-  if (scratch.candidates.size() < slots * max_out_degree_) {
-    scratch.candidates.resize(slots * max_out_degree_);
+  if (scratch.candidates.size() < slots * dag_.max_out_degree) {
+    scratch.candidates.resize(slots * dag_.max_out_degree);
   }
 }
 
@@ -56,7 +85,7 @@ void CliqueEnumerator::Extend(int depth, std::span<const VertexId> candidates,
   if (static_cast<int>(candidates.size()) < h_ - depth) return;
   VertexId* next =
       scratch.candidates.data() + static_cast<size_t>(depth - 1) *
-                                      max_out_degree_;
+                                      dag_.max_out_degree;
   for (VertexId c : candidates) {
     // Survivors must be DAG-successors of every prefix vertex including c;
     // both ranges are sorted by vertex id.

@@ -6,11 +6,18 @@
 // the degeneracy), and recursively enumerate cliques inside shrinking
 // candidate subgraphs.
 //
-// Cost model: the constructor is O(n + m) (one k-core decomposition plus a
-// flat CSR DAG). Listing from a root is O(local): sorted intersections of
-// out-lists no longer than the degeneracy, written into per-depth buffers
-// that each thread owns and reuses, so a root neither allocates nor
-// touches an O(n) array.
+// The DAG depends on the graph alone, not on h or the call, so each graph
+// content state builds it once (CliqueOrientation, held in the graph's
+// orientation slot) and every enumerator on that graph or its copies reads
+// it.
+//
+// Cost model: the first enumerator constructed on a graph pays O(n + m)
+// (one k-core decomposition plus a flat CSR DAG, kept until the last copy
+// of the graph is gone: (n + 1) * 8 + m * 4 bytes); later ones are O(1).
+// Listing from a root is O(local): sorted intersections of out-lists no
+// longer than the degeneracy, written into per-depth buffers that each
+// thread owns and reuses, so a root neither allocates nor touches an O(n)
+// array.
 #ifndef DSD_CLIQUE_CLIQUE_ENUMERATOR_H_
 #define DSD_CLIQUE_CLIQUE_ENUMERATOR_H_
 
@@ -26,12 +33,33 @@ namespace dsd {
 /// Callback invoked once per clique instance with its vertex set (unsorted).
 using CliqueCallback = std::function<void(std::span<const VertexId>)>;
 
-/// Enumerates h-cliques of a graph. The constructor performs the degeneracy
-/// ordering; Enumerate/Count/Degrees then run the kClist recursion.
+/// A graph's kClist orientation: every edge points from its endpoint of
+/// lower degeneracy rank to the higher one, so out-degrees are bounded by
+/// the degeneracy. Immutable once built.
+struct CliqueOrientation {
+  // Flat CSR DAG: v's out-list is targets[offsets[v], offsets[v + 1]),
+  // sorted by id.
+  std::vector<EdgeId> offsets;
+  std::vector<VertexId> targets;
+  // Longest out-list: the size of every per-depth candidate slot.
+  size_t max_out_degree = 0;
+};
+
+/// The orientation of `graph`'s content, built on the first call for that
+/// content (thread-safe: concurrent first calls build it once) and shared
+/// by every copy of the graph until the last one is gone.
+const CliqueOrientation& GraphOrientation(const Graph& graph);
+
+/// Enumerates h-cliques of a graph. The constructor fetches the graph's
+/// orientation (building it on the graph's first clique kernel);
+/// Enumerate/Count/Degrees then run the kClist recursion.
 class CliqueEnumerator {
  public:
   /// h >= 1. h = 1 lists vertices, h = 2 lists edges.
   CliqueEnumerator(const Graph& graph, int h);
+
+  /// The orientation this enumerator lists from: the graph's shared one.
+  const CliqueOrientation& orientation() const { return dag_; }
 
   /// Invokes `cb` once per h-clique instance (each instance exactly once;
   /// vertex permutations are not distinguished, matching Definition 2).
@@ -72,11 +100,9 @@ class CliqueEnumerator {
   // another on one thread's Scratch.
   Scratch& ThreadScratch() const;
 
-  // Sorted-by-id out-neighbours of v: its neighbours of higher degeneracy
-  // rank.
+  // Sorted-by-id out-neighbours of v, read through the cached views.
   std::span<const VertexId> Out(VertexId v) const {
-    return {dag_targets_.data() + dag_offsets_[v],
-            dag_targets_.data() + dag_offsets_[v + 1]};
+    return {targets_ + offsets_[v], targets_ + offsets_[v + 1]};
   }
 
   // Runs the recursion from `root`, calling leaf(prefix, last) once per
@@ -92,11 +118,10 @@ class CliqueEnumerator {
 
   const Graph& graph_;
   int h_;
-  // Flat CSR DAG, read through Out().
-  std::vector<EdgeId> dag_offsets_;
-  std::vector<VertexId> dag_targets_;
-  // Longest out-list: the size of every per-depth candidate slot.
-  size_t max_out_degree_ = 0;
+  const CliqueOrientation& dag_;
+  // dag_'s arrays, so the recursion's out-list lookups skip one load.
+  const EdgeId* offsets_;
+  const VertexId* targets_;
 };
 
 }  // namespace dsd

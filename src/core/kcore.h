@@ -1,8 +1,9 @@
 // Classical (edge-based) k-core decomposition, Batagelj-Zaversnik bin sort.
 //
 // Substrate for: CoreApp's clique-degree upper bound gamma(v) = C(core(v),
-// h-1) (Section 6.2), the degeneracy ordering used by the h-clique
-// enumerator, and the EDS specialisations.
+// h-1) (Section 6.2), the degeneracy ordering behind each graph's clique
+// orientation (built once per graph, see GraphOrientation in
+// clique/clique_enumerator.h), and the EDS specialisations.
 #ifndef DSD_CORE_KCORE_H_
 #define DSD_CORE_KCORE_H_
 

@@ -42,6 +42,7 @@ void Graph::ResetToEmpty() {
   owned_offsets_.clear();
   owned_neighbors_.clear();
   keepalive_.reset();
+  orientation_.reset();
   PointAtOwned();
   generation_ = NextGeneration();
 }
@@ -51,7 +52,8 @@ Graph::Graph() : generation_(NextGeneration()) { PointAtOwned(); }
 Graph::Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors)
     : owned_offsets_(std::move(offsets)),
       owned_neighbors_(std::move(neighbors)),
-      generation_(NextGeneration()) {
+      generation_(NextGeneration()),
+      orientation_(std::make_shared<OrientationSlot>()) {
   assert(!owned_offsets_.empty());
   assert(owned_offsets_.back() == owned_neighbors_.size());
   PointAtOwned();
@@ -65,7 +67,8 @@ Graph::Graph(std::span<const EdgeId> offsets,
       num_offsets_(offsets.size()),
       neighbors_(neighbors.data()),
       num_neighbors_(neighbors.size()),
-      generation_(NextGeneration()) {
+      generation_(NextGeneration()),
+      orientation_(std::make_shared<OrientationSlot>()) {
   assert(keepalive_ != nullptr);
   assert(!offsets.empty());
   assert(offsets.back() == neighbors.size());
@@ -75,7 +78,8 @@ Graph::Graph(const Graph& other)
     : owned_offsets_(other.owned_offsets_),
       owned_neighbors_(other.owned_neighbors_),
       keepalive_(other.keepalive_),
-      generation_(other.generation_) {
+      generation_(other.generation_),
+      orientation_(other.orientation_) {
   if (keepalive_ != nullptr) {
     // Borrowed content is shared, not duplicated: only the keep-alive
     // handle is refcounted, the views alias the same mapping.
@@ -94,6 +98,7 @@ Graph& Graph::operator=(const Graph& other) {
     owned_neighbors_ = other.owned_neighbors_;
     keepalive_ = other.keepalive_;
     generation_ = other.generation_;
+    orientation_ = other.orientation_;
     if (keepalive_ != nullptr) {
       offsets_ = other.offsets_;
       num_offsets_ = other.num_offsets_;
@@ -116,7 +121,8 @@ Graph::Graph(Graph&& other) noexcept
       num_offsets_(other.num_offsets_),
       neighbors_(other.neighbors_),
       num_neighbors_(other.num_neighbors_),
-      generation_(other.generation_) {
+      generation_(other.generation_),
+      orientation_(std::move(other.orientation_)) {
   other.ResetToEmpty();
 }
 
@@ -130,6 +136,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     neighbors_ = other.neighbors_;
     num_neighbors_ = other.num_neighbors_;
     generation_ = other.generation_;
+    orientation_ = std::move(other.orientation_);
     other.ResetToEmpty();
   }
   return *this;

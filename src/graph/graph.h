@@ -29,18 +29,37 @@
 // entry is correct by construction); moves transfer it and restamp the
 // emptied source so a moved-from graph can never alias an entry recorded
 // for the content that left it.
+//
+// Every content state also has one slot for its clique orientation (the
+// degeneracy-ordered DAG the h-clique enumerator lists from; see
+// src/clique/clique_enumerator.h). The clique layer fills the slot on first
+// use; the graph only holds it. Copies share the slot, as they share the
+// generation, because the orientation holds vertex ids only.
 #ifndef DSD_GRAPH_GRAPH_H_
 #define DSD_GRAPH_GRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "graph/types.h"
 
 namespace dsd {
+
+struct CliqueOrientation;  // clique/clique_enumerator.h
+
+/// One content state's lazily built clique orientation: `built` runs the
+/// clique layer's build once, however many threads race to it, and
+/// `orientation` then holds the result until the last graph sharing the
+/// slot is gone. A shared_ptr binds its deleter where the orientation is
+/// built, so graph/ never needs the complete type.
+struct OrientationSlot {
+  std::once_flag built;
+  std::shared_ptr<const CliqueOrientation> orientation;
+};
 
 /// Immutable undirected simple graph (no self-loops, no parallel edges).
 /// Construct via GraphBuilder, the generator/io helpers, or the storage
@@ -64,16 +83,19 @@ class Graph {
         std::shared_ptr<const void> keepalive);
 
   /// Copies share the source's generation: the content is identical, so any
-  /// answer cached under the tag is equally valid for the copy. A borrowed
-  /// graph's copy shares the keep-alive handle (the mapping, not the data,
-  /// is refcounted); an owned graph's copy duplicates the arrays.
+  /// answer cached under the tag is equally valid for the copy. They share
+  /// the orientation slot too, so a clique orientation built through either
+  /// serves both. A borrowed graph's copy shares the keep-alive handle (the
+  /// mapping, not the data, is refcounted); an owned graph's copy
+  /// duplicates the arrays.
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
 
-  /// Moves transfer the generation with the content and restamp the source
-  /// (left as a valid empty graph) with a fresh tag, so identity-keyed
-  /// caches can never serve the departed content's answers for it.
-  /// Allocation-free, so the noexcept is honest.
+  /// Moves transfer the generation and the orientation slot with the
+  /// content and restamp the source (left as a valid empty graph) with a
+  /// fresh tag and no slot, so identity-keyed caches can never serve the
+  /// departed content's answers for it. Allocation-free, so the noexcept is
+  /// honest.
   Graph(Graph&& other) noexcept;
   Graph& operator=(Graph&& other) noexcept;
 
@@ -132,6 +154,11 @@ class Graph {
   /// (two independently built identical graphs get distinct tags).
   uint64_t Generation() const { return generation_; }
 
+  /// The slot the clique layer fills with this content's orientation on
+  /// first use. Null only for graphs that hold no CSR arrays of their own:
+  /// default-constructed and moved-from ones, which are empty.
+  OrientationSlot* Orientation() const { return orientation_.get(); }
+
  private:
   /// Next value of the process-wide generation counter (never reused).
   static uint64_t NextGeneration();
@@ -159,6 +186,8 @@ class Graph {
   size_t num_neighbors_;
 
   uint64_t generation_;
+  // Allocated with the content; shared by copies, transferred by moves.
+  std::shared_ptr<OrientationSlot> orientation_;
 };
 
 }  // namespace dsd

@@ -18,7 +18,17 @@
 // Entries are lazy: a degree update pushes a fresh (vertex, degree) entry
 // and the stale older entry is discarded when its degree is popped — the
 // caller's `is_current` predicate (typically "alive and degree unchanged")
-// decides. PopMinBucket hands back the entire lowest live bucket at once,
+// decides. A stale entry must never become current again: MotifCoreDecompose
+// guarantees it, since degrees only fall and dead vertices stay dead. That
+// lets PopMinBucket sweep the far heap early: a peel that lowers hub
+// degrees many times would otherwise hold every superseded far entry until
+// its degree came up (hundreds of thousands for a 30k-vertex 3-star peel),
+// so once the heap has doubled since its last sweep, plus a small floor, a
+// pop first drops the entries the predicate rejects. That is amortised
+// O(1) per push, and keeps the heap within twice its live size at the last
+// sweep plus the floor.
+//
+// PopMinBucket hands back the entire lowest live bucket at once,
 // which is exactly the bracket the batch peeling engine wants. The near
 // cursor moves backward when an update lands below it, so pops are
 // non-decreasing only between such updates (the monotone-bucket-queue
@@ -73,6 +83,16 @@ class BucketQueue {
   template <typename IsCurrent>
   bool PopMinBucket(IsCurrent&& is_current, uint64_t* bucket_degree,
                     std::vector<VertexId>* bucket) {
+    // Sweep stale far entries once the heap has doubled (see the header).
+    if (far_.size() > 2 * far_swept_ + kFarSweepFloor) {
+      far_.erase(std::remove_if(far_.begin(), far_.end(),
+                                [&](const std::pair<uint64_t, VertexId>& e) {
+                                  return !is_current(e.second, e.first);
+                                }),
+                 far_.end());
+      std::make_heap(far_.begin(), far_.end(), std::greater<>());
+      far_swept_ = far_.size();
+    }
     while (near_entries_ > 0) {
       while (cursor_ < near_limit_ &&
              near_[static_cast<size_t>(cursor_)].empty()) {
@@ -105,6 +125,13 @@ class BucketQueue {
     return false;
   }
 
+  /// Far-heap entries, live or stale. After any PopMinBucket this is at
+  /// most 2 * (live far entries at the last sweep) + kFarSweepFloor.
+  size_t FarEntries() const { return far_.size(); }
+
+  /// Heap size below which PopMinBucket never sweeps stale far entries.
+  static constexpr size_t kFarSweepFloor = 1024;
+
  private:
   // Drops the entries of *bucket that are not current at `degree`; true iff
   // any remain.
@@ -127,6 +154,7 @@ class BucketQueue {
   size_t near_entries_ = 0;  // entries (live or stale) in the near band
   // Min-heap (std::greater) of far-band (degree, vertex) entries.
   std::vector<std::pair<uint64_t, VertexId>> far_;
+  size_t far_swept_ = 0;  // far_.size() right after the last sweep
 };
 
 }  // namespace dsd

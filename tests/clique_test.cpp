@@ -176,6 +176,109 @@ TEST(CliqueDegreeWithin, EdgeFastPathMatchesEnumerator) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The graph-owned orientation: one DAG per content state, shared by every
+// enumerator on the graph and its copies, and listing exactly as a DAG built
+// afresh for the same CSR arrays.
+
+// A graph with the same CSR arrays as `g` but a fresh generation and slot.
+Graph Rebuilt(const Graph& g) {
+  return Graph(std::vector<EdgeId>(g.RawOffsets().begin(),
+                                   g.RawOffsets().end()),
+               std::vector<VertexId>(g.RawNeighbors().begin(),
+                                     g.RawNeighbors().end()));
+}
+
+// Every instance Enumerate lists, flattened in listing order.
+std::vector<VertexId> Listing(const Graph& g, int h) {
+  std::vector<VertexId> flat;
+  CliqueEnumerator(g, h).Enumerate([&](std::span<const VertexId> clique) {
+    flat.insert(flat.end(), clique.begin(), clique.end());
+  });
+  return flat;
+}
+
+TEST(CliqueOrientation, SharedAcrossCliqueSizesAndCopies) {
+  const Graph g = gen::PowerLawWithCommunities(400, 3, 8, 10, 0.9, 5);
+  const Graph copy = g;  // shares the slot
+  const CliqueOrientation* dag = &GraphOrientation(g);
+  for (int h : {3, 4, 5}) {
+    EXPECT_EQ(&CliqueEnumerator(g, h).orientation(), dag) << h;
+    EXPECT_EQ(&CliqueEnumerator(copy, h).orientation(), dag) << h;
+  }
+  const Graph late_copy = g;  // taken after the build
+  EXPECT_EQ(&CliqueEnumerator(late_copy, 4).orientation(), dag);
+  // Every edge is oriented exactly once.
+  EXPECT_EQ(dag->targets.size(), g.NumEdges());
+  EXPECT_EQ(dag->offsets.size(), g.NumVertices() + 1u);
+}
+
+TEST(CliqueOrientation, SharedDagListsLikeAFreshOne) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    const Graph g = seed % 2 == 0
+                        ? gen::ErdosRenyi(60, 0.2, seed)
+                        : gen::PowerLawWithCommunities(500, 3, 8, 10, 0.9,
+                                                       seed);
+    for (int h : {3, 4, 5}) {
+      // `g` reuses the DAG its first call built; `fresh` builds its own.
+      const Graph fresh = Rebuilt(g);
+      EXPECT_NE(&CliqueEnumerator(fresh, h).orientation(),
+                &CliqueEnumerator(g, h).orientation());
+      for (unsigned threads : {1u, 4u}) {
+        EXPECT_EQ(CliqueEnumerator(g, h).Count(threads),
+                  CliqueEnumerator(fresh, h).Count(threads))
+            << seed << " h=" << h << " t=" << threads;
+        EXPECT_EQ(CliqueEnumerator(g, h).Degrees(threads),
+                  CliqueEnumerator(fresh, h).Degrees(threads))
+            << seed << " h=" << h << " t=" << threads;
+      }
+      EXPECT_EQ(Listing(g, h), Listing(fresh, h)) << seed << " h=" << h;
+      EXPECT_EQ(GraphOrientation(g).targets, GraphOrientation(fresh).targets);
+    }
+  }
+}
+
+TEST(CliqueOrientation, MovedFromAndRebuiltGraphsGetTheirOwn) {
+  Graph g = gen::ErdosRenyi(60, 0.2, 11);
+  const uint64_t triangles = CliqueEnumerator(g, 3).Count();
+  const CliqueOrientation* dag = &GraphOrientation(g);
+  Graph moved = std::move(g);
+  // The DAG travels with the content; the emptied source lists nothing.
+  EXPECT_EQ(&GraphOrientation(moved), dag);
+  EXPECT_NE(&GraphOrientation(g), dag);
+  EXPECT_EQ(CliqueEnumerator(g, 3).Count(), 0u);
+  EXPECT_EQ(CliqueEnumerator(g, 1).Count(), 0u);
+  // Content assigned into the moved-from graph arrives with a new slot.
+  g = Rebuilt(moved);
+  EXPECT_NE(&GraphOrientation(g), dag);
+  EXPECT_EQ(CliqueEnumerator(g, 3).Count(), triangles);
+  EXPECT_EQ(CliqueEnumerator(moved, 3).Count(), triangles);
+}
+
+TEST(CliqueOrientation, MaskedDegreesStillListTheAliveSubgraph) {
+  // A masked query orients its induced alive subgraph, not the parent's
+  // shared DAG; its degrees must equal the per-vertex companion listing,
+  // before and after the parent's DAG exists.
+  const Graph g = gen::PowerLawWithCommunities(300, 3, 8, 10, 0.9, 23);
+  for (int h : {3, 4}) {
+    std::vector<char> alive(g.NumVertices(), 1);
+    for (VertexId v = 0; v < g.NumVertices(); v += 3) alive[v] = 0;
+    std::vector<uint64_t> expected(g.NumVertices(), 0);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (!alive[v]) continue;
+      EnumerateCliquesContaining(g, h, v, alive,
+                                 [&](std::span<const VertexId>) {
+                                   ++expected[v];
+                                 });
+    }
+    for (unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(CliqueDegreesWithin(g, h, alive, threads), expected) << h;
+      CliqueEnumerator(g, h).Count(threads);  // the parent's DAG exists now
+      EXPECT_EQ(CliqueDegreesWithin(g, h, alive, threads), expected) << h;
+    }
+  }
+}
+
 TEST(EnumerateCliquesContaining, ReportsCompanions) {
   GraphBuilder b;
   b.AddEdge(0, 1);

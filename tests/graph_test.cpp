@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "clique/clique_enumerator.h"
 #include "graph/builder.h"
 #include "graph/connectivity.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/stats.h"
@@ -319,6 +324,87 @@ TEST(GraphGenerationTest, SubgraphExtractionGetsItsOwnTag) {
   Subgraph second = InducedSubgraph(g, vertices);
   EXPECT_NE(first.graph.Generation(), g.Generation());
   EXPECT_NE(first.graph.Generation(), second.graph.Generation());
+}
+
+// ---------------------------------------------------------------------------
+// Orientation slots: the clique layer fills one per content state. Copies
+// share it with the generation, moves transfer it, and every new content
+// state (a build, a subgraph, a borrowed mapping) gets its own.
+
+TEST(GraphOrientationTest, CopiesShareTheSlot) {
+  Graph a = TriangleChain();
+  ASSERT_NE(a.Orientation(), nullptr);
+  Graph b = a;
+  EXPECT_EQ(b.Orientation(), a.Orientation());
+  Graph c;
+  c = a;
+  EXPECT_EQ(c.Orientation(), a.Orientation());
+  // Borrowed graphs too: the copy shares the mapping and the slot.
+  auto arrays = std::make_shared<std::pair<std::vector<EdgeId>,
+                                           std::vector<VertexId>>>(
+      std::vector<EdgeId>(a.RawOffsets().begin(), a.RawOffsets().end()),
+      std::vector<VertexId>(a.RawNeighbors().begin(), a.RawNeighbors().end()));
+  Graph borrowed(arrays->first, arrays->second, arrays);
+  Graph borrowed_copy = borrowed;
+  ASSERT_NE(borrowed.Orientation(), nullptr);
+  EXPECT_EQ(borrowed_copy.Orientation(), borrowed.Orientation());
+  EXPECT_NE(borrowed.Orientation(), a.Orientation());
+}
+
+TEST(GraphOrientationTest, MoveTransfersTheSlotAndLeavesNone) {
+  EXPECT_EQ(Graph().Orientation(), nullptr);
+  Graph a = TriangleChain();
+  OrientationSlot* slot = a.Orientation();
+  Graph b = std::move(a);
+  EXPECT_EQ(b.Orientation(), slot);
+  EXPECT_EQ(a.Orientation(), nullptr);
+  Graph c = TriangleChain();
+  OrientationSlot* c_slot = c.Orientation();
+  a = std::move(c);
+  EXPECT_EQ(a.Orientation(), c_slot);
+  EXPECT_EQ(c.Orientation(), nullptr);
+}
+
+TEST(GraphOrientationTest, NewContentGetsItsOwnSlot) {
+  Graph g = TriangleChain();
+  Graph rebuilt(std::vector<EdgeId>(g.RawOffsets().begin(),
+                                    g.RawOffsets().end()),
+                std::vector<VertexId>(g.RawNeighbors().begin(),
+                                      g.RawNeighbors().end()));
+  std::vector<VertexId> vertices = {0, 1, 2};
+  Subgraph sub = InducedSubgraph(g, vertices);
+  EXPECT_NE(rebuilt.Orientation(), g.Orientation());
+  EXPECT_NE(sub.graph.Orientation(), g.Orientation());
+  EXPECT_NE(sub.graph.Orientation(), rebuilt.Orientation());
+}
+
+TEST(GraphOrientationTest, ConcurrentFirstUseBuildsOneDag) {
+  // Four threads race to the first clique kernel on a fresh graph, half of
+  // them through copies: the slot is filled once and every count agrees.
+  const Graph g = gen::PowerLawWithCommunities(2000, 3, 8, 10, 0.9, 31);
+  constexpr int kThreads = 4;
+  std::vector<const CliqueOrientation*> seen(kThreads, nullptr);
+  std::vector<uint64_t> counts(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const Graph copy = g;
+      const Graph& target = i % 2 == 0 ? g : copy;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const CliqueEnumerator enumerator(target, 3);
+      seen[i] = &enumerator.orientation();
+      counts[i] = enumerator.Count();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_NE(g.Orientation(), nullptr);
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], g.Orientation()->orientation.get()) << i;
+    EXPECT_EQ(counts[i], counts[0]) << i;
+  }
+  EXPECT_GT(counts[0], 0u);
 }
 
 }  // namespace

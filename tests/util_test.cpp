@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -168,23 +169,22 @@ TEST(BucketQueue, AllStaleBucketsAreSkipped) {
 
 // A randomized peel-shaped run against an ordered multimap of every pushed
 // (degree, vertex) entry: lazy decreasing updates filtered through a degree
-// table, degrees in the near band, above it and at 2^60 and beyond, pushes
-// below the last popped degree, and one reused output buffer. Every bracket
-// must match the reference's as a sorted set, with its degree. The seed is
-// gtest's (0 unless --gtest_shuffle), so shuffled repeats try new ones.
-TEST(BucketQueue, MatchesMultimapReference) {
-  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+// table, up to `max_updates` of them between pops, drawn from the [lo, hi)
+// degree `bands` (pushes below the last popped degree included), and one
+// reused output buffer. Every bracket must match the reference's as a
+// sorted set, with its degree, and after every pop the far heap must hold
+// at most twice the vertex count plus the sweep floor (a stale entry never
+// becomes current again here, as in a peel). Returns the largest far heap
+// met before a pop.
+size_t CheckAgainstMultimapReference(
+    uint32_t seed, uint64_t near_limit,
+    std::span<const std::pair<uint64_t, uint64_t>> bands, int max_updates) {
   Rng rng(seed);
-  constexpr uint64_t kNearLimit = 64;
-  constexpr uint64_t kHuge = uint64_t{1} << 60;
-  // [lo, hi) degree bands: near, just above the near limit, and huge.
-  const std::pair<uint64_t, uint64_t> kBands[] = {
-      {0, kNearLimit}, {kNearLimit, 4 * kNearLimit}, {kHuge, kHuge + 1000}};
   constexpr VertexId kVertices = 300;
   constexpr uint64_t kDead = std::numeric_limits<uint64_t>::max();
+  const size_t far_bound = 2 * kVertices + BucketQueue::kFarSweepFloor;
 
-  BucketQueue queue(kNearLimit);
+  BucketQueue queue(near_limit);
   std::multimap<uint64_t, VertexId> reference;
   std::vector<uint64_t> current(kVertices);
   auto push = [&](VertexId v, uint64_t d) {
@@ -194,21 +194,22 @@ TEST(BucketQueue, MatchesMultimapReference) {
   };
   auto is_current = [&](VertexId v, uint64_t d) { return current[v] == d; };
   for (VertexId v = 0; v < kVertices; ++v) {
-    const auto [lo, hi] = kBands[rng.NextBounded(3)];
+    const auto [lo, hi] = bands[rng.NextBounded(bands.size())];
     push(v, lo + rng.NextBounded(hi - lo));
   }
 
   std::vector<VertexId> out;  // the caller's buffer, reused by every pop
   uint64_t last_popped = 0;
   size_t brackets = 0;
+  size_t far_peak = 0;
   while (!reference.empty()) {
-    // A few lazy decreases between pops, some landing below the last
-    // popped degree (behind the near cursor) or leaving the far band.
-    for (int updates = static_cast<int>(rng.NextBounded(5)); updates > 0;
-         --updates) {
+    // Lazy decreases between pops, some landing below the last popped
+    // degree (behind the near cursor) or leaving the far band.
+    for (int updates = static_cast<int>(rng.NextBounded(max_updates + 1));
+         updates > 0; --updates) {
       const VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
       if (current[v] == kDead || current[v] == 0) continue;
-      auto [lo, hi] = kBands[rng.NextBounded(3)];
+      auto [lo, hi] = bands[rng.NextBounded(bands.size())];
       if (rng.NextBounded(4) == 0) hi = std::min(hi, last_popped);
       hi = std::min(hi, current[v]);
       if (lo >= hi) continue;
@@ -229,16 +230,19 @@ TEST(BucketQueue, MatchesMultimapReference) {
     std::sort(want.begin(), want.end());
     // Junk in the buffer must not leak into the bracket.
     if (rng.NextBounded(2) == 0) out.assign(3, kVertices + 1);
+    far_peak = std::max(far_peak, queue.FarEntries());
     uint64_t got_degree = 0;
     const bool popped = queue.PopMinBucket(is_current, &got_degree, &out);
-    ASSERT_EQ(popped, !want.empty()) << "bracket " << brackets;
+    EXPECT_LE(queue.FarEntries(), far_bound) << "bracket " << brackets;
+    EXPECT_EQ(popped, !want.empty()) << "bracket " << brackets;
     if (!popped) {
       EXPECT_TRUE(out.empty());
       break;
     }
     std::sort(out.begin(), out.end());
-    ASSERT_EQ(got_degree, want_degree) << "bracket " << brackets;
-    ASSERT_EQ(out, want) << "bracket " << brackets;
+    EXPECT_EQ(got_degree, want_degree) << "bracket " << brackets;
+    EXPECT_EQ(out, want) << "bracket " << brackets;
+    if (::testing::Test::HasFailure()) break;
     for (VertexId v : out) current[v] = kDead;  // peeled
     last_popped = got_degree;
     ++brackets;
@@ -246,6 +250,35 @@ TEST(BucketQueue, MatchesMultimapReference) {
   EXPECT_GT(brackets, 0u);
   EXPECT_FALSE(queue.PopMinBucket(is_current, &last_popped, &out));
   EXPECT_TRUE(out.empty());
+  return far_peak;
+}
+
+// Degrees in the near band, above it and at 2^60 and beyond, a few updates
+// per pop. The seed is gtest's (0 unless --gtest_shuffle), so shuffled
+// repeats try new ones.
+TEST(BucketQueue, MatchesMultimapReference) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  constexpr uint64_t kNearLimit = 64;
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  const std::pair<uint64_t, uint64_t> kBands[] = {
+      {0, kNearLimit}, {kNearLimit, 4 * kNearLimit}, {kHuge, kHuge + 1000}};
+  CheckAgainstMultimapReference(seed, kNearLimit, kBands, /*max_updates=*/4);
+}
+
+// Far-band degrees only, over a wide range, thousands of decreases between
+// pops: superseded far entries pile up past the sweep threshold, and the
+// sweeps must keep the heap bounded without changing a bracket.
+TEST(BucketQueue, FarHeavyRunMatchesReferenceAndStaysSwept) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  constexpr uint64_t kNearLimit = 16;
+  const std::pair<uint64_t, uint64_t> kBands[] = {
+      {kNearLimit, uint64_t{1} << 40}};
+  const size_t far_peak = CheckAgainstMultimapReference(
+      seed, kNearLimit, kBands, /*max_updates=*/3000);
+  // The run did outgrow the bound between pops, so the sweeps were needed.
+  EXPECT_GT(far_peak, 2 * 300 + BucketQueue::kFarSweepFloor);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
