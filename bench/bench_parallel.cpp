@@ -1,10 +1,8 @@
 // Thread-scaling bench for the Section 6.3 parallel algorithms: clique
-// counting, clique-degrees and clique-core decomposition at 1/2/4/8
-// workers. The core decomposition runs two ways: the synchronous h-index
-// iteration (ParallelCliqueCoreDecomposition) and the batch peel
-// (MotifCoreDecompose on the MakeOracle stack). Every row must reproduce
-// the 1-thread counts, degrees and core numbers, and the two
-// decompositions must agree, or the binary exits 1.
+// counting, clique-degrees and clique-core decomposition (the batch peel,
+// MotifCoreDecompose on the MakeOracle stack) at 1/2/4/8 workers. Every
+// row must reproduce the 1-thread counts, degrees and core numbers, or the
+// binary exits 1.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -14,7 +12,6 @@
 #include "dsd/oracle_factory.h"
 #include "graph/generators.h"
 #include "harness/report.h"
-#include "parallel/parallel_nucleus.h"
 #include "util/timer.h"
 
 namespace dsd::bench {
@@ -31,8 +28,8 @@ bool Run() {
   std::vector<uint64_t> degrees;
   std::vector<uint64_t> core;
   bool ok = true;
-  Table table({"threads", "clique count", "clique degrees", "core decomp",
-               "MotifCoreDecompose"});
+  Table table(
+      {"threads", "clique count", "clique degrees", "MotifCoreDecompose"});
   // The graph's clique orientation is built on its first clique kernel and
   // reused by every later one: build it here, so the 1-thread row does not
   // pay a serial build that the other rows skip.
@@ -45,10 +42,6 @@ bool Run() {
     const std::vector<uint64_t> threaded_degrees =
         CliqueEnumerator(g, kH).Degrees(threads);
     double degrees_seconds = degrees_timer.Seconds();
-    Timer core_timer;
-    const NucleusDecomposition h_index =
-        ParallelCliqueCoreDecomposition(g, kH, threads);
-    double core_seconds = core_timer.Seconds();
 
     OracleOptions options;
     options.threads = threads;
@@ -69,13 +62,12 @@ bool Run() {
                    threads);
       ok = false;
     }
-    if (h_index.core != core || peeled.core != core) {
+    if (peeled.core != core) {
       std::fprintf(stderr, "FAIL: %u-thread core numbers differ\n", threads);
       ok = false;
     }
     table.AddRow({std::to_string(threads), FormatSeconds(count_seconds),
-                  FormatSeconds(degrees_seconds), FormatSeconds(core_seconds),
-                  FormatSeconds(peel_seconds)});
+                  FormatSeconds(degrees_seconds), FormatSeconds(peel_seconds)});
   }
   table.Print();
   return ok;

@@ -7,7 +7,7 @@
 
 #include "core/kcore.h"
 #include "graph/intersect.h"
-#include "parallel/chunked_accumulator.h"
+#include "parallel/delta_accumulator.h"
 #include "parallel/parallel_for.h"
 
 namespace dsd {
@@ -161,9 +161,10 @@ std::vector<uint64_t> CliqueEnumerator::Degrees(unsigned threads) const {
     WalkStrided(0, 1, leaf);
     return degrees;
   }
-  // One shared chunk-locked totals array rather than t private n-sized
-  // ones; integer addition commutes, so every t gives the same bits.
-  ChunkedAccumulator accumulator(graph_.NumVertices(), t);
+  // One shared totals array behind relaxed atomic adds rather than t
+  // private n-sized ones; integer addition commutes, so every t gives the
+  // same bits.
+  DeltaAccumulator accumulator(graph_.NumVertices(), t);
   ParallelForStrided(t, t, [&](unsigned worker, uint64_t) {
     auto leaf = [&](std::span<const VertexId> prefix,
                     std::span<const VertexId> last) {

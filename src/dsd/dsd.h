@@ -54,7 +54,6 @@
 #include "graph/io.h"                // IWYU pragma: export
 #include "graph/stats.h"             // IWYU pragma: export
 #include "graph/subgraph.h"          // IWYU pragma: export
-#include "parallel/parallel_nucleus.h"  // IWYU pragma: export
 #include "pattern/pattern.h"         // IWYU pragma: export
 
 #endif  // DSD_DSD_DSD_H_

@@ -5,7 +5,7 @@
 #include <cassert>
 
 #include "clique/clique_degree.h"
-#include "parallel/chunked_accumulator.h"
+#include "parallel/delta_accumulator.h"
 #include "parallel/parallel_for.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
@@ -27,13 +27,13 @@ constexpr uint32_t kNoRank = kNoPeelRank;
 //     vertex at a time in rank order" into a per-member predicate: when
 //     member i is peeled, vertex u counts as alive iff it is a live
 //     survivor or a bracket member still waiting its turn;
-//   - deltas: the survivors' summed losses, staged per worker in bounded
-//     buffers and drained by touched entries;
+//   - deltas: the survivors' summed losses, merged per worker, added
+//     atomically into one n-sized array and drained by touched entries;
 //   - part_destroyed: the destroyed count of each part of the current
 //     chunk.
 struct PeelState {
   std::vector<uint32_t> rank;
-  ChunkedAccumulator deltas;
+  DeltaAccumulator deltas;
   std::vector<uint64_t> part_destroyed;
 };
 
@@ -44,7 +44,7 @@ PeelState& ThisThreadPeelState() {
 
 // The body every kernel shares. Each frontier member splits into
 // `parts_per_member` independent parts; peel_part(worker, i, part, rank,
-// deltas) returns that part of member i's destroyed count and stages its
+// deltas) returns that part of member i's destroyed count and adds its
 // survivor deltas. Members compute against the bracket-start mask (every
 // member still alive); the rank restores each member's sequential view.
 // The frontier runs in rank-contiguous chunks of whole members with a
@@ -123,7 +123,7 @@ std::vector<uint64_t> PeelFrontier(const Graph& graph,
 // PeelFrontier for the appendix-D peel bodies of pattern/special.h:
 // peel_member(v, is_alive, report) sees member i's rank-prefix view
 // (u is alive iff it survives the bracket or is a member of higher rank,
-// so v itself is not), and only survivors' positive counts are staged.
+// so v itself is not), and only survivors' counts are added.
 template <typename PeelMember>
 std::vector<uint64_t> ClosedFormPeelBatch(const Graph& graph,
                                           std::span<const VertexId> frontier,
@@ -135,13 +135,13 @@ std::vector<uint64_t> ClosedFormPeelBatch(const Graph& graph,
   return PeelFrontier(
       graph, frontier, alive, cb, ctx, t, 1,
       [&](unsigned worker, size_t i, uint32_t, std::span<const uint32_t> rank,
-          ChunkedAccumulator& deltas) {
+          DeltaAccumulator& deltas) {
         const uint32_t my_rank = static_cast<uint32_t>(i);
         auto is_alive = [&](VertexId u) {
           return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
         };
         auto report = [&](VertexId u, uint64_t count) {
-          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
+          if (rank[u] == kNoRank) deltas.Add(worker, u, count);
         };
         return peel_member(frontier[i], is_alive, report);
       });
@@ -159,7 +159,7 @@ std::vector<uint64_t> ParallelCliquePeelBatch(const Graph& graph, int h,
       graph, frontier, alive, cb, ctx,
       ResolveThreadCount(ctx.threads, frontier.size()), 1,
       [&](unsigned worker, size_t i, uint32_t, std::span<const uint32_t> rank,
-          ChunkedAccumulator& deltas) {
+          DeltaAccumulator& deltas) {
         const uint32_t my_rank = static_cast<uint32_t>(i);
         uint64_t lost = 0;
         EnumerateCliquesContaining(
@@ -229,7 +229,7 @@ std::vector<uint64_t> ParallelPatternPeelBatch(
   return PeelFrontier(
       graph, frontier, alive, cb, ctx, t, parts,
       [&](unsigned worker, size_t i, uint32_t part,
-          std::span<const uint32_t> rank, ChunkedAccumulator& deltas) {
+          std::span<const uint32_t> rank, DeltaAccumulator& deltas) {
         return matcher.PeelContainingPart(
             frontier[i], static_cast<int>(part / slices), part % slices,
             slices, rank, static_cast<uint32_t>(i), mask,

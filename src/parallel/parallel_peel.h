@@ -22,10 +22,10 @@
 //     first-extension slices too, so a one-member bracket still spreads
 //     over every worker.
 // Per-part destroyed counts are written to part-owned slots and summed per
-// member after the join; survivor degree-deltas are merged and staged per
-// worker in bounded memory by a ChunkedAccumulator (weighted adds) and
-// reported through the caller's callback on the calling thread after the
-// join.
+// member after the join; survivor degree-deltas are merged per worker and
+// added atomically into one shared array by a DeltaAccumulator (weighted
+// adds), and reported through the caller's callback on the calling thread
+// after the join.
 // Results are bit-identical to looping MotifOracle::PeelVertex over the
 // frontier in order, for every thread count: the only cross-worker
 // combination is uint64 addition.

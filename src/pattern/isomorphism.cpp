@@ -8,7 +8,7 @@
 #include <set>
 
 #include "graph/intersect.h"
-#include "parallel/chunked_accumulator.h"
+#include "parallel/delta_accumulator.h"
 #include "parallel/parallel_for.h"
 
 namespace dsd {
@@ -543,7 +543,7 @@ std::vector<uint64_t> PatternMatcher::Degrees(std::span<const char> alive,
     }
   } else {
     const std::vector<RootSlice> items = BuildRootSlices(graph_, t);
-    ChunkedAccumulator accumulator(n, t);
+    DeltaAccumulator accumulator(n, t);
     ParallelForStrided(items.size(), t, [&](unsigned worker, uint64_t i) {
       const RootSlice& item = items[i];
       DegreesFromRoot(

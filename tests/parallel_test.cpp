@@ -17,8 +17,8 @@
 #include "dsd/motif_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "parallel/delta_accumulator.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_nucleus.h"
 #include "parallel/parallel_peel.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
@@ -167,6 +167,79 @@ TEST(ParallelFor, OneThreadAndNestedCallsRunInline) {
     });
   });
   EXPECT_TRUE(nested_inline.load());
+}
+
+// DeltaAccumulator's parallel path, raced by the TSan job (unit label):
+// each worker adds to more distinct indices than its 512 cache slots hold,
+// so slots evict into the shared array mid-loop, and every worker also hits
+// one hub index. Weights cycle through 0..3, so zero adds are mixed in, and
+// one index receives zero adds only.
+constexpr uint64_t kAccSize = 5000;
+constexpr uint64_t kAccHub = 17;
+constexpr uint64_t kAccZeroOnly = kAccSize - 1;
+constexpr uint64_t kAccSteps = 3000;
+
+uint64_t AccIndex(unsigned w, uint64_t i) {
+  return (i * 7919 + w * 131) % kAccZeroOnly;
+}
+uint64_t AccWeight(unsigned w, uint64_t i) { return (i * 3 + w) % 4; }
+
+void AccAddAll(DeltaAccumulator& acc, unsigned workers) {
+  ParallelForStrided(workers, workers, [&](unsigned w, uint64_t) {
+    for (uint64_t i = 0; i < kAccSteps; ++i) {
+      acc.Add(w, AccIndex(w, i), AccWeight(w, i));
+      acc.Add(w, kAccHub);
+      acc.Add(w, kAccZeroOnly, 0);
+    }
+  });
+}
+
+std::vector<uint64_t> AccSerialSums(unsigned workers) {
+  std::vector<uint64_t> sums(kAccSize, 0);
+  for (unsigned w = 0; w < workers; ++w) {
+    for (uint64_t i = 0; i < kAccSteps; ++i) {
+      sums[AccIndex(w, i)] += AccWeight(w, i);
+      ++sums[kAccHub];
+    }
+  }
+  return sums;
+}
+
+TEST(DeltaAccumulator, FinishEqualsSerialSums) {
+  DeltaAccumulator acc(kAccSize, 16);
+  AccAddAll(acc, 16);
+  const std::vector<uint64_t> totals = std::move(acc).Finish();
+  EXPECT_EQ(totals, AccSerialSums(16));
+  EXPECT_EQ(totals[kAccZeroOnly], 0u);
+}
+
+TEST(DeltaAccumulator, DrainReportsEachTouchedIndexOnceAndZeroes) {
+  DeltaAccumulator acc;
+  for (unsigned workers : {2u, 8u, 4u}) {
+    acc.Reset(kAccSize, workers);
+    AccAddAll(acc, workers);
+    std::map<uint64_t, uint64_t> expected;
+    const std::vector<uint64_t> sums = AccSerialSums(workers);
+    for (uint64_t i = 0; i < kAccSize; ++i) {
+      if (sums[i] != 0) expected[i] = sums[i];
+    }
+    std::map<uint64_t, uint64_t> reported;
+    acc.Drain([&](uint64_t index, uint64_t total) {
+      EXPECT_TRUE(reported.emplace(index, total).second)
+          << "index " << index << " reported twice, workers=" << workers;
+    });
+    EXPECT_EQ(reported, expected) << "workers=" << workers;
+    EXPECT_EQ(reported.count(kAccZeroOnly), 0u);
+  }
+  // Every counter is zero again: one unit add per index reads back 1.
+  acc.Reset(kAccSize, 1);
+  for (uint64_t i = 0; i < kAccSize; ++i) acc.Add(0, i);
+  uint64_t reported = 0;
+  acc.Drain([&](uint64_t index, uint64_t total) {
+    EXPECT_EQ(total, 1u) << "index " << index;
+    ++reported;
+  });
+  EXPECT_EQ(reported, kAccSize);
 }
 
 class ParallelCliqueTest
@@ -342,7 +415,7 @@ TEST(ParallelPatternStress, ManySmallShardsUnderOversubscription) {
   // High-contention case for the TSan job (this suite carries the `unit`
   // label CI's TSan run selects): far more workers than cores, tiny
   // per-root shards, every worker funnelling increments through the
-  // chunk-locked accumulator and its own enumerator scratch at once.
+  // shared atomic accumulator and its own enumerator scratch at once.
   Graph g = gen::PowerLawWithCommunities(600, 3, 12, 8, 0.8, 0xC0FFEE);
   const Pattern pattern = Pattern::C3Star();
   PatternMatcher enumerator(g, pattern);
@@ -699,7 +772,7 @@ TEST(ParallelPeelStress, DecompositionUnderOversubscribedBrackets) {
   // High-contention case for the TSan job (unit label): a graph whose
   // lowest-degree brackets are huge — communities of near-identical degree
   // — peeled with far more workers than cores, so every worker hammers the
-  // chunk-locked delta accumulator and the shared alive mask at once while
+  // shared atomic delta accumulator and the shared alive mask at once while
   // the engine applies batches back to back.
   Graph g = gen::PowerLawWithCommunities(500, 3, 10, 10, 0.85, 0xBEEF);
   const MotifCoreDecomposition baseline =
@@ -798,15 +871,23 @@ TEST(ParallelPatternHubSplit, RootSlicesPartitionEmbeddings) {
   }
 }
 
+// The parallel clique-core (nucleus) decomposition is the batch peel at
+// `threads` workers; the sweep below checks it against the sequential
+// Algorithm 3 reference.
+MotifCoreDecomposition ParallelCliqueCores(const Graph& g, int h,
+                                           unsigned threads) {
+  return MotifCoreDecompose(g, CliqueOracle(h),
+                            ExecutionContext().WithThreads(threads));
+}
+
 class ParallelNucleusTest
     : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
 
 TEST_P(ParallelNucleusTest, MatchesSerialDecomposition) {
   auto [h, threads] = GetParam();
   Graph g = gen::ErdosRenyi(50, 0.2, h * 100 + 17);
-  NucleusDecomposition parallel =
-      ParallelCliqueCoreDecomposition(g, h, threads);
-  MotifCoreDecomposition serial = MotifCoreDecompose(g, CliqueOracle(h));
+  MotifCoreDecomposition parallel = ParallelCliqueCores(g, h, threads);
+  NucleusDecomposition serial = NucleusCliqueCores(g, h);
   ASSERT_EQ(parallel.core.size(), serial.core.size());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     EXPECT_EQ(parallel.core[v], serial.core[v]) << "v=" << v;
@@ -819,16 +900,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelNucleusTest,
                                             ::testing::Values(1u, 4u, 0u)));
 
 TEST(ParallelNucleus, EmptyAndTrivialGraphs) {
-  EXPECT_EQ(ParallelCliqueCoreDecomposition(Graph(), 3, 4).kmax, 0u);
+  EXPECT_EQ(ParallelCliqueCores(Graph(), 3, 4).kmax, 0u);
   Graph g = gen::ErdosRenyi(10, 0.0, 1);
-  EXPECT_EQ(ParallelCliqueCoreDecomposition(g, 2, 4).kmax, 0u);
+  EXPECT_EQ(ParallelCliqueCores(g, 2, 4).kmax, 0u);
 }
 
 TEST(ParallelNucleus, DeterministicAcrossThreadCounts) {
   Graph g = gen::BarabasiAlbert(300, 3, 5);
-  NucleusDecomposition one = ParallelCliqueCoreDecomposition(g, 3, 1);
-  NucleusDecomposition eight = ParallelCliqueCoreDecomposition(g, 3, 8);
-  EXPECT_EQ(one.core, eight.core);
+  EXPECT_EQ(ParallelCliqueCores(g, 3, 1).core,
+            ParallelCliqueCores(g, 3, 8).core);
 }
 
 }  // namespace
