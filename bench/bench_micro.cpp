@@ -4,6 +4,8 @@
 // figures.
 #include <algorithm>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -16,6 +18,7 @@
 #include "dsd/motif_oracle.h"
 #include "dsd/oracle_factory.h"
 #include "flow/flow_network.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "parallel/parallel_for.h"
 #include "pattern/isomorphism.h"
@@ -170,19 +173,63 @@ BENCHMARK_CAPTURE(BM_MotifCoreDecompose, basket, "basket",
                   &PatternDecomposeGraph)
     ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+const Graph& HubFirstPatternGraph() {
+  static const Graph g = PatternDecomposeGraph();
+  return g;
+}
+
+// The pattern graph under a fixed random relabelling: the ids a SNAP edge
+// list or a shuffled .dsdg brings, instead of the generator's hubs first.
+const Graph& RelabelledPatternGraph() {
+  static const Graph relabelled = [] {
+    const Graph& g = HubFirstPatternGraph();
+    std::vector<VertexId> perm(g.NumVertices());
+    std::iota(perm.begin(), perm.end(), VertexId{0});
+    std::shuffle(perm.begin(), perm.end(), std::mt19937_64(0x5EED));
+    GraphBuilder builder(g.NumVertices());
+    for (const Edge& e : g.Edges()) {
+      builder.AddEdge(perm[e.first], perm[e.second]);
+    }
+    return builder.Build();
+  }();
+  return relabelled;
+}
+
 // One full pattern-degree pass (the Degrees call that opens every generic
 // pattern peel) over the pattern graph at state.range(0) threads, on its own
-// rather than folded into a BM_MotifCoreDecompose row.
-void BM_PatternDegrees(benchmark::State& state, Pattern (*make_pattern)()) {
-  static const Graph g = PatternDecomposeGraph();
+// rather than folded into a BM_MotifCoreDecompose row. These rows time the
+// generic engine; BM_OracleDegrees times what the oracle runs.
+void BM_PatternDegrees(benchmark::State& state, Pattern (*make_pattern)(),
+                       const Graph& (*graph)()) {
   const PatternPlanSet plans(make_pattern());
-  const PatternMatcher matcher(g, plans);
+  const PatternMatcher matcher(graph(), plans);
   const unsigned threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(matcher.Degrees({}, threads));
   }
 }
-BENCHMARK_CAPTURE(BM_PatternDegrees, basket, &Pattern::Basket)
+BENCHMARK_CAPTURE(BM_PatternDegrees, basket, &Pattern::Basket,
+                  &HubFirstPatternGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_PatternDegrees, basket_relabelled, &Pattern::Basket,
+                  &RelabelledPatternGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The same pass through the motif's oracle at state.range(0) threads: for
+// basket that is the per-edge triangle formula (pattern/special.h).
+void BM_OracleDegrees(benchmark::State& state, const char* motif,
+                      const Graph& (*graph)()) {
+  std::unique_ptr<MotifOracle> oracle = MakeOracle(motif).value();
+  const ExecutionContext ctx =
+      ExecutionContext().WithThreads(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle->Degrees(graph(), {}, ctx));
+  }
+}
+BENCHMARK_CAPTURE(BM_OracleDegrees, basket, "basket", &HubFirstPatternGraph)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_OracleDegrees, basket_relabelled, "basket",
+                  &RelabelledPatternGraph)
     ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The fixed cost of one ParallelForStrided call on state.range(0) workers:
@@ -204,7 +251,7 @@ BENCHMARK(BM_ParallelForEmpty)->Arg(4)->UseRealTime();
 // peel ends in a few hundred such brackets of one or two members, which
 // the 4-thread row spreads over the workers by (position, slice) parts.
 void BM_PeelBatchTail(benchmark::State& state, const char* motif) {
-  static const Graph g = PatternDecomposeGraph();
+  const Graph& g = HubFirstPatternGraph();
   OracleOptions options;
   options.threads = static_cast<unsigned>(state.range(0));
   std::unique_ptr<MotifOracle> oracle = MakeOracle(motif, options).value();

@@ -1,8 +1,9 @@
 // Peeling-engine scaling bench: runs every peeling-based algorithm through
 // dsd::Solve at several thread budgets — the workloads whose hot loop is
 // now the batch-bracket peeling engine (bucket queue + parallel frontier
-// PeelBatch) — over a clique motif, a closed-form star motif, and a generic
-// 5-vertex motif (basket) with no closed form — and emits
+// PeelBatch) — over a clique motif, a closed-form star motif, and a
+// 5-vertex motif (basket) whose brackets the generic engine peels (its
+// opening Degrees pass is a per-edge triangle formula) — and emits
 // machine-readable JSON (one record per algo x motif x graph x threads) so
 // scripts/run_bench.sh can track the perf trajectory as BENCH_peel.json.
 //
@@ -75,8 +76,9 @@ int Run(std::FILE* out) {
     graphs.push_back({"communities_6k", std::move(g), timer.Seconds() * 1e3,
                       {"4-clique", "3-star"}, {}});
   }
-  // Generic-engine row: basket (5-vertex house, no closed form) exercises
-  // the plan-compiled matcher and the generic parallel peel kernel.
+  // Generic-engine row: basket (5-vertex house) peels its brackets with
+  // the plan-compiled matcher and the generic parallel peel kernel; only
+  // its opening Degrees pass takes the per-edge triangle formula.
   {
     Timer timer;
     Graph g = gen::PowerLawWithCommunities(1500, 3, 14, 10, 0.9, 0xBA5CE7);

@@ -1,8 +1,8 @@
 // Thread-scaling bench for the ExecutionContext-aware solve path: runs the
 // parallel-capable algorithms through dsd::Solve at several thread budgets
 // on the bundled demo graphs, plus the pattern-oracle hot queries for
-// non-clique motifs (star-3 forced through the generic engine, and the
-// 5-vertex basket which has no closed form at all — the PDS workloads
+// non-clique motifs (star-3 and the 5-vertex basket, both forced through
+// the generic engine with use_special_kernels = false — the PDS workloads
 // whose root loops the parallel pattern kernels shard), and emits
 // machine-readable JSON (one record per algo x motif x graph x threads) so
 // scripts/run_bench.sh can track the perf trajectory as BENCH_threads.json.
@@ -114,10 +114,11 @@ int Run(std::FILE* out) {
 
     // Pattern-oracle scaling: motif-degree passes through the generic
     // plan-compiled engine — the query CorePExact hammers, and the one the
-    // parallel pattern kernels shard per root vertex. star-3 is forced off
-    // its closed form (use_special_kernels = false, the bench_ablation
-    // baseline; the O(m) kernel would time thread-spawn overhead instead),
-    // and basket is a 5-vertex motif with no closed form at all.
+    // parallel pattern kernels shard per root vertex. Both motifs are
+    // forced off their closed forms (use_special_kernels = false, the
+    // bench_ablation baseline): star-3's O(m) kernel would time
+    // thread-spawn overhead instead, and basket's per-edge triangle
+    // formula would not time the engine at all.
     for (const std::string& motif : {std::string("3-star"),
                                      std::string("basket")}) {
       std::vector<uint64_t> baseline_degrees;

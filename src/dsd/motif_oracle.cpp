@@ -155,10 +155,26 @@ std::vector<uint64_t> CliqueOracle::CoreNumberUpperBounds(
 // ---------------------------------------------------------------------------
 // PatternOracle
 
+namespace {
+
+// The book B_k's page count k if `pattern` is the 2- or 3-triangle, else 0.
+int BookPages(const Pattern& pattern) {
+  if (pattern.IsomorphicTo(Pattern::TwoTriangle())) return 2;
+  if (pattern.IsomorphicTo(Pattern::ThreeTriangle())) return 3;
+  return 0;
+}
+
+}  // namespace
+
 PatternOracle::PatternOracle(Pattern pattern, bool use_special_kernels)
     : plans_(std::move(pattern)),
       star_tails_(use_special_kernels ? plans_.pattern().StarTails() : 0),
-      is_four_cycle_(use_special_kernels && plans_.pattern().IsFourCycle()) {
+      is_four_cycle_(use_special_kernels && plans_.pattern().IsFourCycle()),
+      book_pages_(use_special_kernels ? BookPages(plans_.pattern()) : 0),
+      is_c3_star_(use_special_kernels &&
+                  plans_.pattern().IsomorphicTo(Pattern::C3Star())),
+      is_basket_(use_special_kernels &&
+                 plans_.pattern().IsomorphicTo(Pattern::Basket())) {
   assert(plans_.pattern().IsConnected());
 }
 
@@ -172,6 +188,9 @@ std::vector<uint64_t> PatternOracle::DegreesImpl(
   const unsigned t = Workers(ctx);
   if (star_tails_ >= 2) return StarDegrees(graph, star_tails_, alive, t);
   if (is_four_cycle_) return FourCycleDegrees(graph, alive, t);
+  if (book_pages_ >= 2) return BookDegrees(graph, book_pages_, alive, t);
+  if (is_c3_star_) return C3StarDegrees(graph, alive, t);
+  if (is_basket_) return BasketDegrees(graph, alive, t);
   return PatternMatcher(graph, plans_).Degrees(alive, t);
 }
 
@@ -181,6 +200,9 @@ uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
   const unsigned t = Workers(ctx);
   if (star_tails_ >= 2) return StarCount(graph, star_tails_, alive, t);
   if (is_four_cycle_) return FourCycleCount(graph, alive, t);
+  if (book_pages_ >= 2) return BookCount(graph, book_pages_, alive, t);
+  if (is_c3_star_) return C3StarCount(graph, alive, t);
+  if (is_basket_) return BasketCount(graph, alive, t);
   return PatternMatcher(graph, plans_).CountInstances(alive, t);
 }
 
@@ -199,13 +221,15 @@ class PatternOracle::Peeler {
   uint64_t Peel(VertexId v, std::span<const char> alive,
                 const PeelCallback& cb) {
     // Appendix D fast paths: closed-form O(d^2) peeling for stars and loops.
+    auto is_alive = [alive](VertexId u) {
+      return alive.empty() || alive[u] != 0;
+    };
     if (oracle_.star_tails_ >= 2) {
-      return StarPeelVertex(graph_, oracle_.star_tails_, v, alive, cb);
+      return StarPeelMember(graph_, oracle_.star_tails_, v, is_alive, cb);
     }
     if (oracle_.is_four_cycle_) {
       return FourCyclePeelMember(
-          graph_, v,
-          [alive](VertexId u) { return alive.empty() || alive[u] != 0; },
+          graph_, v, is_alive,
           ThisThreadFourCycleScratch(graph_.NumVertices()), cb);
     }
     // Canonical instance-level peel: each destroyed instance is matched once
@@ -265,9 +289,10 @@ std::vector<uint64_t> PatternOracle::CoreNumberUpperBounds(
     const Graph& graph) const {
   // The exact pattern-degree is always an upper bound on the pattern-core
   // number; the specialised kernels make it cheap for stars and 4-cycles
-  // (appendix D). For other patterns this is the dominant cost of CoreApp,
-  // matching the paper's remark that gamma exists to avoid expensive
-  // clique-degree computation specifically.
+  // (appendix D) and the per-edge triangle formulas for four more shapes.
+  // For other patterns this is the dominant cost of CoreApp, matching the
+  // paper's remark that gamma exists to avoid expensive clique-degree
+  // computation specifically.
   return Degrees(graph, {});
 }
 

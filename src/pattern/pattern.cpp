@@ -135,6 +135,24 @@ bool Pattern::IsFourCycle() const {
   return IsConnected();
 }
 
+bool Pattern::IsomorphicTo(const Pattern& other) const {
+  if (num_vertices_ != other.num_vertices_ ||
+      edges_.size() != other.edges_.size()) {
+    return false;
+  }
+  std::vector<int> perm(num_vertices_);
+  std::iota(perm.begin(), perm.end(), 0);
+  do {
+    // Equal edge counts: mapping every edge onto an edge is a bijection.
+    if (std::all_of(edges_.begin(), edges_.end(), [&](const Edge& e) {
+          return other.HasEdge(perm[e.first], perm[e.second]);
+        })) {
+      return true;
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return false;
+}
+
 const std::vector<std::vector<int>>& Pattern::Automorphisms() const {
   if (!automorphisms_.empty()) return automorphisms_;
   std::vector<int> perm(num_vertices_);

@@ -77,6 +77,10 @@ class Pattern {
   /// True iff the pattern is the 4-cycle.
   bool IsFourCycle() const;
 
+  /// True iff some vertex bijection maps this pattern's edges onto
+  /// `other`'s. Brute force over permutations (patterns are tiny).
+  bool IsomorphicTo(const Pattern& other) const;
+
   /// All automorphisms, each as a permutation image vector. Computed by
   /// brute force (patterns are tiny). Cached after first call.
   const std::vector<std::vector<int>>& Automorphisms() const;

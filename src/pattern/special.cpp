@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "parallel/delta_accumulator.h"
 #include "parallel/parallel_for.h"
 
 namespace dsd {
@@ -36,6 +37,89 @@ uint64_t StarDegree(const Graph& graph, uint64_t x,
     if (IsAlive(alive, u)) d += Binomial(alive_degree[u] - 1, x - 1);
   }
   return d;
+}
+
+// One worker's scratch for a triangle pass: marks[u] != 0 iff u is an
+// alive neighbour of the vertex being processed (all zero between
+// vertices), the apexes of one edge, and basket's 2-path counters. It lives
+// for one pass, so nothing n-sized outlasts the call on the pool's
+// long-lived helper threads.
+struct alignas(64) TriangleScratch {
+  TriangleScratch(VertexId n, bool with_two_paths)
+      : marks(n, 0), two_paths(with_two_paths ? n : 0) {}
+  std::vector<char> marks;
+  std::vector<VertexId> apexes;
+  FourCycleScratch two_paths;
+};
+
+std::vector<TriangleScratch> WorkerScratch(VertexId n, unsigned threads,
+                                           bool with_two_paths) {
+  return std::vector<TriangleScratch>(ResolveThreadCount(threads, n),
+                                      TriangleScratch(n, with_two_paths));
+}
+
+// The order that picks which endpoint of an edge handles it: the one of
+// larger (degree, id).
+bool Below(const Graph& graph, VertexId u, VertexId v) {
+  const EdgeId du = graph.Degree(u);
+  const EdgeId dv = graph.Degree(v);
+  return du < dv || (du == dv && u < v);
+}
+
+// Marks v's alive neighbours in s.marks; returns v's adjacency list.
+std::span<const VertexId> MarkAliveNeighbors(const Graph& graph,
+                                             std::span<const char> alive,
+                                             VertexId v, TriangleScratch& s) {
+  std::span<const VertexId> nv = graph.Neighbors(v);
+  for (VertexId p : nv) s.marks[p] = IsAlive(alive, p);
+  return nv;
+}
+
+void ClearMarks(std::span<const VertexId> nv, TriangleScratch& s) {
+  for (VertexId p : nv) s.marks[p] = 0;
+}
+
+// Visits every alive edge once, from its endpoint v above the other, p:
+// fn(worker, v, j, p, k, apexes) with p = Neighbors(v)[j],
+// v = Neighbors(p)[k] and apexes the alive common neighbours of v and p,
+// so t(vp) = apexes.size(). The smaller list, p's, is scanned against
+// marks on v's, so the pass costs O(sum over edges of min degree).
+template <typename Fn>
+void ForEachEdgeApexes(const Graph& graph, std::span<const char> alive,
+                       unsigned threads, const Fn& fn) {
+  const VertexId n = graph.NumVertices();
+  std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, false);
+  ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (!IsAlive(alive, v)) return;
+    TriangleScratch& s = scratch[worker];
+    const std::span<const VertexId> nv = MarkAliveNeighbors(graph, alive, v, s);
+    for (size_t j = 0; j < nv.size(); ++j) {
+      const VertexId p = nv[j];
+      if (!s.marks[p] || !Below(graph, p, v)) continue;
+      const std::span<const VertexId> np = graph.Neighbors(p);
+      size_t k = 0;
+      s.apexes.clear();
+      for (size_t x = 0; x < np.size(); ++x) {
+        if (np[x] == v) {
+          k = x;
+        } else if (s.marks[np[x]]) {
+          s.apexes.push_back(np[x]);
+        }
+      }
+      fn(worker, v, j, p, k, std::span<const VertexId>(s.apexes));
+    }
+    ClearMarks(nv, s);
+  });
+}
+
+// mu from pattern-degrees: every instance has `size` vertices.
+uint64_t InstancesFromDegrees(const std::vector<uint64_t>& degrees,
+                              int size) {
+  uint64_t total = 0;
+  for (uint64_t d : degrees) total += d;
+  assert(total % static_cast<uint64_t>(size) == 0);
+  return total / static_cast<uint64_t>(size);
 }
 
 }  // namespace
@@ -105,24 +189,150 @@ std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
 
 uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
                         unsigned threads) {
-  uint64_t total = 0;
-  for (uint64_t d : FourCycleDegrees(graph, alive, threads)) total += d;
-  assert(total % 4 == 0);
-  return total / 4;
+  return InstancesFromDegrees(FourCycleDegrees(graph, alive, threads), 4);
+}
+
+// The triangle passes below also write other vertices' entries (an edge's
+// endpoints, its apexes); those writes go through DeltaAccumulator's
+// relaxed atomic adds, which commute, so the result is again the same for
+// every thread count. Terms that are negative on their own (basket's
+// corrections) wrap in uint64 and cancel in the sum, which is a count.
+
+std::vector<uint64_t> BookDegrees(const Graph& graph, int pages,
+                                  std::span<const char> alive,
+                                  unsigned threads) {
+  assert(pages >= 2);
+  const VertexId n = graph.NumVertices();
+  const uint64_t k = static_cast<uint64_t>(pages);
+  DeltaAccumulator acc(n, ResolveThreadCount(threads, n));
+  ForEachEdgeApexes(graph, alive, threads,
+                    [&](unsigned w, VertexId v, size_t, VertexId p, size_t,
+                        std::span<const VertexId> apexes) {
+                      if (apexes.empty()) return;
+                      // The spine vp carries C(t, k) books; an apex shares
+                      // each with k - 1 of the other t - 1 apexes.
+                      const uint64_t spine = Binomial(apexes.size(), k);
+                      acc.Add(w, v, spine);
+                      acc.Add(w, p, spine);
+                      const uint64_t page = Binomial(apexes.size() - 1, k - 1);
+                      for (VertexId a : apexes) acc.Add(w, a, page);
+                    });
+  return std::move(acc).Finish();
+}
+
+uint64_t BookCount(const Graph& graph, int pages, std::span<const char> alive,
+                   unsigned threads) {
+  return InstancesFromDegrees(BookDegrees(graph, pages, alive, threads),
+                              pages + 2);
+}
+
+std::vector<uint64_t> C3StarDegrees(const Graph& graph,
+                                    std::span<const char> alive,
+                                    unsigned threads) {
+  // Grouped per vertex, deg(v) = T(v) (d(v) - 4)
+  //   + sum over alive neighbours p of [t(vp) (d(p) - 2) + T(p)].
+  // One edge pass gathers 2T (entries [0, n)) and the t (d - 2) sums
+  // (entries [n, 2n)); a per-vertex pass adds the rest.
+  const VertexId n = graph.NumVertices();
+  std::vector<uint64_t> d(n, 0);
+  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (IsAlive(alive, v)) d[v] = AliveDegree(graph, alive, v);
+  });
+  DeltaAccumulator acc(uint64_t{2} * n, ResolveThreadCount(threads, n));
+  ForEachEdgeApexes(graph, alive, threads,
+                    [&](unsigned w, VertexId v, size_t, VertexId p, size_t,
+                        std::span<const VertexId> apexes) {
+                      const uint64_t t = apexes.size();
+                      acc.Add(w, v, t);
+                      acc.Add(w, p, t);
+                      acc.Add(w, uint64_t{n} + v, t * (d[p] - 2));
+                      acc.Add(w, uint64_t{n} + p, t * (d[v] - 2));
+                    });
+  const std::vector<uint64_t> sums = std::move(acc).Finish();
+  std::vector<uint64_t> degrees(n, 0);
+  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (!IsAlive(alive, v)) return;
+    uint64_t deg = sums[v] / 2 * (d[v] - 4) + sums[n + v];
+    for (VertexId p : graph.Neighbors(v)) {
+      if (IsAlive(alive, p)) deg += sums[p] / 2;
+    }
+    degrees[v] = deg;
+  });
+  return degrees;
+}
+
+uint64_t C3StarCount(const Graph& graph, std::span<const char> alive,
+                     unsigned threads) {
+  return InstancesFromDegrees(C3StarDegrees(graph, alive, threads), 4);
+}
+
+std::vector<uint64_t> BasketDegrees(const Graph& graph,
+                                    std::span<const char> alive,
+                                    unsigned threads) {
+  const VertexId n = graph.NumVertices();
+  const std::span<const EdgeId> offsets = graph.RawOffsets();
+  // t(e) per adjacency slot, both directions.
+  std::vector<uint32_t> tri(graph.RawNeighbors().size(), 0);
+  ForEachEdgeApexes(graph, alive, threads,
+                    [&](unsigned, VertexId v, size_t j, VertexId p, size_t k,
+                        std::span<const VertexId> apexes) {
+                      const auto t = static_cast<uint32_t>(apexes.size());
+                      tri[offsets[v] + j] = t;
+                      tri[offsets[p] + k] = t;
+                    });
+  auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
+  DeltaAccumulator acc(n, ResolveThreadCount(threads, n));
+  std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, true);
+  ParallelForStrided(n, threads, [&](unsigned w, uint64_t i) {
+    const VertexId v = static_cast<VertexId>(i);
+    if (!is_alive(v)) return;
+    TriangleScratch& s = scratch[w];
+    std::vector<uint64_t>& paths = s.two_paths.paths;  // P_v
+    CountTwoPaths(graph, v, is_alive, s.two_paths);
+    const std::span<const VertexId> nv = MarkAliveNeighbors(graph, alive, v, s);
+    uint64_t own = 0;
+    for (size_t j = 0; j < nv.size(); ++j) {
+      const VertexId p = nv[j];
+      if (!s.marks[p]) continue;
+      const bool roof = Below(graph, p, v);  // v pushes vp's apex terms
+      const std::span<const VertexId> np = graph.Neighbors(p);
+      const uint32_t* t_p = tri.data() + offsets[p];
+      uint64_t c4 = 0;
+      uint64_t off_roof = 0;
+      s.apexes.clear();
+      for (size_t x = 0; x < np.size(); ++x) {
+        const VertexId q = np[x];
+        if (q == v || !is_alive(q)) continue;
+        const uint64_t others = paths[q] - 1;  // 4-cycles v-p-q-?-v
+        c4 += others;
+        off_roof += t_p[x] * others;
+        if (roof && s.marks[q]) s.apexes.push_back(q);
+      }
+      const uint64_t t = tri[offsets[v] + j];
+      // 3 t (t - 1) is 4 C(t, 2), the apexes on C, plus this edge's part
+      // of v's apex terms: each of the t triangles {v, p, r} takes off
+      // t(vp) - 1.
+      own += t * c4 + off_roof - 3 * t * (t - 1);
+      for (VertexId a : s.apexes) acc.Add(w, a, c4 - 4 * (t - 1));
+    }
+    acc.Add(w, v, own);
+    ClearMarks(nv, s);
+    for (VertexId q : s.two_paths.endpoints) paths[q] = 0;
+  });
+  return std::move(acc).Finish();
+}
+
+uint64_t BasketCount(const Graph& graph, std::span<const char> alive,
+                     unsigned threads) {
+  return InstancesFromDegrees(BasketDegrees(graph, alive, threads), 5);
 }
 
 FourCycleScratch& ThisThreadFourCycleScratch(VertexId n) {
   thread_local FourCycleScratch scratch(0);
   if (scratch.paths.size() < n) scratch.paths.resize(n, 0);
   return scratch;
-}
-
-uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
-                        std::span<const char> alive,
-                        const std::function<void(VertexId, uint64_t)>& cb) {
-  assert(x >= 2);
-  return StarPeelMember(
-      graph, x, v, [alive](VertexId u) { return IsAlive(alive, u); }, cb);
 }
 
 }  // namespace dsd

@@ -1,9 +1,14 @@
-// Specialised pattern-degree kernels (appendix D of the paper).
+// Specialised pattern-degree kernels (appendix D of the paper, and the
+// per-edge triangle formulas that extend it).
 //
 // For star and loop (4-cycle "diamond") patterns the generic embedding
 // enumerator is overkill: pattern-degrees have closed forms over 1- and 2-hop
 // neighborhoods, reducing core decomposition from O(n d^x) to O(n d^2).
-// These kernels are cross-checked against the generic engine in tests.
+// The 2-triangle, 3-triangle, c3-star and basket are a triangle or a 4-cycle
+// plus attachments, so their degrees are sums over t(e), the number of alive
+// triangles on edge e, and (basket) the 4-cycle counts of the 4-cycle
+// formula's 2-path grouping. These kernels are cross-checked against the
+// generic engine in tests.
 //
 // This header is the one home of those formulas. The degree and count passes
 // take a thread count (per-vertex passes over ParallelForStrided; 1 is the
@@ -15,7 +20,6 @@
 #define DSD_PATTERN_SPECIAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -50,6 +54,58 @@ std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
 /// (= sum of degrees / 4: each cycle contains 4 vertices).
 uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
                         unsigned threads = 1);
+
+/// Pattern-degrees for the book B_k — k triangles sharing one spine edge;
+/// the 2-triangle is B_2 and the 3-triangle B_3 — restricted to alive
+/// vertices, k = `pages` >= 2. An instance is a spine edge and k of its
+/// apexes, so
+///   deg(v) = sum over edges vp of C(t(vp), k)
+///          + sum over triangles {v, p, r} of C(t(pr) - 1, k - 1).
+std::vector<uint64_t> BookDegrees(const Graph& graph, int pages,
+                                  std::span<const char> alive,
+                                  unsigned threads = 1);
+
+/// Number of B_k instances restricted to alive vertices (= sum of
+/// degrees / (k + 2)).
+uint64_t BookCount(const Graph& graph, int pages, std::span<const char> alive,
+                   unsigned threads = 1);
+
+/// Pattern-degrees for the c3-star (paw: a triangle with a pendant edge)
+/// restricted to alive vertices. An instance is a triangle, one of its
+/// vertices c and a neighbour of c outside it; with d the alive degree and
+/// T(w) the number of triangles at w,
+///   deg(v) = sum over triangles {v, p, r} of (d(v) + d(p) + d(r) - 6)
+///          + sum over neighbours w of (T(w) - t(vw)).
+std::vector<uint64_t> C3StarDegrees(const Graph& graph,
+                                    std::span<const char> alive,
+                                    unsigned threads = 1);
+
+/// Number of c3-star instances restricted to alive vertices (= sum of
+/// degrees / 4).
+uint64_t C3StarCount(const Graph& graph, std::span<const char> alive,
+                     unsigned threads = 1);
+
+/// Pattern-degrees for the basket (house: a 4-cycle whose edge cd is also
+/// the base of a roof triangle c-d-e) restricted to alive vertices. An
+/// instance is a 4-cycle C, an edge f of C and an apex of f outside C.
+/// With P_v(q) the number of 2-paths v-p-q (q != v) and
+/// c4(vp) = sum over q in N(p) \ {v} of (P_v(q) - 1), the 4-cycles through
+/// edge vp:
+///   deg(v) = sum over neighbours p of [t(vp) c4(vp) - 4 C(t(vp), 2)
+///              + sum over q in N(p) \ {v} of t(pq) (P_v(q) - 1)]
+///          + sum over triangles {v, c, d} of [c4(cd) - 4 (t(cd) - 1)
+///              - (t(vc) - 1) - (t(vd) - 1)].
+/// The first sum has v on C (on f, then off f), the second v as the apex;
+/// the 4 C(t, 2) and 4 (t - 1) terms drop the apexes that lie on C, four
+/// per 2-triangle through v.
+std::vector<uint64_t> BasketDegrees(const Graph& graph,
+                                    std::span<const char> alive,
+                                    unsigned threads = 1);
+
+/// Number of basket instances restricted to alive vertices (= sum of
+/// degrees / 5).
+uint64_t BasketCount(const Graph& graph, std::span<const char> alive,
+                     unsigned threads = 1);
 
 /// Appendix D.1.2, star peeling: the instances v takes with it when it
 /// leaves the graph, via the closed forms over v's 1- and 2-hop
@@ -155,11 +211,6 @@ uint64_t FourCyclePeelMember(const Graph& graph, VertexId v,
   for (VertexId w : scratch.endpoints) paths[w] = 0;
   return destroyed;
 }
-
-/// StarPeelMember under an alive mask (the caller already cleared v's bit).
-uint64_t StarPeelVertex(const Graph& graph, int x, VertexId v,
-                        std::span<const char> alive,
-                        const std::function<void(VertexId, uint64_t)>& cb);
 
 }  // namespace dsd
 

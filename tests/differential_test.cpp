@@ -19,6 +19,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsd/measure.h"
@@ -55,11 +56,15 @@ std::vector<SeededGraph> TestGraphs() {
 }
 
 // Clique motifs exercise the parallel clique kernels; the stars and the
-// 4-cycle take the appendix-D closed forms; c3-star and basket force the
-// generic plan-compiled engine (and, in the parallel stacks, the generic
-// rank-masked peel kernel).
+// 4-cycle take the appendix-D closed forms; c3-star and basket take the
+// per-edge triangle formulas for Degrees and CountInstances and the generic
+// plan-compiled engine for peeling (in the parallel stacks, the generic
+// rank-masked peel kernel). "basket:engine" is basket with
+// use_special_kernels = false, which keeps the engine's threaded Degrees
+// and CountInstances under test.
 const char* const kMotifs[] = {"triangle", "4-clique", "2-star",
-                               "3-star",   "diamond",  "c3-star", "basket"};
+                               "3-star",   "diamond",  "c3-star",
+                               "basket",   "basket:engine"};
 
 const unsigned kThreadCounts[] = {1u, 2u, 4u, 0u};  // 0 = auto
 
@@ -74,10 +79,17 @@ std::vector<char> RandomMask(const Graph& g, uint64_t seed, int keep_percent) {
   return alive;
 }
 
-std::unique_ptr<MotifOracle> MustMakeOracle(const std::string& motif,
+// Builds `motif`'s oracle; a ":engine" suffix builds it with
+// use_special_kernels = false.
+std::unique_ptr<MotifOracle> MustMakeOracle(std::string motif,
                                             unsigned threads) {
   OracleOptions options;
   options.threads = threads == 0 ? 8 : threads;  // resolved budget
+  constexpr std::string_view kEngine = ":engine";
+  if (motif.ends_with(kEngine)) {
+    motif.resize(motif.size() - kEngine.size());
+    options.use_special_kernels = false;
+  }
   StatusOr<std::unique_ptr<MotifOracle>> oracle = MakeOracle(motif, options);
   EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
   return std::move(oracle.value());
@@ -154,10 +166,11 @@ TEST(DifferentialDecomposeTest, GenericPeelBatchDecompositionMatchesSequential) 
   // brackets are large. Under a multi-thread context PatternOracle sends
   // every generic bracket, whatever its size, through
   // ParallelPatternPeelBatch, so the large brackets shard by member and the
-  // small ones by (position, slice) parts.
+  // small ones by (position, slice) parts. "basket:engine" also opens each
+  // peel with the engine's threaded Degrees.
   const Graph graph =
       gen::PowerLawWithCommunities(240, 3, 10, 10, 0.85, 0x9E1D);
-  for (const char* motif : {"c3-star", "basket"}) {
+  for (const char* motif : {"c3-star", "basket", "basket:engine"}) {
     SCOPED_TRACE(std::string("motif=") + motif);
     std::unique_ptr<MotifOracle> baseline_oracle = MustMakeOracle(motif, 1);
     const MotifCoreDecomposition baseline =

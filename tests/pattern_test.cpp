@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "dsd/execution_context.h"
+#include "dsd/motif_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pattern/isomorphism.h"
@@ -71,6 +75,17 @@ TEST(Pattern, ClassifiersAgree) {
   EXPECT_TRUE(Pattern::Diamond().IsFourCycle());
   EXPECT_FALSE(Pattern::TwoTriangle().IsFourCycle());
   EXPECT_FALSE(Pattern::Clique(4).IsFourCycle());
+  // The house relabelled (roof apex 0, square 1-2-3-4 with roof edge 1-2).
+  const Pattern house("house", 5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4},
+                                   {4, 1}});
+  EXPECT_TRUE(house.IsomorphicTo(Pattern::Basket()));
+  // K_{2,3} has the house's degree sequence but no triangle.
+  const Pattern k23("K2,3", 5, {{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3},
+                                {1, 4}});
+  EXPECT_FALSE(k23.IsomorphicTo(Pattern::Basket()));
+  EXPECT_FALSE(Pattern::Diamond().IsomorphicTo(Pattern::C3Star()));
+  EXPECT_FALSE(Pattern::Cycle(5).IsomorphicTo(Pattern::Basket()));
+  EXPECT_TRUE(Pattern::Cycle(4).IsomorphicTo(Pattern::Diamond()));
 }
 
 // --- Embedding enumeration -------------------------------------------------
@@ -276,8 +291,8 @@ TEST_P(SpecialPeelTest, StarPeelMatchesGeneric) {
           mask[v] = 0;
           auto [want_destroyed, want_hits] = GenericPeel(g, p, v, mask);
           std::map<VertexId, uint64_t> got_hits;
-          uint64_t got_destroyed = StarPeelVertex(
-              g, x, v, mask,
+          uint64_t got_destroyed = StarPeelMember(
+              g, x, v, [&](VertexId u) { return mask[u] != 0; },
               [&](VertexId u, uint64_t c) { got_hits[u] += c; });
           std::erase_if(got_hits,
                         [](const auto& kv) { return kv.second == 0; });
@@ -317,6 +332,114 @@ TEST_P(SpecialPeelTest, FourCyclePeelMatchesGeneric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpecialPeelTest, ::testing::Range(0, 8));
+
+// --- Per-edge triangle formulas vs generic engine --------------------------
+
+// Sparse, hub-heavy and community graphs: the communities give edges with
+// many triangles, chorded 4-cycles and K4s, where the formulas' corrections
+// matter.
+std::vector<Graph> TriangleFormulaGraphs(int seed) {
+  return {gen::ErdosRenyi(40, 0.25, seed + 800),
+          gen::BarabasiAlbert(60, 4, seed + 900),
+          gen::PowerLawWithCommunities(90, 3, 4, 8, 0.85, seed + 1000)};
+}
+
+// Deterministic random alive mask keeping ~keep_percent of the vertices.
+std::vector<char> RandomAliveMask(VertexId n, uint64_t seed,
+                                  int keep_percent) {
+  std::mt19937_64 rng(seed);
+  std::vector<char> alive(n);
+  for (char& a : alive) a = static_cast<int>(rng() % 100) < keep_percent;
+  return alive;
+}
+
+class TriangleFormulaTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TriangleFormulaTest, OracleMatchesGenericEngine) {
+  // PatternOracle dispatches these four shapes to the formulas; with
+  // use_special_kernels = false it runs the plan-compiled engine.
+  const int seed = GetParam();
+  for (const Graph& g : TriangleFormulaGraphs(seed)) {
+    const VertexId n = g.NumVertices();
+    const std::vector<std::vector<char>> masks = {
+        {}, RandomAliveMask(n, seed * 7 + 1, 80),
+        RandomAliveMask(n, seed * 7 + 2, 50)};
+    for (Pattern (*make)() : {&Pattern::TwoTriangle, &Pattern::ThreeTriangle,
+                              &Pattern::C3Star, &Pattern::Basket}) {
+      const PatternOracle formula(make());
+      const PatternOracle engine(make(), /*use_special_kernels=*/false);
+      for (size_t m = 0; m < masks.size(); ++m) {
+        const std::span<const char> alive(masks[m]);
+        const std::vector<uint64_t> want = engine.Degrees(g, alive);
+        const uint64_t want_count = engine.CountInstances(g, alive);
+        for (unsigned threads : {1u, 2u, 4u}) {
+          SCOPED_TRACE(formula.Name() + " n=" + std::to_string(n) +
+                       " mask=" + std::to_string(m) +
+                       " threads=" + std::to_string(threads));
+          const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
+          EXPECT_EQ(formula.Degrees(g, alive, ctx), want);
+          EXPECT_EQ(formula.CountInstances(g, alive, ctx), want_count);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(TriangleFormulaTest, BookFormulaCoversFourPages) {
+  // BookDegrees is one body for every page count; the oracle only routes
+  // k = 2 and 3 to it, so check k = 4 directly.
+  const Pattern book4("4-book", 6,
+                      {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4},
+                       {1, 4}, {0, 5}, {1, 5}});
+  const Graph g = gen::PowerLawWithCommunities(80, 3, 4, 9, 0.9,
+                                               GetParam() + 1100);
+  const std::vector<char> alive = RandomAliveMask(80, GetParam() + 3, 85);
+  PatternMatcher engine(g, book4);
+  EXPECT_EQ(BookDegrees(g, 4, {}, 2), engine.Degrees({}));
+  EXPECT_EQ(BookDegrees(g, 4, alive, 2), engine.Degrees(alive));
+  EXPECT_EQ(BookCount(g, 4, alive), engine.CountInstances(alive));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TriangleFormulaTest, ::testing::Range(0, 6));
+
+// Returns g with vertex v renamed perm[v].
+Graph Relabel(const Graph& g, const std::vector<VertexId>& perm) {
+  GraphBuilder b(g.NumVertices());
+  for (const Edge& e : g.Edges()) b.AddEdge(perm[e.first], perm[e.second]);
+  return b.Build();
+}
+
+TEST(RelabelInvarianceTest, OracleDegreesFollowTheVertices) {
+  // Degree vectors and counts are properties of the vertex set: under a
+  // relabelling, vertex v's degree moves to perm[v] and nothing else
+  // changes, at every thread count.
+  const Graph g = gen::PowerLawWithCommunities(150, 3, 6, 8, 0.85, 0x12E1);
+  const VertexId n = g.NumVertices();
+  std::mt19937_64 rng(0x12E2);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<VertexId> perm(n);
+    std::iota(perm.begin(), perm.end(), VertexId{0});
+    std::shuffle(perm.begin(), perm.end(), rng);
+    const Graph relabelled = Relabel(g, perm);
+    for (Pattern (*make)() : {&Pattern::Basket, &Pattern::C3Star,
+                              &Pattern::TwoTriangle, &Pattern::ThreeTriangle,
+                              &Pattern::Diamond}) {
+      const PatternOracle oracle(make());
+      for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(oracle.Name() + " round=" + std::to_string(round) +
+                     " threads=" + std::to_string(threads));
+        const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
+        const std::vector<uint64_t> want = oracle.Degrees(g, {}, ctx);
+        const std::vector<uint64_t> got = oracle.Degrees(relabelled, {}, ctx);
+        std::vector<uint64_t> mapped_back(n);
+        for (VertexId v = 0; v < n; ++v) mapped_back[v] = got[perm[v]];
+        EXPECT_EQ(mapped_back, want);
+        EXPECT_EQ(oracle.CountInstances(relabelled, {}, ctx),
+                  oracle.CountInstances(g, {}, ctx));
+      }
+    }
+  }
+}
 
 // --- Automorphism breaking -------------------------------------------------
 
