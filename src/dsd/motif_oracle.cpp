@@ -155,24 +155,11 @@ std::vector<uint64_t> CliqueOracle::CoreNumberUpperBounds(
 // ---------------------------------------------------------------------------
 // PatternOracle
 
-namespace {
-
-// The book B_k's page count k if `pattern` is the 2- or 3-triangle, else 0.
-int BookPages(const Pattern& pattern) {
-  if (pattern.IsomorphicTo(Pattern::TwoTriangle())) return 2;
-  if (pattern.IsomorphicTo(Pattern::ThreeTriangle())) return 3;
-  return 0;
-}
-
-}  // namespace
-
 PatternOracle::PatternOracle(Pattern pattern, bool use_special_kernels)
     : plans_(std::move(pattern)),
       star_tails_(use_special_kernels ? plans_.pattern().StarTails() : 0),
-      is_four_cycle_(use_special_kernels && plans_.pattern().IsFourCycle()),
-      book_pages_(use_special_kernels ? BookPages(plans_.pattern()) : 0),
-      is_c3_star_(use_special_kernels &&
-                  plans_.pattern().IsomorphicTo(Pattern::C3Star())),
+      is_four_cycle_(use_special_kernels &&
+                     plans_.pattern().IsomorphicTo(Pattern::Diamond())),
       is_basket_(use_special_kernels &&
                  plans_.pattern().IsomorphicTo(Pattern::Basket())) {
   assert(plans_.pattern().IsConnected());
@@ -188,8 +175,6 @@ std::vector<uint64_t> PatternOracle::DegreesImpl(
   const unsigned t = Workers(ctx);
   if (star_tails_ >= 2) return StarDegrees(graph, star_tails_, alive, t);
   if (is_four_cycle_) return FourCycleDegrees(graph, alive, t);
-  if (book_pages_ >= 2) return BookDegrees(graph, book_pages_, alive, t);
-  if (is_c3_star_) return C3StarDegrees(graph, alive, t);
   if (is_basket_) return BasketDegrees(graph, alive, t);
   return PatternMatcher(graph, plans_).Degrees(alive, t);
 }
@@ -200,8 +185,6 @@ uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
   const unsigned t = Workers(ctx);
   if (star_tails_ >= 2) return StarCount(graph, star_tails_, alive, t);
   if (is_four_cycle_) return FourCycleCount(graph, alive, t);
-  if (book_pages_ >= 2) return BookCount(graph, book_pages_, alive, t);
-  if (is_c3_star_) return C3StarCount(graph, alive, t);
   if (is_basket_) return BasketCount(graph, alive, t);
   return PatternMatcher(graph, plans_).CountInstances(alive, t);
 }
@@ -289,7 +272,7 @@ std::vector<uint64_t> PatternOracle::CoreNumberUpperBounds(
     const Graph& graph) const {
   // The exact pattern-degree is always an upper bound on the pattern-core
   // number; the specialised kernels make it cheap for stars and 4-cycles
-  // (appendix D) and the per-edge triangle formulas for four more shapes.
+  // (appendix D) and the per-edge triangle formula for the basket.
   // For other patterns this is the dominant cost of CoreApp, matching the
   // paper's remark that gamma exists to avoid expensive clique-degree
   // computation specifically.

@@ -8,8 +8,8 @@
 // PatternOracle by the plan-compiled extension/reduction engine of
 // pattern/isomorphism.h (symmetry-broken, so instances are enumerated
 // canonically with no automorphism division) with specialised star/4-cycle
-// kernels (appendix D) and per-edge triangle formulas for the Degrees and
-// CountInstances of the 2-triangle, 3-triangle, c3-star and basket.
+// kernels (appendix D) and a per-edge triangle formula for the basket's
+// Degrees and CountInstances.
 //
 // Execution policy is part of the interface: the hot queries (Degrees,
 // CountInstances and PeelBatch — the calls the exact and core algorithms
@@ -196,9 +196,9 @@ class CliqueOracle : public MotifOracle {
 class PatternOracle : public MotifOracle {
  public:
   /// use_special_kernels = false forces the generic engine even for stars
-  /// and 4-cycles (the bench_ablation baseline), and for the 2-triangle,
-  /// 3-triangle, c3-star and basket, whose Degrees and CountInstances
-  /// otherwise come from the per-edge triangle formulas of special.h.
+  /// and 4-cycles (the bench_ablation baseline), and for the basket, whose
+  /// Degrees and CountInstances otherwise come from the per-edge triangle
+  /// formula of special.h.
   explicit PatternOracle(Pattern pattern, bool use_special_kernels = true);
 
   int MotifSize() const override { return pattern().size(); }
@@ -241,10 +241,7 @@ class PatternOracle : public MotifOracle {
   PatternPlanSet plans_;  // owns the pattern
   int star_tails_;        // > 0 iff pattern is K_{1,x}
   bool is_four_cycle_;
-  // Degrees/CountInstances from per-edge triangle counts (special.h).
-  int book_pages_;  // 2 or 3 iff pattern is the 2- or 3-triangle
-  bool is_c3_star_;
-  bool is_basket_;
+  bool is_basket_;  // Degrees/CountInstances only (special.h)
 };
 
 }  // namespace dsd

@@ -127,14 +127,6 @@ int Pattern::StarTails() const {
   return centers == 1 ? num_vertices_ - 1 : 0;
 }
 
-bool Pattern::IsFourCycle() const {
-  if (num_vertices_ != 4 || edges_.size() != 4) return false;
-  for (int v = 0; v < 4; ++v) {
-    if (Degree(v) != 2) return false;
-  }
-  return IsConnected();
-}
-
 bool Pattern::IsomorphicTo(const Pattern& other) const {
   if (num_vertices_ != other.num_vertices_ ||
       edges_.size() != other.edges_.size()) {

@@ -74,9 +74,6 @@ class Pattern {
   /// If the pattern is a star K_{1,x} with x >= 2, returns x; otherwise 0.
   int StarTails() const;
 
-  /// True iff the pattern is the 4-cycle.
-  bool IsFourCycle() const;
-
   /// True iff some vertex bijection maps this pattern's edges onto
   /// `other`'s. Brute force over permutations (patterns are tiny).
   bool IsomorphicTo(const Pattern& other) const;

@@ -41,7 +41,7 @@ uint64_t StarDegree(const Graph& graph, uint64_t x,
 
 // One worker's scratch for a triangle pass: marks[u] != 0 iff u is an
 // alive neighbour of the vertex being processed (all zero between
-// vertices), the apexes of one edge, and basket's 2-path counters. It lives
+// vertices), and basket's apexes of one edge and 2-path counters. It lives
 // for one pass, so nothing n-sized outlasts the call on the pool's
 // long-lived helper threads.
 struct alignas(64) TriangleScratch {
@@ -79,15 +79,17 @@ void ClearMarks(std::span<const VertexId> nv, TriangleScratch& s) {
   for (VertexId p : nv) s.marks[p] = 0;
 }
 
-// Visits every alive edge once, from its endpoint v above the other, p:
-// fn(worker, v, j, p, k, apexes) with p = Neighbors(v)[j],
-// v = Neighbors(p)[k] and apexes the alive common neighbours of v and p,
-// so t(vp) = apexes.size(). The smaller list, p's, is scanned against
-// marks on v's, so the pass costs O(sum over edges of min degree).
-template <typename Fn>
-void ForEachEdgeApexes(const Graph& graph, std::span<const char> alive,
-                       unsigned threads, const Fn& fn) {
+// t(e), the number of alive triangles on edge e, per adjacency slot (both
+// directions; 0 for edges with a dead endpoint). Each alive edge is visited
+// once, from its endpoint above the other: the smaller list is scanned
+// against marks on the larger, so the pass costs O(sum over edges of min
+// degree).
+std::vector<uint32_t> TrianglesPerSlot(const Graph& graph,
+                                       std::span<const char> alive,
+                                       unsigned threads) {
   const VertexId n = graph.NumVertices();
+  const std::span<const EdgeId> offsets = graph.RawOffsets();
+  std::vector<uint32_t> tri(graph.RawNeighbors().size(), 0);
   std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, false);
   ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
     const VertexId v = static_cast<VertexId>(i);
@@ -98,19 +100,21 @@ void ForEachEdgeApexes(const Graph& graph, std::span<const char> alive,
       const VertexId p = nv[j];
       if (!s.marks[p] || !Below(graph, p, v)) continue;
       const std::span<const VertexId> np = graph.Neighbors(p);
-      size_t k = 0;
-      s.apexes.clear();
+      size_t k = 0;  // v = np[k]
+      uint32_t t = 0;
       for (size_t x = 0; x < np.size(); ++x) {
         if (np[x] == v) {
           k = x;
         } else if (s.marks[np[x]]) {
-          s.apexes.push_back(np[x]);
+          ++t;
         }
       }
-      fn(worker, v, j, p, k, std::span<const VertexId>(s.apexes));
+      tri[offsets[v] + j] = t;
+      tri[offsets[p] + k] = t;
     }
     ClearMarks(nv, s);
   });
+  return tri;
 }
 
 // mu from pattern-degrees: every instance has `size` vertices.
@@ -192,96 +196,18 @@ uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
   return InstancesFromDegrees(FourCycleDegrees(graph, alive, threads), 4);
 }
 
-// The triangle passes below also write other vertices' entries (an edge's
-// endpoints, its apexes); those writes go through DeltaAccumulator's
-// relaxed atomic adds, which commute, so the result is again the same for
-// every thread count. Terms that are negative on their own (basket's
-// corrections) wrap in uint64 and cancel in the sum, which is a count.
-
-std::vector<uint64_t> BookDegrees(const Graph& graph, int pages,
-                                  std::span<const char> alive,
-                                  unsigned threads) {
-  assert(pages >= 2);
-  const VertexId n = graph.NumVertices();
-  const uint64_t k = static_cast<uint64_t>(pages);
-  DeltaAccumulator acc(n, ResolveThreadCount(threads, n));
-  ForEachEdgeApexes(graph, alive, threads,
-                    [&](unsigned w, VertexId v, size_t, VertexId p, size_t,
-                        std::span<const VertexId> apexes) {
-                      if (apexes.empty()) return;
-                      // The spine vp carries C(t, k) books; an apex shares
-                      // each with k - 1 of the other t - 1 apexes.
-                      const uint64_t spine = Binomial(apexes.size(), k);
-                      acc.Add(w, v, spine);
-                      acc.Add(w, p, spine);
-                      const uint64_t page = Binomial(apexes.size() - 1, k - 1);
-                      for (VertexId a : apexes) acc.Add(w, a, page);
-                    });
-  return std::move(acc).Finish();
-}
-
-uint64_t BookCount(const Graph& graph, int pages, std::span<const char> alive,
-                   unsigned threads) {
-  return InstancesFromDegrees(BookDegrees(graph, pages, alive, threads),
-                              pages + 2);
-}
-
-std::vector<uint64_t> C3StarDegrees(const Graph& graph,
-                                    std::span<const char> alive,
-                                    unsigned threads) {
-  // Grouped per vertex, deg(v) = T(v) (d(v) - 4)
-  //   + sum over alive neighbours p of [t(vp) (d(p) - 2) + T(p)].
-  // One edge pass gathers 2T (entries [0, n)) and the t (d - 2) sums
-  // (entries [n, 2n)); a per-vertex pass adds the rest.
-  const VertexId n = graph.NumVertices();
-  std::vector<uint64_t> d(n, 0);
-  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
-    const VertexId v = static_cast<VertexId>(i);
-    if (IsAlive(alive, v)) d[v] = AliveDegree(graph, alive, v);
-  });
-  DeltaAccumulator acc(uint64_t{2} * n, ResolveThreadCount(threads, n));
-  ForEachEdgeApexes(graph, alive, threads,
-                    [&](unsigned w, VertexId v, size_t, VertexId p, size_t,
-                        std::span<const VertexId> apexes) {
-                      const uint64_t t = apexes.size();
-                      acc.Add(w, v, t);
-                      acc.Add(w, p, t);
-                      acc.Add(w, uint64_t{n} + v, t * (d[p] - 2));
-                      acc.Add(w, uint64_t{n} + p, t * (d[v] - 2));
-                    });
-  const std::vector<uint64_t> sums = std::move(acc).Finish();
-  std::vector<uint64_t> degrees(n, 0);
-  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
-    const VertexId v = static_cast<VertexId>(i);
-    if (!IsAlive(alive, v)) return;
-    uint64_t deg = sums[v] / 2 * (d[v] - 4) + sums[n + v];
-    for (VertexId p : graph.Neighbors(v)) {
-      if (IsAlive(alive, p)) deg += sums[p] / 2;
-    }
-    degrees[v] = deg;
-  });
-  return degrees;
-}
-
-uint64_t C3StarCount(const Graph& graph, std::span<const char> alive,
-                     unsigned threads) {
-  return InstancesFromDegrees(C3StarDegrees(graph, alive, threads), 4);
-}
+// The basket pass below also writes other vertices' entries (an edge's
+// apexes); those writes go through DeltaAccumulator's relaxed atomic adds,
+// which commute, so the result is again the same for every thread count.
+// Terms that are negative on their own (the corrections) wrap in uint64 and
+// cancel in the sum, which is a count.
 
 std::vector<uint64_t> BasketDegrees(const Graph& graph,
                                     std::span<const char> alive,
                                     unsigned threads) {
   const VertexId n = graph.NumVertices();
   const std::span<const EdgeId> offsets = graph.RawOffsets();
-  // t(e) per adjacency slot, both directions.
-  std::vector<uint32_t> tri(graph.RawNeighbors().size(), 0);
-  ForEachEdgeApexes(graph, alive, threads,
-                    [&](unsigned, VertexId v, size_t j, VertexId p, size_t k,
-                        std::span<const VertexId> apexes) {
-                      const auto t = static_cast<uint32_t>(apexes.size());
-                      tri[offsets[v] + j] = t;
-                      tri[offsets[p] + k] = t;
-                    });
+  const std::vector<uint32_t> tri = TrianglesPerSlot(graph, alive, threads);
   auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
   DeltaAccumulator acc(n, ResolveThreadCount(threads, n));
   std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, true);

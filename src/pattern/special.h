@@ -1,14 +1,13 @@
-// Specialised pattern-degree kernels (appendix D of the paper, and the
-// per-edge triangle formulas that extend it).
+// Specialised pattern-degree kernels (appendix D of the paper, and a
+// per-edge triangle formula for the basket that extends it).
 //
 // For star and loop (4-cycle "diamond") patterns the generic embedding
 // enumerator is overkill: pattern-degrees have closed forms over 1- and 2-hop
 // neighborhoods, reducing core decomposition from O(n d^x) to O(n d^2).
-// The 2-triangle, 3-triangle, c3-star and basket are a triangle or a 4-cycle
-// plus attachments, so their degrees are sums over t(e), the number of alive
-// triangles on edge e, and (basket) the 4-cycle counts of the 4-cycle
-// formula's 2-path grouping. These kernels are cross-checked against the
-// generic engine in tests.
+// The basket is a 4-cycle plus a roof triangle, so its degrees are sums over
+// t(e), the number of alive triangles on edge e, and the 4-cycle counts of
+// the 4-cycle formula's 2-path grouping. These kernels are cross-checked
+// against the generic engine in tests.
 //
 // This header is the one home of those formulas. The degree and count passes
 // take a thread count (per-vertex passes over ParallelForStrided; 1 is the
@@ -54,36 +53,6 @@ std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
 /// (= sum of degrees / 4: each cycle contains 4 vertices).
 uint64_t FourCycleCount(const Graph& graph, std::span<const char> alive,
                         unsigned threads = 1);
-
-/// Pattern-degrees for the book B_k — k triangles sharing one spine edge;
-/// the 2-triangle is B_2 and the 3-triangle B_3 — restricted to alive
-/// vertices, k = `pages` >= 2. An instance is a spine edge and k of its
-/// apexes, so
-///   deg(v) = sum over edges vp of C(t(vp), k)
-///          + sum over triangles {v, p, r} of C(t(pr) - 1, k - 1).
-std::vector<uint64_t> BookDegrees(const Graph& graph, int pages,
-                                  std::span<const char> alive,
-                                  unsigned threads = 1);
-
-/// Number of B_k instances restricted to alive vertices (= sum of
-/// degrees / (k + 2)).
-uint64_t BookCount(const Graph& graph, int pages, std::span<const char> alive,
-                   unsigned threads = 1);
-
-/// Pattern-degrees for the c3-star (paw: a triangle with a pendant edge)
-/// restricted to alive vertices. An instance is a triangle, one of its
-/// vertices c and a neighbour of c outside it; with d the alive degree and
-/// T(w) the number of triangles at w,
-///   deg(v) = sum over triangles {v, p, r} of (d(v) + d(p) + d(r) - 6)
-///          + sum over neighbours w of (T(w) - t(vw)).
-std::vector<uint64_t> C3StarDegrees(const Graph& graph,
-                                    std::span<const char> alive,
-                                    unsigned threads = 1);
-
-/// Number of c3-star instances restricted to alive vertices (= sum of
-/// degrees / 4).
-uint64_t C3StarCount(const Graph& graph, std::span<const char> alive,
-                     unsigned threads = 1);
 
 /// Pattern-degrees for the basket (house: a 4-cycle whose edge cd is also
 /// the base of a roof triangle c-d-e) restricted to alive vertices. An

@@ -56,12 +56,12 @@ std::vector<SeededGraph> TestGraphs() {
 }
 
 // Clique motifs exercise the parallel clique kernels; the stars and the
-// 4-cycle take the appendix-D closed forms; c3-star and basket take the
-// per-edge triangle formulas for Degrees and CountInstances and the generic
-// plan-compiled engine for peeling (in the parallel stacks, the generic
-// rank-masked peel kernel). "basket:engine" is basket with
-// use_special_kernels = false, which keeps the engine's threaded Degrees
-// and CountInstances under test.
+// 4-cycle take the appendix-D closed forms; c3-star runs the generic
+// plan-compiled engine throughout (in the parallel stacks, the generic
+// rank-masked peel kernel); basket takes the per-edge triangle formula for
+// Degrees and CountInstances and the engine for peeling. "basket:engine" is
+// basket with use_special_kernels = false, so the engine's threaded Degrees
+// and CountInstances are also checked on a 5-vertex motif.
 const char* const kMotifs[] = {"triangle", "4-clique", "2-star",
                                "3-star",   "diamond",  "c3-star",
                                "basket",   "basket:engine"};
