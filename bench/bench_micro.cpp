@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrates: k-core
 // decomposition, clique enumeration, motif-core peeling, max-flow, pattern
-// matching. These are throughput baselines for regressions, not paper
+// matching, edge-list ingestion. These are throughput baselines for regressions, not paper
 // figures.
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -20,9 +23,11 @@
 #include "flow/flow_network.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "parallel/parallel_for.h"
 #include "pattern/isomorphism.h"
 #include "pattern/special.h"
+#include "storage/ingest.h"
 
 namespace dsd {
 namespace {
@@ -341,6 +346,33 @@ void BM_StarKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StarKernel);
+
+// The load phase at the layer: IngestEdgeListFile on the text of a graph
+// shaped like perfbench's peel-l input (10^5 vertices, ~3 x 10^5 edges),
+// written once to a temp file, in bytes/s of text. SaveEdgeList writes
+// rows in CSR order, so the per-row sort finds them sorted.
+void BM_IngestEdgeList(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dsd_bench_ingest.txt")
+          .string();
+  const Graph shape = gen::PowerLawWithCommunities(100000, 3, 32, 16, 0.9, 7);
+  if (!io::SaveEdgeList(shape, path).ok()) {
+    state.SkipWithError("cannot write the edge list");
+    return;
+  }
+  const auto bytes = static_cast<int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    StatusOr<Graph> graph = storage::IngestEdgeListFile(path);
+    if (!graph.ok()) {
+      state.SkipWithError("ingest failed");
+      break;
+    }
+    benchmark::DoNotOptimize(graph.value().NumEdges());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_IngestEdgeList)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace dsd

@@ -1,91 +1,21 @@
 #include "graph/io.h"
 
-#include <cctype>
-#include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
-#include "graph/builder.h"
+#include "storage/ingest.h"
 
 namespace dsd::io {
 
-namespace {
-
-// Parses a non-negative integer starting at text[pos]; advances pos.
-// Returns false on overflow or no digits.
-bool ParseUint(const std::string& text, size_t& pos, uint64_t& out) {
-  size_t start = pos;
-  uint64_t value = 0;
-  while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-    uint64_t digit = static_cast<uint64_t>(text[pos] - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-    ++pos;
-  }
-  if (pos == start) return false;
-  out = value;
-  return true;
-}
-
-void SkipSpaces(const std::string& text, size_t& pos) {
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-}
-
-}  // namespace
-
 StatusOr<Graph> ParseEdgeList(const std::string& text) {
-  GraphBuilder builder;
-  std::unordered_map<uint64_t, VertexId> remap;
-  auto intern = [&remap](uint64_t raw) {
-    auto [it, inserted] =
-        remap.try_emplace(raw, static_cast<VertexId>(remap.size()));
-    return it->second;
-  };
-
-  size_t pos = 0;
-  size_t line_number = 0;
-  while (pos < text.size()) {
-    ++line_number;
-    size_t line_end = text.find('\n', pos);
-    if (line_end == std::string::npos) line_end = text.size();
-
-    size_t cursor = pos;
-    SkipSpaces(text, cursor);
-    bool is_blank = cursor >= line_end || text[cursor] == '\r';
-    bool is_comment =
-        cursor < line_end && (text[cursor] == '#' || text[cursor] == '%');
-    if (!is_blank && !is_comment) {
-      uint64_t u = 0;
-      uint64_t v = 0;
-      if (!ParseUint(text, cursor, u) || cursor > line_end) {
-        return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                       ": expected first vertex id");
-      }
-      SkipSpaces(text, cursor);
-      if (!ParseUint(text, cursor, v) || cursor > line_end) {
-        return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                       ": expected second vertex id");
-      }
-      SkipSpaces(text, cursor);
-      if (cursor < line_end && text[cursor] != '\r') {
-        return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                       ": trailing garbage");
-      }
-      builder.AddEdge(intern(u), intern(v));
-    }
-    pos = line_end + 1;
-  }
-  return builder.Build();
+  storage::EdgeListIngester ingester;
+  Status consumed = ingester.Consume(text);
+  if (!consumed.ok()) return consumed;
+  return ingester.Finish();
 }
 
 StatusOr<Graph> LoadEdgeList(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (file.bad()) return Status::IoError("read failure on " + path);
-  return ParseEdgeList(buffer.str());
+  return storage::IngestEdgeListFile(path);
 }
 
 std::string ToEdgeList(const Graph& graph) {

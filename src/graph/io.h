@@ -11,11 +11,13 @@ namespace dsd::io {
 
 /// Parses an edge-list: one "u v" pair per line, whitespace separated.
 /// Lines starting with '#' or '%' are comments; blank lines are skipped.
-/// Vertex ids are arbitrary non-negative integers and are remapped densely in
-/// first-appearance order. Self-loops and duplicate edges are normalized away.
+/// Vertex ids are arbitrary non-negative integers, numbered densely by
+/// raw-id rank, so dense 0-based ids keep their numbers. Self-loops and
+/// duplicate edges are dropped. Forwards to storage::EdgeListIngester.
 StatusOr<Graph> ParseEdgeList(const std::string& text);
 
-/// Loads an edge-list file. See ParseEdgeList for the format.
+/// Loads an edge-list file (storage::IngestEdgeListFile, which streams it
+/// in chunks). See ParseEdgeList for the format.
 StatusOr<Graph> LoadEdgeList(const std::string& path);
 
 /// Serializes a graph as "u v" lines (normalized, u < v, CSR order).

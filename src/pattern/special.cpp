@@ -39,23 +39,25 @@ uint64_t StarDegree(const Graph& graph, uint64_t x,
   return d;
 }
 
-// One worker's scratch for a triangle pass: marks[u] != 0 iff u is an
+// One worker's scratch for a per-vertex pass: marks[u] != 0 iff u is an
 // alive neighbour of the vertex being processed (all zero between
-// vertices), and basket's apexes of one edge and 2-path counters. It lives
+// vertices), basket's apexes of one edge, and 2-path counters. It lives
 // for one pass, so nothing n-sized outlasts the call on the pool's
 // long-lived helper threads.
-struct alignas(64) TriangleScratch {
-  TriangleScratch(VertexId n, bool with_two_paths)
-      : marks(n, 0), two_paths(with_two_paths ? n : 0) {}
+struct alignas(64) PassScratch {
+  PassScratch(VertexId marks_n, VertexId paths_n)
+      : marks(marks_n, 0), two_paths(paths_n) {}
   std::vector<char> marks;
   std::vector<VertexId> apexes;
   FourCycleScratch two_paths;
 };
 
-std::vector<TriangleScratch> WorkerScratch(VertexId n, unsigned threads,
-                                           bool with_two_paths) {
-  return std::vector<TriangleScratch>(ResolveThreadCount(threads, n),
-                                      TriangleScratch(n, with_two_paths));
+// One PassScratch per worker, with `marks_n` marks and `paths_n` 2-path
+// counters each.
+std::vector<PassScratch> WorkerScratch(VertexId n, unsigned threads,
+                                       VertexId marks_n, VertexId paths_n) {
+  return std::vector<PassScratch>(ResolveThreadCount(threads, n),
+                                  PassScratch(marks_n, paths_n));
 }
 
 // The order that picks which endpoint of an edge handles it: the one of
@@ -69,13 +71,13 @@ bool Below(const Graph& graph, VertexId u, VertexId v) {
 // Marks v's alive neighbours in s.marks; returns v's adjacency list.
 std::span<const VertexId> MarkAliveNeighbors(const Graph& graph,
                                              std::span<const char> alive,
-                                             VertexId v, TriangleScratch& s) {
+                                             VertexId v, PassScratch& s) {
   std::span<const VertexId> nv = graph.Neighbors(v);
   for (VertexId p : nv) s.marks[p] = IsAlive(alive, p);
   return nv;
 }
 
-void ClearMarks(std::span<const VertexId> nv, TriangleScratch& s) {
+void ClearMarks(std::span<const VertexId> nv, PassScratch& s) {
   for (VertexId p : nv) s.marks[p] = 0;
 }
 
@@ -90,11 +92,11 @@ std::vector<uint32_t> TrianglesPerSlot(const Graph& graph,
   const VertexId n = graph.NumVertices();
   const std::span<const EdgeId> offsets = graph.RawOffsets();
   std::vector<uint32_t> tri(graph.RawNeighbors().size(), 0);
-  std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, false);
+  std::vector<PassScratch> scratch = WorkerScratch(n, threads, n, 0);
   ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
     const VertexId v = static_cast<VertexId>(i);
     if (!IsAlive(alive, v)) return;
-    TriangleScratch& s = scratch[worker];
+    PassScratch& s = scratch[worker];
     const std::span<const VertexId> nv = MarkAliveNeighbors(graph, alive, v, s);
     for (size_t j = 0; j < nv.size(); ++j) {
       const VertexId p = nv[j];
@@ -176,10 +178,11 @@ std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
   const VertexId n = graph.NumVertices();
   auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
   std::vector<uint64_t> degrees(n, 0);
-  ParallelForStrided(n, threads, [&](unsigned, uint64_t i) {
+  std::vector<PassScratch> scratch = WorkerScratch(n, threads, 0, n);
+  ParallelForStrided(n, threads, [&](unsigned worker, uint64_t i) {
     const VertexId v = static_cast<VertexId>(i);
     if (!is_alive(v)) return;
-    FourCycleScratch& s = ThisThreadFourCycleScratch(n);
+    FourCycleScratch& s = scratch[worker].two_paths;
     CountTwoPaths(graph, v, is_alive, s);
     uint64_t d = 0;
     for (VertexId w : s.endpoints) {
@@ -210,11 +213,11 @@ std::vector<uint64_t> BasketDegrees(const Graph& graph,
   const std::vector<uint32_t> tri = TrianglesPerSlot(graph, alive, threads);
   auto is_alive = [alive](VertexId u) { return IsAlive(alive, u); };
   DeltaAccumulator acc(n, ResolveThreadCount(threads, n));
-  std::vector<TriangleScratch> scratch = WorkerScratch(n, threads, true);
+  std::vector<PassScratch> scratch = WorkerScratch(n, threads, n, n);
   ParallelForStrided(n, threads, [&](unsigned w, uint64_t i) {
     const VertexId v = static_cast<VertexId>(i);
     if (!is_alive(v)) return;
-    TriangleScratch& s = scratch[w];
+    PassScratch& s = scratch[w];
     std::vector<uint64_t>& paths = s.two_paths.paths;  // P_v
     CountTwoPaths(graph, v, is_alive, s.two_paths);
     const std::span<const VertexId> nv = MarkAliveNeighbors(graph, alive, v, s);

@@ -43,8 +43,7 @@ uint64_t StarCount(const Graph& graph, int x, std::span<const char> alive,
 /// Appendix D.2: group the 2-paths leaving v by endpoint w; every pair of
 /// distinct paths to the same w closes a 4-cycle, so
 ///   deg(v) = sum over 2-hop endpoints w of C(#paths(v, w), 2).
-/// Each worker uses its thread's FourCycleScratch (O(n), kept between
-/// calls).
+/// Each worker takes a FourCycleScratch (O(n)) for this pass only.
 std::vector<uint64_t> FourCycleDegrees(const Graph& graph,
                                        std::span<const char> alive,
                                        unsigned threads = 1);
@@ -125,10 +124,12 @@ struct FourCycleScratch {
   std::vector<VertexId> endpoints;
 };
 
-/// This thread's FourCycleScratch, grown to at least n vertices. Its path
-/// counters are all zero between uses (FourCyclePeelMember leaves them so),
-/// which lets the peel paths reuse it: a peel costs O(its 2-hop
-/// neighbourhood), not an O(n) scratch per bracket.
+/// This thread's FourCycleScratch, grown to at least n vertices, for the
+/// two 4-cycle peel paths (the sequential peeler and the batch kernel);
+/// the Degrees passes take per-pass scratch instead. Its path counters are
+/// all zero between uses (FourCyclePeelMember leaves them so), so a peel
+/// costs O(its 2-hop neighbourhood), not an O(n) scratch per bracket. The
+/// scratch lives as long as its thread.
 FourCycleScratch& ThisThreadFourCycleScratch(VertexId n);
 
 /// Counts the alive 2-paths v-u-w (u, w alive, w != v) into scratch.paths,

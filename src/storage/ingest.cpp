@@ -1,12 +1,11 @@
 #include "storage/ingest.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,120 +15,168 @@ namespace dsd::storage {
 
 namespace {
 
-/// Parses a non-negative integer starting at `pos`; advances pos past the
-/// digits. False on overflow or no digits.
-bool ParseUint(std::string_view text, size_t& pos, uint64_t& out) {
-  const size_t start = pos;
+/// Parses the decimal digits at `p`, advancing it past them. False on
+/// overflow or no digits.
+bool ParseUint(const char*& p, const char* end, uint64_t& out) {
+  const char* start = p;
   uint64_t value = 0;
-  while (pos < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[pos]))) {
-    const uint64_t digit = static_cast<uint64_t>(text[pos] - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
+  while (p < end && static_cast<unsigned char>(*p - '0') < 10) {
+    const uint64_t digit = static_cast<uint64_t>(*p - '0');
+    if (value > UINT64_MAX / 10 ||
+        (value == UINT64_MAX / 10 && digit > UINT64_MAX % 10)) {
+      return false;
+    }
     value = value * 10 + digit;
-    ++pos;
+    ++p;
   }
-  if (pos == start) return false;
   out = value;
-  return true;
+  return p != start;
 }
 
-void SkipSpaces(std::string_view text, size_t& pos) {
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
+void SkipSpaces(const char*& p, const char* end) {
+  while (p < end && (*p == ' ' || *p == '\t')) ++p;
+}
+
+/// Raw endpoints of the kept edges, u0 v0 u1 v1 ..., in fixed-size blocks:
+/// appending never copies or faults in again what is already stored.
+using EndpointBlocks = std::vector<std::vector<uint64_t>>;
+constexpr size_t kBlockEndpoints = size_t{1} << 16;  // even: pairs stay whole
+
+/// Replaces every raw id in `blocks` by its rank among the distinct ids and
+/// returns how many there are. A table indexed by raw id ranks in two
+/// linear passes when max_id < kRankTableSlack * endpoints, so the table
+/// is bounded by the input's size; wider ranges (sparse or hostile ids up
+/// to 2^64 - 1) rank by binary search in a sorted, deduplicated copy.
+VertexId RankIds(EndpointBlocks& blocks, uint64_t max_id) {
+  size_t endpoints = 0;
+  for (const std::vector<uint64_t>& block : blocks) endpoints += block.size();
+  if (endpoints == 0) return 0;
+  if (max_id / kRankTableSlack < endpoints) {
+    std::vector<VertexId> rank(max_id + 1, 0);
+    for (const std::vector<uint64_t>& block : blocks) {
+      for (uint64_t id : block) rank[id] = 1;
+    }
+    VertexId next = 0;
+    for (VertexId& r : rank) {
+      const VertexId present = r;
+      r = next;
+      next += present;
+    }
+    for (std::vector<uint64_t>& block : blocks) {
+      for (uint64_t& id : block) id = rank[id];
+    }
+    return next;
+  }
+  std::vector<uint64_t> sorted;
+  sorted.reserve(endpoints);
+  for (const std::vector<uint64_t>& block : blocks) {
+    sorted.insert(sorted.end(), block.begin(), block.end());
+  }
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  for (std::vector<uint64_t>& block : blocks) {
+    for (uint64_t& id : block) {
+      id = static_cast<uint64_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), id) -
+          sorted.begin());
+    }
+  }
+  return static_cast<VertexId>(sorted.size());
 }
 
 }  // namespace
 
 struct EdgeListIngester::Impl {
-  // Parsed edges over *interim* ids (first-appearance interning keeps an
-  // edge at 8 bytes during the streaming phase); Finish() relabels them
-  // by raw-id rank, so the final numbering preserves the input's id order
-  // — dense 0-based files keep their ids verbatim, 1-based files shift
-  // down by one, arbitrary ids compact order-preservingly.
-  std::vector<Edge> edges;
-  std::unordered_map<uint64_t, VertexId> interim;
+  // Raw endpoints of the kept (non-loop) edges: Finish ranks the distinct
+  // ids once, so the numbering preserves the input's id order — dense
+  // 0-based files keep their ids verbatim, 1-based files shift down by
+  // one, arbitrary ids compact order-preservingly.
+  EndpointBlocks endpoints;
+  uint64_t max_id = 0;
   std::string carry;  // unterminated tail of the previous chunk
-  uint64_t line_number = 0;
-  IngestStats stats;
+  IngestStats stats;  // stats.lines is also the current line's number
   Status error = Status::Ok();
   bool finished = false;
+
+  /// Parses one line (without its '\n'). On a malformed line sets `error`
+  /// and returns false.
+  bool ParseLine(const char* p, const char* end);
+
+  /// Records the current line's defect as the sticky error; false.
+  bool Fail(const char* defect);
 };
+
+bool EdgeListIngester::Impl::Fail(const char* defect) {
+  error = Status::InvalidArgument("line " + std::to_string(stats.lines) +
+                                  ": " + defect);
+  return false;
+}
 
 EdgeListIngester::EdgeListIngester() : impl_(new Impl) {}
 
 EdgeListIngester::~EdgeListIngester() { delete impl_; }
 
-Status EdgeListIngester::ParseLine(std::string_view line) {
-  Impl& impl = *impl_;
-  ++impl.line_number;
-  ++impl.stats.lines;
+bool EdgeListIngester::Impl::ParseLine(const char* p, const char* end) {
+  ++stats.lines;
   // Tolerate CRLF: a trailing '\r' belongs to the terminator, not the line.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (p < end && end[-1] == '\r') --end;
 
-  size_t pos = 0;
-  SkipSpaces(line, pos);
-  if (pos >= line.size()) {
-    ++impl.stats.blank_lines;
-    return Status::Ok();
+  SkipSpaces(p, end);
+  if (p == end) {
+    ++stats.blank_lines;
+    return true;
   }
-  if (line[pos] == '#' || line[pos] == '%') {
-    ++impl.stats.comment_lines;
-    return Status::Ok();
+  if (*p == '#' || *p == '%') {
+    ++stats.comment_lines;
+    return true;
   }
 
-  const std::string line_tag = "line " + std::to_string(impl.line_number);
   uint64_t raw_u = 0;
   uint64_t raw_v = 0;
-  if (!ParseUint(line, pos, raw_u)) {
-    return Status::InvalidArgument(line_tag + ": expected first vertex id");
-  }
-  SkipSpaces(line, pos);
-  if (!ParseUint(line, pos, raw_v)) {
-    return Status::InvalidArgument(line_tag + ": expected second vertex id");
-  }
-  SkipSpaces(line, pos);
-  if (pos < line.size()) {
-    return Status::InvalidArgument(line_tag + ": trailing garbage");
-  }
+  if (!ParseUint(p, end, raw_u)) return Fail("expected first vertex id");
+  SkipSpaces(p, end);
+  if (!ParseUint(p, end, raw_v)) return Fail("expected second vertex id");
+  SkipSpaces(p, end);
+  if (p != end) return Fail("trailing garbage");
 
-  ++impl.stats.edges_in;
+  ++stats.edges_in;
   if (raw_u == raw_v) {
-    ++impl.stats.self_loops;
-    return Status::Ok();
+    ++stats.self_loops;
+    return true;
   }
-  auto intern = [&impl](uint64_t raw) {
-    auto [it, inserted] = impl.interim.try_emplace(
-        raw, static_cast<VertexId>(impl.interim.size()));
-    (void)inserted;
-    return it->second;
-  };
-  impl.edges.push_back(NormalizeEdge(intern(raw_u), intern(raw_v)));
-  return Status::Ok();
+  if (endpoints.empty() || endpoints.back().size() == kBlockEndpoints) {
+    endpoints.emplace_back().reserve(kBlockEndpoints);
+  }
+  endpoints.back().push_back(raw_u);
+  endpoints.back().push_back(raw_v);
+  max_id = std::max({max_id, raw_u, raw_v});
+  return true;
 }
 
 Status EdgeListIngester::Consume(std::string_view chunk) {
   Impl& impl = *impl_;
   if (!impl.error.ok()) return impl.error;
 
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    const size_t newline = chunk.find('\n', pos);
-    if (newline == std::string_view::npos) {
-      impl.carry.append(chunk.substr(pos));
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  while (p < end) {
+    const char* newline =
+        static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (newline == nullptr) {
+      impl.carry.append(p, end);
       break;
     }
-    Status parsed = Status::Ok();
+    bool parsed = true;
     if (impl.carry.empty()) {
-      parsed = ParseLine(chunk.substr(pos, newline - pos));
+      parsed = impl.ParseLine(p, newline);
     } else {
-      impl.carry.append(chunk.substr(pos, newline - pos));
-      parsed = ParseLine(impl.carry);
+      impl.carry.append(p, newline);
+      parsed = impl.ParseLine(impl.carry.data(),
+                              impl.carry.data() + impl.carry.size());
       impl.carry.clear();
     }
-    if (!parsed.ok()) {
-      impl.error = parsed;
-      return parsed;
-    }
-    pos = newline + 1;
+    if (!parsed) return impl.error;
+    p = newline + 1;
   }
   return Status::Ok();
 }
@@ -142,76 +189,58 @@ StatusOr<Graph> EdgeListIngester::Finish(IngestStats* stats) {
   impl.finished = true;
   if (impl.error.ok() && !impl.carry.empty()) {
     // A final line without '\n' is still a line.
-    std::string last = std::move(impl.carry);
-    impl.error = ParseLine(last);
+    const std::string last = std::move(impl.carry);
+    impl.ParseLine(last.data(), last.data() + last.size());
   }
   if (!impl.error.ok()) return impl.error;
 
-  const VertexId n = static_cast<VertexId>(impl.interim.size());
+  EndpointBlocks& blocks = impl.endpoints;
+  const VertexId n = RankIds(blocks, impl.max_id);
+  // Ranks equal raw ids exactly when the ids are 0..n-1.
+  impl.stats.ids_remapped = n > 0 && impl.max_id != n - 1;
 
-  // Relabel interim ids by raw-id rank: sort the distinct raw ids, map
-  // each interim id to its raw id's position. Dense 0-based input thus
-  // keeps its ids bitwise (rank == raw), which is what lets a written
-  // edge list round-trip exactly.
-  {
-    std::vector<std::pair<uint64_t, VertexId>> raw_to_interim;
-    raw_to_interim.reserve(impl.interim.size());
-    for (const auto& [raw, interim_id] : impl.interim) {
-      raw_to_interim.emplace_back(raw, interim_id);
-    }
-    std::sort(raw_to_interim.begin(), raw_to_interim.end());
-    std::vector<VertexId> rank(n);
-    bool relabel_needed = false;  // interim numbering != rank numbering
-    for (VertexId r = 0; r < n; ++r) {
-      rank[raw_to_interim[r].second] = r;
-      if (raw_to_interim[r].second != r) relabel_needed = true;
-      if (raw_to_interim[r].first != r) impl.stats.ids_remapped = true;
-    }
-    if (relabel_needed) {
-      for (Edge& e : impl.edges) {
-        e.first = rank[e.first];
-        e.second = rank[e.second];
-      }
-    }
-  }
-
-  // CSR build with in-place dedup: count, fill both directions, sort each
-  // row, unique — duplicates (either orientation) land adjacent in the
-  // sorted rows.
-  std::vector<EdgeId> counts(static_cast<size_t>(n) + 1, 0);
-  for (const Edge& e : impl.edges) {
-    ++counts[e.first + 1];
-    ++counts[e.second + 1];
-  }
-  for (size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
-  std::vector<VertexId> slots(counts.back());
-  {
-    std::vector<EdgeId> cursor(counts.begin(), counts.end() - 1);
-    for (const Edge& e : impl.edges) {
-      slots[cursor[e.first]++] = e.second;
-      slots[cursor[e.second]++] = e.first;
-    }
-  }
-  impl.edges.clear();
-  impl.edges.shrink_to_fit();
-
+  // CSR build: offsets[v] counts up to the end of row v, then the fill
+  // walks the edges backwards, decrementing it to the row's start and
+  // freeing each block once read. So each row holds its neighbours in
+  // input order, and a list written in CSR order (io::SaveEdgeList) needs
+  // no per-row sort.
   std::vector<EdgeId> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<VertexId> neighbors;
-  neighbors.reserve(slots.size());
-  uint64_t duplicate_slots = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto begin = slots.begin() + static_cast<ptrdiff_t>(counts[v]);
-    const auto end = slots.begin() + static_cast<ptrdiff_t>(counts[v + 1]);
-    std::sort(begin, end);
-    const auto unique_end = std::unique(begin, end);
-    duplicate_slots += static_cast<uint64_t>(end - unique_end);
-    neighbors.insert(neighbors.end(), begin, unique_end);
-    offsets[v + 1] = neighbors.size();
+  for (const std::vector<uint64_t>& block : blocks) {
+    for (uint64_t x : block) ++offsets[x];
   }
+  EdgeId total = 0;
+  for (EdgeId& o : offsets) o = total += o;
+  std::vector<VertexId> neighbors(total);
+  for (; !blocks.empty(); blocks.pop_back()) {
+    const std::vector<uint64_t>& block = blocks.back();
+    for (size_t i = block.size(); i > 0; i -= 2) {
+      const auto u = static_cast<VertexId>(block[i - 2]);
+      const auto v = static_cast<VertexId>(block[i - 1]);
+      neighbors[--offsets[u]] = v;
+      neighbors[--offsets[v]] = u;
+    }
+  }
+
+  // Sort and deduplicate each row, compacting the array in place:
+  // duplicates (either orientation) land adjacent in a sorted row.
+  EdgeId kept = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const auto begin = neighbors.begin() + static_cast<ptrdiff_t>(offsets[v]);
+    const auto end = neighbors.begin() + static_cast<ptrdiff_t>(offsets[v + 1]);
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+    const auto unique_end = std::unique(begin, end);
+    offsets[v] = kept;
+    const auto out = neighbors.begin() + static_cast<ptrdiff_t>(kept);
+    if (out != begin) std::copy(begin, unique_end, out);
+    kept += static_cast<EdgeId>(unique_end - begin);
+  }
+  offsets[n] = kept;
   // Each duplicate undirected edge contributed two duplicate slots.
-  impl.stats.duplicate_edges = duplicate_slots / 2;
+  impl.stats.duplicate_edges = (total - kept) / 2;
+  neighbors.resize(kept);
+  neighbors.shrink_to_fit();  // a no-op unless there were duplicates
   impl.stats.vertices = n;
-  impl.stats.edges = neighbors.size() / 2;
+  impl.stats.edges = kept / 2;
   if (stats != nullptr) *stats = impl.stats;
   return Graph(std::move(offsets), std::move(neighbors));
 }

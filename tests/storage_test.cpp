@@ -13,7 +13,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -443,6 +448,194 @@ TEST(IngestTest, ConvertEdgeListToDsdgProducesTheSameGraph) {
   ASSERT_TRUE(via_dsdg.ok());
   EXPECT_TRUE(BitwiseEqual(direct.value(), via_dsdg.value()));
   EXPECT_TRUE(VerifyDsdgFile(dsdg).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Ingest differential: random texts against an independent reference
+
+/// How a differential case draws its raw ids.
+enum class IdScheme {
+  kDense,        ///< 0..k-1
+  kOneBased,     ///< 1..k
+  kBelowBound,   ///< max id = kRankTableSlack * endpoints - 1 (rank table)
+  kAtBound,      ///< max id = kRankTableSlack * endpoints (sorted ranks)
+  kSparse64,     ///< scattered 64-bit ids, 0 and UINT64_MAX among them
+};
+
+/// A generated edge-list text with what ingesting it must produce: the
+/// kept (non-loop) edges over raw ids and the expected line statistics.
+struct DifferentialCase {
+  std::string text;
+  std::vector<std::pair<uint64_t, uint64_t>> kept;
+  IngestStats expected;
+};
+
+DifferentialCase MakeDifferentialCase(IdScheme scheme, uint64_t min_edges,
+                                      uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto below = [&rng](uint64_t bound) { return rng() % bound; };
+  DifferentialCase c;
+  // Kept edge lines, repeats included.
+  const uint64_t m = min_edges + below(600);
+  const uint64_t bound = kRankTableSlack * 2 * m;
+  const uint64_t k = 20 + below(m / 2);  // distinct ids to draw from
+  std::vector<uint64_t> pool;
+  switch (scheme) {
+    case IdScheme::kDense:
+    case IdScheme::kOneBased: {
+      const uint64_t base = scheme == IdScheme::kOneBased ? 1 : 0;
+      for (uint64_t i = 0; i < k; ++i) pool.push_back(base + i);
+      break;
+    }
+    case IdScheme::kBelowBound:
+    case IdScheme::kAtBound: {
+      const uint64_t top = scheme == IdScheme::kBelowBound ? bound - 1 : bound;
+      pool.push_back(top);
+      for (uint64_t i = 1; i < k; ++i) pool.push_back(below(top));
+      break;
+    }
+    case IdScheme::kSparse64:
+      pool = {UINT64_MAX, 0};
+      for (uint64_t i = 2; i < k; ++i) pool.push_back(rng());
+      break;
+  }
+  const std::set<uint64_t> in_pool(pool.begin(), pool.end());
+  const uint64_t max_id = *in_pool.rbegin();
+  // An id that only ever appears in self-loops: never a graph vertex.
+  // Inside the id range where the pool leaves room, else just past it.
+  uint64_t loop_only = max_id;
+  for (int tries = 0; tries < 8 && in_pool.count(loop_only) != 0; ++tries) {
+    loop_only = below(max_id);
+  }
+  if (in_pool.count(loop_only) != 0) loop_only = max_id + 1;
+
+  auto separator = [&]() -> std::string {
+    switch (below(4)) {
+      case 0: return "\t";
+      case 1: return "  ";
+      case 2: return " \t ";
+      default: return " ";
+    }
+  };
+  auto terminator = [&]() -> std::string {
+    return below(3) == 0 ? "\r\n" : "\n";
+  };
+  auto edge_line = [&](uint64_t u, uint64_t v) {
+    c.text += (below(5) == 0 ? separator() : "") + std::to_string(u) +
+              separator() + std::to_string(v) +
+              (below(6) == 0 ? separator() : "");
+    ++c.expected.lines;
+    ++c.expected.edges_in;
+  };
+  // The first edge carries the pool's largest id so the rank path is the
+  // scheme's; later edges repeat earlier ones in either orientation.
+  while (c.kept.size() < m) {
+    if (c.kept.empty() || below(6) != 0) {
+      const uint64_t u = c.kept.empty() ? max_id : pool[below(pool.size())];
+      const uint64_t v = pool[below(pool.size())];
+      if (u == v) continue;
+      c.kept.emplace_back(u, v);
+    } else {
+      auto [u, v] = c.kept[below(c.kept.size())];
+      if (below(2) == 0) std::swap(u, v);
+      c.kept.emplace_back(u, v);
+    }
+    edge_line(c.kept.back().first, c.kept.back().second);
+    if (c.kept.size() == m && below(2) == 0) break;  // no final terminator
+    c.text += terminator();
+    switch (below(12)) {
+      case 0:
+        c.text += (below(2) == 0 ? "# " : "  % ") + std::string("comment") +
+                  terminator();
+        ++c.expected.lines;
+        ++c.expected.comment_lines;
+        break;
+      case 1:
+        c.text += (below(2) == 0 ? "" : " \t") + terminator();
+        ++c.expected.lines;
+        ++c.expected.blank_lines;
+        break;
+      case 2: {
+        const uint64_t x = below(2) == 0 ? loop_only : pool[below(pool.size())];
+        edge_line(x, x);
+        c.text += terminator();
+        ++c.expected.self_loops;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return c;
+}
+
+/// The reference: rank the raw ids of the kept edges with a std::map and
+/// build through GraphBuilder, which sorts and collapses on its own.
+Graph ReferenceGraph(const DifferentialCase& c, IngestStats* stats) {
+  std::map<uint64_t, VertexId> rank;
+  for (const auto& [u, v] : c.kept) {
+    rank.emplace(u, 0);
+    rank.emplace(v, 0);
+  }
+  VertexId next = 0;
+  bool remapped = false;
+  for (auto& [raw, r] : rank) {
+    remapped = remapped || raw != next;
+    r = next++;
+  }
+  GraphBuilder builder;
+  std::set<Edge> distinct;
+  for (const auto& [u, v] : c.kept) {
+    builder.AddEdge(rank[u], rank[v]);
+    distinct.insert(NormalizeEdge(rank[u], rank[v]));
+  }
+  *stats = c.expected;
+  stats->duplicate_edges = c.kept.size() - distinct.size();
+  stats->ids_remapped = remapped;
+  stats->vertices = rank.size();
+  stats->edges = distinct.size();
+  return builder.Build();
+}
+
+TEST(IngestDifferentialTest, RandomTextsInRandomChunksMatchTheReference) {
+  const IdScheme schemes[] = {IdScheme::kDense, IdScheme::kOneBased,
+                              IdScheme::kBelowBound, IdScheme::kAtBound,
+                              IdScheme::kSparse64};
+  for (IdScheme scheme : schemes) {
+    for (uint64_t seed = 1; seed <= 13; ++seed) {
+      // The last case streams several of the ingester's 2^16-endpoint
+      // blocks.
+      const DifferentialCase c = MakeDifferentialCase(
+          scheme, seed == 13 ? 70000 : 200,
+          seed * 31 + static_cast<int>(scheme));
+      SCOPED_TRACE(testing::Message() << "scheme " << static_cast<int>(scheme)
+                                      << " seed " << seed);
+      IngestStats want;
+      const Graph reference = ReferenceGraph(c, &want);
+
+      std::mt19937_64 rng(seed);
+      EdgeListIngester ingester;
+      for (size_t pos = 0; pos < c.text.size();) {
+        const size_t len = 1 + rng() % (rng() % 2 == 0 ? 8 : 4096);
+        ASSERT_TRUE(
+            ingester.Consume(std::string_view(c.text).substr(pos, len)).ok());
+        pos += len;
+      }
+      IngestStats got;
+      StatusOr<Graph> graph = ingester.Finish(&got);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(reference, graph.value()));
+      EXPECT_EQ(got.lines, want.lines);
+      EXPECT_EQ(got.comment_lines, want.comment_lines);
+      EXPECT_EQ(got.blank_lines, want.blank_lines);
+      EXPECT_EQ(got.edges_in, want.edges_in);
+      EXPECT_EQ(got.self_loops, want.self_loops);
+      EXPECT_EQ(got.duplicate_edges, want.duplicate_edges);
+      EXPECT_EQ(got.ids_remapped, want.ids_remapped);
+      EXPECT_EQ(got.vertices, want.vertices);
+      EXPECT_EQ(got.edges, want.edges);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
